@@ -40,12 +40,6 @@ def packed_to_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def int_to_packed(x: int, nbits: int) -> np.ndarray:
-    """Python int bitset -> little-endian packed uint8 row of ceil(nbits/8) bytes."""
-    nbytes = (nbits + 7) // 8
-    return np.frombuffer(x.to_bytes(nbytes, "little"), dtype=np.uint8).copy()
-
-
 def pack_bool_matrix(m: np.ndarray) -> np.ndarray:
     """Pack a boolean matrix row-wise (little-endian bit order)."""
     return np.packbits(m, axis=1, bitorder="little")

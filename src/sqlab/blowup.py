@@ -6,7 +6,10 @@ which only pairs of classes at distance 1 or 2 carry edges (synthetic chains
 are built that way; views into larger graphs mask everything else out).  Per
 pair the adjacency is a packed bit matrix (numpy uint8, little-endian rows),
 so triangle counts and frontier unions vectorise; single rows convert to
-Python-int bitsets when per-edge walks need them.
+Python-int bitsets for the per-edge walks that recover concrete paths.
+Good-edge classification instead runs many sources at once through
+:func:`expansion_fractions`, which unpacks the pairs to dense float32
+matrices and advances every source with one matrix product per layer.
 
 Pruning owns a private copy of the pair matrices; the underlying Graph, when
 one exists, is never mutated.
@@ -24,7 +27,6 @@ import numpy as np
 from . import graph as graphmod
 from .bitops import (
     bits,
-    int_to_packed,
     pack_bool_matrix,
     packed_to_int,
     popcount_rows,
@@ -134,12 +136,6 @@ class ChainPartition:
             self._source,
         )
 
-    def row_int(self, i: int, j: int, local_u: int) -> int:
-        return packed_to_int(self.pair(i, j)[local_u])
-
-    def row_int_T(self, i: int, j: int, local_v: int) -> int:
-        return packed_to_int(self.pair_T(i, j)[local_v])
-
     # -- materialisation -----------------------------------------------------
 
     def graph(self) -> Graph:
@@ -189,25 +185,20 @@ def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
     classes = [tuple(c) for c in classes]
     k = len(classes)
     n0 = len(classes[0]) if classes else 0
+    for cls in classes:
+        for u in cls:
+            g.check_vertex(u)
+    nbytes = (g.n + 7) // 8
+    cols = [np.array(cls, dtype=np.int64) for cls in classes]
     pairs: dict[tuple[int, int], np.ndarray] = {}
-    col_index = {}
-    for j, cls in enumerate(classes):
-        col_index[j] = np.fromiter(cls, dtype=np.int64, count=len(cls))
-    for i in range(k):
+    for i in range(k - 1):
+        # every adjacency row of class i, unpacked in one call
+        raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in classes[i])
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(classes[i]), nbytes)
+        rows = np.unpackbits(packed, axis=1, bitorder="little", count=g.n)
         for j in (i + 1, i + 2):
-            if j >= k:
-                continue
-            rows = np.zeros((n0, n0), dtype=bool)
-            cols = col_index[j]
-            for li, u in enumerate(classes[i]):
-                g.check_vertex(u)
-                row = g.adjacency[u]
-                if row:
-                    nbytes = (g.n + 7) // 8
-                    buf = np.frombuffer(row.to_bytes(nbytes, "little"), dtype=np.uint8)
-                    full = np.unpackbits(buf, bitorder="little", count=g.n)
-                    rows[li] = full[cols]
-            pairs[(i, j)] = pack_bool_matrix(rows)
+            if j < k:
+                pairs[(i, j)] = pack_bool_matrix(rows[:, cols[j]])
     density_sum = 0.0
     npairs = 0
     for (i, j), packed in pairs.items():
@@ -588,6 +579,66 @@ def recover_square_path(chain: ChainPartition, e: tuple[int, int], target: tuple
         return None
     bt = [chain.pair_T(i, i + 2) for i in range(k - 2)]
     return _recover_backwards(chain, layers, bt, tli, tlj)
+
+
+# Sources advance through the layers in blocks whose state holds at most this
+# many float32 entries (4 MB, twice over with the layer output), whatever the
+# number of sources.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def expansion_fractions(
+    chain: ChainPartition, sources: Sequence[tuple[int, int]]
+) -> list[float]:
+    """For each first-pair edge (a, b), in local ids, the fraction of
+    last-pair edges it reaches by forward square-walk moves: the value
+    ``edge_expansion`` reports, for many sources at once.
+
+    A multi-source traversal in dense linear algebra.  The states of a block
+    of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i,
+    v in V_{i+1}), and one layer is
+
+        R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
+
+    with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
+    (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
+    GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is exact.
+    """
+    n0, k = chain.n0, chain.k
+    src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
+    if src.size:
+        in_range = (src >= 0).all() and (src < n0).all()
+        first = unpack_packed_matrix(chain.pair(0, 1), n0)
+        if not in_range or not first[src[:, 0], src[:, 1]].all():
+            raise ValueError("sources must be surviving first-pair edges")
+    total = chain.pair_edge_count(k - 2, k - 1)
+    if not total:
+        return [0.0] * len(src)
+    layers = [
+        (_dense32(chain, i, i + 2), _dense32(chain, i + 1, i + 2)) for i in range(k - 2)
+    ]
+    block = max(1, _BLOCK_ENTRIES // (n0 * n0))
+    reached: list[int] = []
+    for lo in range(0, len(src), block):
+        part = src[lo : lo + block]
+        s = len(part)
+        state = np.zeros((s, n0, n0), dtype=np.float32)
+        step = np.empty_like(state)
+        state[np.arange(s), part[:, 1], part[:, 0]] = 1.0
+        for B, A2 in layers:
+            np.matmul(state.reshape(s * n0, n0), B, out=step.reshape(s * n0, n0))
+            # entries are whole numbers >= 0 and A2 is 0/1: min clips and masks
+            np.minimum(step, A2, out=step)
+            # the next layer contracts over v, so it becomes the last axis
+            state[...] = step.transpose(0, 2, 1)
+            if not state.any():
+                break
+        reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
+    return [c / total for c in reached]
+
+
+def _dense32(chain: ChainPartition, i: int, j: int) -> np.ndarray:
+    return unpack_packed_matrix(chain.pair(i, j), chain.n0).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

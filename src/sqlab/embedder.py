@@ -7,10 +7,12 @@ order, one vertex per class per lap.  Growth is windowed: the path's end
 edge is extended to a *good* edge of the next window (one whose expansion
 through the window reaches at least ``good_threshold`` of the window's last
 pair), via a concrete square path recovered by depth-first search over the
-per-class pools of unused vertices.  Reserved per-class sets are set aside
-before growth starts and spent only in the closing phase, which winds the
-path through the leftover-plus-reserved pools to the lap boundary and joins
-it back to the start edge.
+per-class pools of unused vertices.  Each window is a chain view of those
+pools, and a seeded sample of its first-pair edges is classified in one
+batched call to :func:`sqlab.blowup.expansion_fractions`.  Reserved
+per-class sets are set aside before growth starts and spent only in the
+closing phase, which winds the path through the leftover-plus-reserved
+pools to the lap boundary and joins it back to the start edge.
 
 The embedder never trusts itself: every window asserts square-path validity
 of the grown prefix, and the final cycle is re-validated from scratch.
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .bitops import bits, mask_of
-from .blowup import ChainPartition, chain_view, edge_expansion
+from .blowup import ChainPartition, chain_view, expansion_fractions
 from .graph import Graph
 from .regularity import EquitablePartition
 from .squarewalk import (
@@ -200,67 +202,6 @@ class GoodEdgeReport:
     sampled: int
 
 
-class _IntWindow:
-    """Window pools as per-pair int-bitset rows, for fast expansion scans.
-
-    Functionally equivalent to a chain view plus edge_expansion per edge
-    (asserted in tests); rebuilt per window because pools shrink as the path
-    consumes vertices.
-    """
-
-    def __init__(self, g: Graph, cols: list[tuple[int, ...]]):
-        self.cols = cols
-        self.t = len(cols)
-        adj = g.adjacency
-        self.rows: dict[tuple[int, int], list[int]] = {}
-        for i in range(self.t):
-            for j in (i + 1, i + 2):
-                if j >= self.t:
-                    continue
-                cj = cols[j]
-                pair_rows = []
-                for u in cols[i]:
-                    row = 0
-                    au = adj[u]
-                    for c, w in enumerate(cj):
-                        row |= ((au >> w) & 1) << c
-                    pair_rows.append(row)
-                self.rows[(i, j)] = pair_rows
-
-    def first_pair_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for a, row in enumerate(self.rows[(0, 1)]):
-            for b in bits(row):
-                out.append((a, b))
-        return out
-
-    def expansion_fraction(self, a: int, b: int) -> float:
-        """Fraction of last-pair edges reachable from first-pair edge (a, b)
-        by forward square-walk moves."""
-        t = self.t
-        frontier: dict[int, int] = {b: 1 << a}
-        for i in range(t - 2):
-            B = self.rows[(i, i + 2)]
-            A2 = self.rows[(i + 1, i + 2)]
-            nxt: dict[int, int] = {}
-            for v, umask in frontier.items():
-                reach = 0
-                um = umask
-                while um:
-                    low = um & -um
-                    reach |= B[low.bit_length() - 1]
-                    um ^= low
-                hits = A2[v] & reach
-                for w in bits(hits):
-                    nxt[w] = nxt.get(w, 0) | (1 << v)
-            frontier = nxt
-            if not frontier:
-                return 0.0
-        total = sum(r.bit_count() for r in self.rows[(t - 2, t - 1)])
-        reached = sum(m.bit_count() for m in frontier.values())
-        return reached / total if total else 0.0
-
-
 def classify_good_edges(
     window: ChainPartition,
     threshold: float,
@@ -276,19 +217,25 @@ def classify_good_edges(
     """
     if k0 is not None and not k0 <= window.k <= 2 * k0:
         raise ValueError(f"window length {window.k} outside [{k0}, {2 * k0}]")
+    return _classify(window, threshold, sample_limit, rng_from(seed))
+
+
+def _classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
+    """Sample at most ``sample_limit`` first-pair edges in row-major order and
+    classify them with one batched expansion call."""
     pairs = window.pair_edges_local(0, 1)
     if not pairs:
         return GoodEdgeReport((), 0.0, 0)
-    rng = rng_from(seed)
     if len(pairs) > sample_limit:
         idx = rng.choice(len(pairs), size=sample_limit, replace=False)
         pairs = [pairs[int(i)] for i in sorted(idx)]
-    good = []
-    for a, b in pairs:
-        e = (window.to_global(0, a), window.to_global(1, b))
-        if edge_expansion(window, e).fraction >= threshold:
-            good.append(e)
-    return GoodEdgeReport(tuple(good), len(good) / len(pairs), len(pairs))
+    fractions = expansion_fractions(window, pairs)
+    good = tuple(
+        (window.to_global(0, a), window.to_global(1, b))
+        for (a, b), frac in zip(pairs, fractions)
+        if frac >= threshold
+    )
+    return GoodEdgeReport(good, len(good) / len(pairs), len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +300,21 @@ class _EmbedState:
 def embed_square_cycle(
     g: Graph,
     partition: EquitablePartition,
-    reduced_cycle: SquareCycle,
+    reduced_cycle: Optional[SquareCycle],
     params: PipelineParams,
     seed: int,
 ) -> EmbeddingTrace:
     """Grow a long square cycle through the partition classes in reduced-cycle
     order.  See the module docstring for the phase structure.  Closing failure
     returns the longest grown path flagged "open-path"; it is not an error.
+    A missing reduced cycle (the reduced graph has none, e.g. because every
+    pair was flagged) raises ValueError.
     """
+    if reduced_cycle is None:
+        size = len(partition.classes[0]) if partition.classes else 0
+        raise ValueError(
+            f"no square cycle in the reduced graph (r = {partition.r}, class size {size})"
+        )
     r = len(reduced_cycle.vertices)
     k0 = params.k0
     if r < 3 * k0:
@@ -495,26 +449,19 @@ def _pick_start_edge(st, params, rng, trace):
         (u, v) for u in res0 for v in res1 if (adj[u] >> v) & 1
     ]
     rng.shuffle(candidates)
-    back_classes = None
-    if all(len(st.reserved[(1 - i) % r]) >= 3 for i in range(k0 + 2)):
-        back_classes = [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)]
-    best_fallback = None
-    for u, v in candidates:
-        if not (adj[u] & adj[v] & st.pool_mask[2]):
-            continue
-        if back_classes is not None:
-            view = chain_view(st.g, [back_classes[0], back_classes[1]] + back_classes[2:])
-            try:
-                frac = edge_expansion(view, (v, u)).fraction
-            except ValueError:
-                frac = 0.0
+    viable = [(u, v) for u, v in candidates if adj[u] & adj[v] & st.pool_mask[2]]
+    if not all(len(st.reserved[(1 - i) % r]) >= 3 for i in range(k0 + 2)):
+        best_fallback = viable[0] if viable else None
+    else:
+        view = chain_view(st.g, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)])
+        # the backward chain starts at class 1, so (u, v) enters it as (v, u)
+        sources = [(view.to_local(v)[1], view.to_local(u)[1]) for u, v in viable]
+        fractions = expansion_fractions(view, sources)
+        for e, frac in zip(viable, fractions):
             if frac >= params.good_threshold:
                 trace.start_certified = True
-                return (u, v)
-            if best_fallback is None and frac > 0:
-                best_fallback = (u, v)
-        else:
-            best_fallback = best_fallback or (u, v)
+                return e
+        best_fallback = next((e for e, frac in zip(viable, fractions) if frac > 0), None)
     if best_fallback is not None:
         trace.flags.append("start-uncertified")
         return best_fallback
@@ -532,9 +479,10 @@ def _pick_start_edge(st, params, rng, trace):
     return None
 
 
-def _window_view(st, start_pos: int, t: int, rng):
+def _window(st, start_pos: int, t: int, rng) -> Optional[ChainPartition]:
     """Equal-size chain view over the pools of classes start_pos..start_pos+t-1;
-    pools are truncated to the smallest pool size by seeded subsampling."""
+    pools are truncated to the smallest pool size by seeded subsampling.
+    Rebuilt per window because pools shrink as the path consumes vertices."""
     sizes = [st.pool_size(start_pos + i) for i in range(t)]
     m = min(sizes)
     if m < 3:
@@ -549,22 +497,6 @@ def _window_view(st, start_pos: int, t: int, rng):
     return chain_view(st.g, cols)
 
 
-def _int_window(st, start_pos: int, t: int, rng) -> Optional[_IntWindow]:
-    """Window pools truncated to the smallest pool size (seeded subsample)."""
-    sizes = [st.pool_size(start_pos + i) for i in range(t)]
-    m = min(sizes)
-    if m < 3:
-        return None
-    cols = []
-    for i in range(t):
-        avail = sorted(bits(st.available_mask(start_pos + i)))
-        if len(avail) > m:
-            picks = rng.choice(len(avail), size=m, replace=False)
-            avail = [avail[int(j)] for j in sorted(picks)]
-        cols.append(tuple(avail))
-    return _IntWindow(st.g, cols)
-
-
 def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | None:
     """One window advance: classify good edges of the next window, then DFS
     from the current end edge to a good (and not banned) target edge."""
@@ -576,24 +508,11 @@ def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | 
     # the next window starts where this one ends; good edges live in its
     # first pair, which is this window's last pair
     next_start = c0 + t - 2
-    win = _int_window(st, next_start, t, rng)
+    win = _window(st, next_start, t, rng)
     if win is None:
         return None
-    edges = win.first_pair_edges()
-    if not edges:
-        return None
-    if len(edges) > params.good_sample_limit:
-        idx = rng.choice(len(edges), size=params.good_sample_limit, replace=False)
-        edges = [edges[int(i)] for i in sorted(idx)]
-    targets = set()
-    good = 0
-    for a, b in edges:
-        if win.expansion_fraction(a, b) >= params.good_threshold:
-            good += 1
-            e = (win.cols[0][a], win.cols[1][b])
-            if e not in banned:
-                targets.add(e)
-    fraction = good / len(edges)
+    report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
+    targets = {e for e in report.good if e not in banned}
     if not targets:
         return None
 
@@ -606,7 +525,7 @@ def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | 
         window_index,
         c0 % r,
         t,
-        fraction,
+        report.fraction,
         (new_vertices[-2], new_vertices[-1]),
         len(st.path),
         st.closing,

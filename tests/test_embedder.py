@@ -1,0 +1,157 @@
+import hashlib
+
+import numpy as np
+import pytest
+
+from sqlab import adversary, embedder, graph, regularity
+from sqlab import blowup as bl
+from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
+from sqlab.regularity import EquitablePartition
+from sqlab.squarewalk import is_square_cycle
+from sqlab.util import rng_from
+
+# sha256 of EmbeddingTrace.to_json() for G(600, 0.7), graph seed 1, at
+# PipelineParams(epsilon=0.2, nu=0.3), as produced by the per-edge
+# Python-int frontier that the batched kernel replaced
+PIPELINE_600_TRACE_SHA256 = "e25f4558593cde3590aa52aa372b876d50a4f693cd2cb0a71f283cf660fe214f"
+
+
+def reference_fractions(chain):
+    """Per-edge edge_expansion over every first-pair edge, row-major."""
+    pairs = chain.pair_edges_local(0, 1)
+    fracs = [
+        bl.edge_expansion(chain, (chain.to_global(0, a), chain.to_global(1, b))).fraction
+        for a, b in pairs
+    ]
+    return pairs, fracs
+
+
+# -- the batched kernel ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "k, n0, p0, seed",
+    [(3, 12, 0.5, 1), (8, 10, 0.6, 2), (6, 12, 0.25, 3)],
+    ids=["k3", "k8", "sparse"],
+)
+def test_kernel_matches_edge_expansion(k, n0, p0, seed):
+    chain = bl.build_chain_random(k, n0, p0, seed)
+    pairs, ref = reference_fractions(chain)
+    assert pairs
+    assert bl.expansion_fractions(chain, pairs) == ref
+    if p0 < 0.3:
+        assert 0.0 in ref and any(f > 0 for f in ref)  # some frontiers die
+
+
+def test_kernel_spans_several_source_blocks(monkeypatch):
+    chain = bl.build_chain_random(5, 9, 0.6, 4)
+    pairs, ref = reference_fractions(chain)
+    monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * 9 * 9)  # 4 sources per block
+    assert len(pairs) > 4 and len(pairs) % 4
+    assert bl.expansion_fractions(chain, pairs) == ref
+
+
+def test_kernel_edge_cases():
+    chain = bl.build_chain_random(4, 6, 0.5, 5)
+    assert bl.expansion_fractions(chain, []) == []
+    a, b = chain.pair_edges_local(0, 1)[0]
+    assert bl.expansion_fractions(chain, [(a, b), (a, b)]) == [
+        bl.edge_expansion(chain, (chain.to_global(0, a), chain.to_global(1, b))).fraction
+    ] * 2
+    dense = unpack_packed_matrix(chain.pair(0, 1), 6)
+    non_edge = tuple(int(x) for x in np.argwhere(~dense)[0])
+    for bad in (non_edge, (6, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            bl.expansion_fractions(chain, [bad])
+
+
+def test_classify_good_edges_matches_per_edge_reference():
+    window = bl.build_chain_random(6, 14, 0.55, 6)
+    threshold, limit, seed = 0.5, 40, 11
+    pairs = window.pair_edges_local(0, 1)
+    assert len(pairs) > limit
+    idx = rng_from(seed).choice(len(pairs), size=limit, replace=False)
+    sampled = [pairs[int(i)] for i in sorted(idx)]
+    good = []
+    for a, b in sampled:
+        e = (window.to_global(0, a), window.to_global(1, b))
+        if bl.edge_expansion(window, e).fraction >= threshold:
+            good.append(e)
+    expected = embedder.GoodEdgeReport(tuple(good), len(good) / limit, limit)
+    got = embedder.classify_good_edges(window, threshold, k0=5, sample_limit=limit, seed=seed)
+    assert got == expected
+    assert 0 < len(good) < limit
+
+
+# -- chain_view -------------------------------------------------------------------
+
+
+def reference_chain_view_masks(g, classes):
+    """The per-vertex full-row unpacking that chain_view vectorised."""
+    k, n0 = len(classes), len(classes[0])
+    masks = {}
+    for i in range(k):
+        for j in (i + 1, i + 2):
+            if j >= k:
+                continue
+            rows = np.zeros((n0, n0), dtype=bool)
+            cols = np.array(classes[j], dtype=np.int64)
+            for li, u in enumerate(classes[i]):
+                row = g.adjacency[u]
+                if row:
+                    buf = np.frombuffer(row.to_bytes((g.n + 7) // 8, "little"), dtype=np.uint8)
+                    rows[li] = np.unpackbits(buf, bitorder="little", count=g.n)[cols]
+            masks[(i, j)] = rows
+    return masks
+
+
+@pytest.mark.parametrize("n, p, k, seed", [(70, 0.5, 5, 1), (41, 0.3, 4, 2), (24, 0.0, 3, 3)])
+def test_chain_view_matches_reference_masks(n, p, k, seed):
+    g = graph.gnp(n, p, seed=seed)
+    order = [int(v) for v in np.random.default_rng(seed).permutation(n)]
+    n0 = n // k
+    classes = [tuple(order[i * n0 : (i + 1) * n0]) for i in range(k)]
+    ch = bl.chain_view(g, classes)
+    masks = reference_chain_view_masks(g, classes)
+    assert ch.pair_indices() == sorted(masks)
+    for key, m in masks.items():
+        assert np.array_equal(ch.pair(*key), pack_bool_matrix(m))
+
+
+def test_chain_view_rejects_out_of_range_vertex():
+    g = graph.complete(9)
+    with pytest.raises(ValueError):
+        bl.chain_view(g, [(0, 1, 2), (3, 4, 5), (6, 7, 9)])
+
+
+# -- the embedder -----------------------------------------------------------------
+
+
+def test_pipeline_600_closes_with_unchanged_trace():
+    n, p, seed = 600, 0.7, 1
+    params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
+    h = adversary.per_vertex_deletion(graph.gnp(n, p, seed), 0.1, seed)
+    with pytest.warns(UserWarning):  # minimum degree below (mu + nu) n p
+        pr = regularity.partition_heuristic(
+            h, p, params.epsilon, params.mu, params.nu, params.r_min, params.r_max,
+            seed, alpha=params.alpha,
+        )
+    rg = embedder.reduced_graph(pr.partition, pr.reduced_adjacency)
+    cyc = embedder.square_cycle_in_reduced(rg).cycle
+    tr = embedder.embed_square_cycle(h, pr.partition, cyc, params, seed)
+
+    assert tr.closing_status == "closed" and tr.start_certified
+    assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_600_TRACE_SHA256
+    seq = tr.cycle.vertices
+    assert is_square_cycle(h, seq)
+    r = len(cyc.vertices)
+    position = {v: j for j, c in enumerate(cyc.vertices) for v in pr.partition.classes[c]}
+    assert len(seq) % r == 0
+    assert all(position[v] == idx % r for idx, v in enumerate(seq))
+
+
+def test_embed_without_reduced_cycle_raises_value_error():
+    g = graph.complete(12)
+    part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(4)))
+    with pytest.raises(ValueError, match=r"no square cycle in the reduced graph \(r = 4, class size 3\)"):
+        embedder.embed_square_cycle(g, part, None, embedder.PipelineParams(), seed=0)
