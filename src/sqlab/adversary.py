@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph as graphmod
 from .bitops import bits, mask_of
 from .graph import Graph
@@ -64,18 +66,21 @@ def per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"deletion fraction {r} outside [0, 1]")
-    budget = [int(r * g.degree(v)) for v in range(g.n)]
-    edges = list(g.edges())
-    rng = rng_from(seed)
-    order = rng.permutation(len(edges))
-    removed = []
-    for idx in order:
-        u, v = edges[idx]
+    a = graphmod.to_matrix(g)
+    budget = (r * a.sum(axis=1)).astype(np.int64).tolist()
+    # np.nonzero walks the upper triangle row-major: the order of g.edges()
+    us, vs = np.nonzero(np.triu(a, 1))
+    order = rng_from(seed).permutation(us.size)
+    removed_u, removed_v = [], []
+    for u, v in zip(us[order].tolist(), vs[order].tolist()):
         if budget[u] > 0 and budget[v] > 0:
             budget[u] -= 1
             budget[v] -= 1
-            removed.append((u, v))
-    return g.without_edges(removed)
+            removed_u.append(u)
+            removed_v.append(v)
+    a[removed_u, removed_v] = False
+    a[removed_v, removed_u] = False
+    return graphmod.from_matrix(a)
 
 
 def neighborhood_wipe(g: Graph, v: int) -> Graph:

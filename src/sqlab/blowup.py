@@ -32,7 +32,7 @@ from .bitops import (
     popcount_rows,
     unpack_packed_matrix,
 )
-from .graph import Graph
+from .graph import Graph, to_matrix
 from .util import rng_from
 
 
@@ -188,14 +188,10 @@ def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
     for cls in classes:
         for u in cls:
             g.check_vertex(u)
-    nbytes = (g.n + 7) // 8
     cols = [np.array(cls, dtype=np.int64) for cls in classes]
     pairs: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k - 1):
-        # every adjacency row of class i, unpacked in one call
-        raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in classes[i])
-        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(classes[i]), nbytes)
-        rows = np.unpackbits(packed, axis=1, bitorder="little", count=g.n)
+        rows = to_matrix(g, classes[i])
         for j in (i + 1, i + 2):
             if j < k:
                 pairs[(i, j)] = pack_bool_matrix(rows[:, cols[j]])

@@ -1,8 +1,17 @@
 """Immutable simple graphs on dense integer vertex ids 0..n-1.
 
-Adjacency is stored as one Python-int bitset per vertex, which makes the
-intersection-heavy queries of this package (common neighbourhoods, per-edge
-triangles, degrees into subsets) single ``&`` + popcount operations.
+Adjacency has two encodings that agree bit for bit:
+
+* one Python-int bitset per vertex (``Graph.adjacency``), which makes the
+  intersection-heavy queries of this package (common neighbourhoods,
+  per-edge triangles, degrees into subsets) single ``&`` + popcount
+  operations, and
+* a dense boolean matrix, for whole-graph passes that numpy vectorises.
+
+``to_matrix`` unpacks chosen adjacency rows into a boolean matrix with one
+``to_bytes`` join and one ``np.unpackbits``; ``from_matrix`` packs a
+symmetric boolean matrix back into a ``Graph``.  Both use the little-endian
+packed layout of ``bitops``.
 
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
@@ -18,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitops import bits, mask_of
+from .bitops import bits, mask_of, pack_bool_matrix, packed_to_int, unpack_packed_matrix
 
 
 class Graph:
@@ -196,37 +205,39 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     Each unordered pair {i, j}, i < j, is an edge independently with
     probability p.  One uniform is drawn per pair, rows in increasing i and
     within a row increasing j, from PCG64(seed); the layout is therefore
-    reproducible across platforms.
+    reproducible across platforms.  Draws are taken one row at a time, so
+    no n(n-1)/2 float buffer is ever held.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    upper: list[np.ndarray] = []
+    m = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
-        draws = rng.random(n - 1 - i)
-        upper.append(np.nonzero(draws < p)[0] + i + 1)
-    if n > 0:
-        upper.append(np.empty(0, dtype=np.int64))
+        m[i, i + 1 :] = rng.random(n - 1 - i) < p
+    m |= m.T
+    return from_matrix(m)
 
-    adj = [0] * n
-    m = 0
-    row_bits = np.zeros(n, dtype=bool)
-    lower: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        hits = upper[i]
-        row_bits[:] = False
-        if hits.size:
-            row_bits[hits] = True
-            for j in hits:
-                lower[j].append(i)
-            m += hits.size
-        if lower[i]:
-            row_bits[lower[i]] = True
-        packed = np.packbits(row_bits, bitorder="little")
-        adj[i] = int.from_bytes(packed.tobytes(), "little")
-    return Graph(n, adj, int(m))
+
+# ---------------------------------------------------------------------------
+# matrix encoding
+
+
+def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Boolean adjacency of ``rows`` (default: every vertex) against all n
+    columns; row i of the result is the neighbourhood of ``rows[i]``."""
+    rows = range(g.n) if rows is None else rows
+    nbytes = (g.n + 7) // 8
+    raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return unpack_packed_matrix(packed, g.n)
+
+
+def from_matrix(m: np.ndarray) -> Graph:
+    """Graph of a symmetric boolean adjacency matrix with an empty diagonal."""
+    adj = [packed_to_int(row) for row in pack_bool_matrix(m)]
+    return Graph(m.shape[0], adj, int(np.count_nonzero(m)) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,23 @@
-"""Independent brute-force oracles.
+"""Independent brute-force oracles and bitset reference implementations.
 
-These deliberately share no code with the search implementations they check:
-plain prefix enumeration and triple loops, pruned only on adjacency.
+The oracles deliberately share no code with the search implementations they
+check: plain prefix enumeration and triple loops, pruned only on adjacency.
+
+The reference implementations at the end are the earlier Python-int bitset
+versions of ``gnp``, ``per_vertex_deletion`` and the regularity tester's
+``_GraphCounter``, kept verbatim so the matrix-backed code can be held to
+bit-identical outputs.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
+from sqlab.bitops import mask_of
 from sqlab.graph import Graph
+from sqlab.util import rng_from
 
 
 def oracle_longest_square_path(g: Graph) -> int:
@@ -52,3 +63,91 @@ def oracle_common_neighbors(g: Graph, u: int, v: int) -> set[int]:
 
 def oracle_degree_into(g: Graph, v: int, s) -> int:
     return sum(1 for w in s if g.has_edge(v, w))
+
+
+# ---------------------------------------------------------------------------
+# bitset reference implementations (rng call order is part of the contract)
+
+
+def reference_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p) with a fixed lexicographic sampling order.
+
+    Each unordered pair {i, j}, i < j, is an edge independently with
+    probability p.  One uniform is drawn per pair, rows in increasing i and
+    within a row increasing j, from PCG64(seed); the layout is therefore
+    reproducible across platforms.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability {p} outside [0, 1]")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    upper: list[np.ndarray] = []
+    for i in range(n - 1):
+        draws = rng.random(n - 1 - i)
+        upper.append(np.nonzero(draws < p)[0] + i + 1)
+    if n > 0:
+        upper.append(np.empty(0, dtype=np.int64))
+
+    adj = [0] * n
+    m = 0
+    row_bits = np.zeros(n, dtype=bool)
+    lower: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        hits = upper[i]
+        row_bits[:] = False
+        if hits.size:
+            row_bits[hits] = True
+            for j in hits:
+                lower[j].append(i)
+            m += hits.size
+        if lower[i]:
+            row_bits[lower[i]] = True
+        packed = np.packbits(row_bits, bitorder="little")
+        adj[i] = int.from_bytes(packed.tobytes(), "little")
+    return Graph(n, adj, int(m))
+
+
+def reference_per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
+    """Delete at most an r-fraction of the edges at every vertex.
+
+    Candidate edges are visited in seeded random order; a deletion is skipped
+    whenever it would overdraw either endpoint's budget floor(r * deg).  The
+    result therefore always satisfies the per-vertex budget exactly.
+    """
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"deletion fraction {r} outside [0, 1]")
+    budget = [int(r * g.degree(v)) for v in range(g.n)]
+    edges = list(g.edges())
+    rng = rng_from(seed)
+    order = rng.permutation(len(edges))
+    removed = []
+    for idx in order:
+        u, v = edges[idx]
+        if budget[u] > 0 and budget[v] > 0:
+            budget[u] -= 1
+            budget[v] -= 1
+            removed.append((u, v))
+    return g.without_edges(removed)
+
+
+class ReferenceGraphCounter:
+    def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
+        self.g = g
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+
+    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
+        mask = mask_of(int(self.right[j]) for j in ri)
+        adj = self.g.adjacency
+        return sum((adj[int(self.left[i])] & mask).bit_count() for i in li)
+
+    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
+        v = int(self.right[right_pos])
+        row = self.g.adjacency[v]
+        return np.nonzero([(row >> int(u)) & 1 for u in self.left])[0]
+
+    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
+        u = int(self.left[left_pos])
+        row = self.g.adjacency[u]
+        return np.nonzero([(row >> int(v)) & 1 for v in self.right])[0]

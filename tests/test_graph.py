@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -43,6 +44,23 @@ def test_gnp_rejects_bad_probability():
 def test_gnp_invariants(n, p, seed):
     g = graph.gnp(n, p, seed)
     g.validate()
+
+
+@given(st.data())
+def test_matrix_round_trip(data):
+    n = data.draw(st.integers(0, 70))
+    p = data.draw(st.floats(0, 1))
+    draws = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(n * n)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if draws[u * n + v] < p]
+    g = graph.from_edges(n, edges)
+
+    back = graph.from_matrix(graph.to_matrix(g))
+    assert back == g and back.edge_count == g.edge_count
+
+    rows = data.draw(st.lists(st.integers(0, n - 1))) if n else []
+    m = graph.to_matrix(g, rows)
+    assert m.dtype == bool and m.shape == (len(rows), n)
+    assert m.tolist() == [[bool((g.adjacency[u] >> v) & 1) for v in range(n)] for u in rows]
 
 
 def test_triangles_k3():
