@@ -8,10 +8,11 @@ Adjacency has two encodings that agree bit for bit:
   operations, and
 * a dense boolean matrix, for whole-graph passes that numpy vectorises.
 
-``to_matrix`` unpacks chosen adjacency rows into a boolean matrix with one
-``to_bytes`` join and one ``np.unpackbits``; ``from_matrix`` packs a
-symmetric boolean matrix back into a ``Graph``.  Both use the little-endian
-packed layout of ``bitops``.
+``to_packed`` joins chosen adjacency rows into a packed uint8 matrix with
+one ``to_bytes`` join, ``to_matrix`` unpacks that with one
+``np.unpackbits``, and ``from_matrix`` packs a symmetric boolean matrix
+back into a ``Graph``.  All three use the little-endian packed layout of
+``bitops``.
 
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
@@ -224,14 +225,19 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 # matrix encoding
 
 
-def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
-    """Boolean adjacency of ``rows`` (default: every vertex) against all n
-    columns; row i of the result is the neighbourhood of ``rows[i]``."""
+def to_packed(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Packed little-endian uint8 adjacency of ``rows`` (default: every
+    vertex), ``ceil(n / 8)`` bytes per row with zero padding bits."""
     rows = range(g.n) if rows is None else rows
     nbytes = (g.n + 7) // 8
     raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in rows)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
-    return unpack_packed_matrix(packed, g.n)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
+def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Boolean adjacency of ``rows`` (default: every vertex) against all n
+    columns; row i of the result is the neighbourhood of ``rows[i]``."""
+    return unpack_packed_matrix(to_packed(g, rows), g.n)
 
 
 def from_matrix(m: np.ndarray) -> Graph:

@@ -28,8 +28,10 @@ classes hold several hundred vertices.
 
 Graph pairs are tested on their dense |L| x |R| boolean matrix, sliced once
 per test: a sample's edge count is one fancy-indexed sum and a pivot's
-neighbourhood is the nonzero positions of one row or column.  Chain pairs
-use the packed matrices of the chain partition instead.
+neighbourhood is the nonzero positions of one row or column.
+``partition_heuristic`` takes each pair's density from the same matrix
+before testing it.  Chain pairs use the packed matrices of the chain
+partition instead.
 """
 
 from __future__ import annotations
@@ -156,6 +158,9 @@ class _GraphCounter:
 
     def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
         self.m = to_matrix(g, left)[:, np.asarray(right, dtype=np.int64)]
+
+    def edge_count(self) -> int:
+        return int(np.count_nonzero(self.m))
 
     def count(self, li: np.ndarray, ri: np.ndarray) -> int:
         return int(np.count_nonzero(self.m[li[:, None], ri]))
@@ -571,17 +576,22 @@ def partition_heuristic(
         splitters: list[set[int]] = []
         for i in range(r):
             for j in range(i + 1, r):
-                pair = BipartitePairView(g, classes[i], classes[j])
-                d = pair.density()
+                # the density comes from the counter's block, so the pair's
+                # rows are read once
+                counter = _GraphCounter(g, classes[i], classes[j])
+                d = Fraction(counter.edge_count(), ntilde * ntilde)
                 if float(d) < alpha * reference_p:
                     continue
-                rep = test_regular(
-                    g,
-                    pair,
+                rep = _run_pair_test(
+                    counter,
+                    classes[i],
+                    classes[j],
+                    d,
                     reference_p,
                     epsilon,
                     sample_count,
                     trial_seed(seed, i * r + j),
+                    one_sided=False,
                 )
                 reports[(i, j)] = rep
                 if rep.verdict == "no-violation-found":

@@ -11,16 +11,26 @@ Exact searches here are depth-first with a visited-vertex set and an
 optional node budget; when the budget runs out the best object found so far
 is returned flagged as a lower bound / unknown verdict.  Every path or cycle
 returned by any routine is re-validated before it is handed back.
+
+The exact searches keep Python-int bitsets.  The greedy heuristic, which
+runs on graphs of thousands of vertices, instead reads the adjacency once
+as packed uint8 rows (``graph.to_packed``, n^2 / 8 bytes): each step finds
+its candidates with one ``&`` of three packed rows and scores all of them
+with one ``bitwise_count`` over their gathered rows.  It never lists the
+edges; its random start edge is located by row popcounts.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
-from .bitops import bits, mask_of
-from .graph import Graph
+import numpy as np
+
+from .bitops import bits, popcount_rows
+from .graph import Graph, to_packed
 from .util import rng_from
 
 
@@ -375,43 +385,67 @@ def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquareP
     ``lookahead_depth`` further moves (ties to the smallest vertex id).
     Grows forward until stuck, then backward from the start until stuck.
     Deterministic given the seed.
+
+    The start edge is the k-th of ``g.edges()`` for one uniform draw of k,
+    found by walking the rows' upper-triangle popcounts; no edge list is
+    built.  Steps score on the packed adjacency rows: with ``free`` the
+    unvisited vertices and (cu, cv) the end state, the candidates are
+    N(cu) & N(cv) & free, and a candidate w scores
+    |N(cv) & N(w) & free| at depth 1, one ``bitwise_count`` over the
+    gathered candidate rows.  At depth 2 and beyond it scores
+    |F| + sum over x in F of |N(x) & N(w) & free|, F = N(cv) & N(w) & free.
+    Working memory is the n x ceil(n/8) packed rows plus O(n) per step.
     """
     if g.edge_count == 0:
         if g.n == 0:
             raise ValueError("empty graph has no square path")
         return SquarePath.checked(g, [0])
     rng = rng_from(seed)
-    edges = list(g.edges())
-    u, v = edges[int(rng.integers(len(edges)))]
+    u, v = _kth_edge(g, int(rng.integers(g.edge_count)))
     if rng.integers(2):
         u, v = v, u
-    adj = g.adjacency
-    seq = [u, v]
-    visited = (1 << u) | (1 << v)
+    packed = to_packed(g)
+    free = np.ones(g.n, dtype=bool)
+    free[[u, v]] = False
 
-    def score(prev: int, w: int, visited_mask: int) -> int:
-        frontier = adj[prev] & adj[w] & ~visited_mask
+    def members(row: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(np.unpackbits(row, count=g.n, bitorder="little"))
+
+    def scores(prev: int, cand: np.ndarray, pfree: np.ndarray) -> np.ndarray:
+        near = packed[prev] & pfree
         if lookahead_depth <= 1:
-            return frontier.bit_count()
-        total = 0
-        for x in bits(frontier):
-            total += (adj[w] & adj[x] & ~visited_mask & ~(1 << x)).bit_count() + 1
-        return total
+            return popcount_rows(packed[cand] & near)
+        out = np.empty(cand.size, dtype=np.int64)
+        for i, w in enumerate(cand):
+            frontier = members(near & packed[w])
+            out[i] = frontier.size + popcount_rows(packed[frontier] & packed[w] & pfree).sum()
+        return out
 
-    while True:
-        cu, cv = seq[-2], seq[-1]
-        cand = adj[cu] & adj[cv] & ~visited
-        if not cand:
-            break
-        w = max(bits(cand), key=lambda x: (score(cv, x, visited | (1 << x)), -x))
-        seq.append(w)
-        visited |= 1 << w
-    while True:
-        cu, cv = seq[1], seq[0]
-        cand = adj[cu] & adj[cv] & ~visited
-        if not cand:
-            break
-        w = max(bits(cand), key=lambda x: (score(cv, x, visited | (1 << x)), -x))
-        seq.insert(0, w)
-        visited |= 1 << w
+    def grow(cu: int, cv: int) -> list[int]:
+        """Extend the end state (cu, cv) greedily; the vertices added."""
+        added = []
+        while True:
+            pfree = np.packbits(free, bitorder="little")
+            cand = members(packed[cu] & packed[cv] & pfree)
+            if not cand.size:
+                return added
+            # argmax keeps the first maximum: the smallest id among ties
+            w = int(cand[np.argmax(scores(cv, cand, pfree))])
+            added.append(w)
+            free[w] = False
+            cu, cv = cv, w
+
+    seq = [u, v] + grow(u, v)
+    seq = grow(seq[1], seq[0])[::-1] + seq
     return SquarePath.checked(g, seq)
+
+
+def _kth_edge(g: Graph, k: int) -> tuple[int, int]:
+    """``list(g.edges())[k]`` without listing the edges."""
+    for u, row in enumerate(g.adjacency):
+        upper = row >> (u + 1)
+        count = upper.bit_count()
+        if k < count:
+            return u, u + 1 + next(islice(bits(upper), k, None))
+        k -= count
+    raise IndexError(f"edge index out of range for {g.edge_count} edges")

@@ -4,9 +4,11 @@ The oracles deliberately share no code with the search implementations they
 check: plain prefix enumeration and triple loops, pruned only on adjacency.
 
 The reference implementations at the end are the earlier Python-int bitset
-versions of ``gnp``, ``per_vertex_deletion`` and the regularity tester's
-``_GraphCounter``, kept verbatim so the matrix-backed code can be held to
-bit-identical outputs.
+versions of ``gnp``, ``per_vertex_deletion``, the regularity tester's
+``_GraphCounter`` and ``greedy_square_path``, kept verbatim so the
+matrix-backed code can be held to bit-identical outputs.  The counter's
+``edge_count``, which ``partition_heuristic`` now reads for each pair's
+density, is added on top of the bitset ``count``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from sqlab.bitops import mask_of
+from sqlab.bitops import bits, mask_of
 from sqlab.graph import Graph
+from sqlab.squarewalk import SquarePath
 from sqlab.util import rng_from
 
 
@@ -137,6 +140,9 @@ class ReferenceGraphCounter:
         self.left = np.asarray(left, dtype=np.int64)
         self.right = np.asarray(right, dtype=np.int64)
 
+    def edge_count(self) -> int:
+        return self.count(np.arange(self.left.size), np.arange(self.right.size))
+
     def count(self, li: np.ndarray, ri: np.ndarray) -> int:
         mask = mask_of(int(self.right[j]) for j in ri)
         adj = self.g.adjacency
@@ -151,3 +157,51 @@ class ReferenceGraphCounter:
         u = int(self.left[left_pos])
         row = self.g.adjacency[u]
         return np.nonzero([(row >> int(v)) & 1 for v in self.right])[0]
+
+
+def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
+    """Scalable seeded heuristic: grow from a random start edge, at each step
+    taking the successor with the most extension states within
+    ``lookahead_depth`` further moves (ties to the smallest vertex id).
+    Grows forward until stuck, then backward from the start until stuck.
+    Deterministic given the seed.
+    """
+    if g.edge_count == 0:
+        if g.n == 0:
+            raise ValueError("empty graph has no square path")
+        return SquarePath.checked(g, [0])
+    rng = rng_from(seed)
+    edges = list(g.edges())
+    u, v = edges[int(rng.integers(len(edges)))]
+    if rng.integers(2):
+        u, v = v, u
+    adj = g.adjacency
+    seq = [u, v]
+    visited = (1 << u) | (1 << v)
+
+    def score(prev: int, w: int, visited_mask: int) -> int:
+        frontier = adj[prev] & adj[w] & ~visited_mask
+        if lookahead_depth <= 1:
+            return frontier.bit_count()
+        total = 0
+        for x in bits(frontier):
+            total += (adj[w] & adj[x] & ~visited_mask & ~(1 << x)).bit_count() + 1
+        return total
+
+    while True:
+        cu, cv = seq[-2], seq[-1]
+        cand = adj[cu] & adj[cv] & ~visited
+        if not cand:
+            break
+        w = max(bits(cand), key=lambda x: (score(cv, x, visited | (1 << x)), -x))
+        seq.append(w)
+        visited |= 1 << w
+    while True:
+        cu, cv = seq[1], seq[0]
+        cand = adj[cu] & adj[cv] & ~visited
+        if not cand:
+            break
+        w = max(bits(cand), key=lambda x: (score(cv, x, visited | (1 << x)), -x))
+        seq.insert(0, w)
+        visited |= 1 << w
+    return SquarePath.checked(g, seq)

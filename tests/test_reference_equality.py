@@ -1,14 +1,23 @@
-"""The matrix-backed gnp, per-vertex deletion and pair counter against the
-bitset reference implementations in ``oracles``: outputs must be identical,
-down to edge counts, witnesses and sample indices."""
+"""The matrix-backed gnp, per-vertex deletion, pair counter and greedy
+square path against the bitset reference implementations in ``oracles``:
+outputs must be identical, down to edge counts, witnesses, sample indices
+and path vertices."""
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sqlab import adversary, graph
 from sqlab import regularity as reg
-from oracles import ReferenceGraphCounter, reference_gnp, reference_per_vertex_deletion
+from sqlab import squarewalk as sw
+from oracles import (
+    ReferenceGraphCounter,
+    reference_gnp,
+    reference_greedy_square_path,
+    reference_per_vertex_deletion,
+)
 from test_regularity import squared_cycle_blowup
+from test_squarewalk import cycle_graph, squared_cycle_graph
 
 
 def assert_same_graph(got, want):
@@ -128,3 +137,71 @@ def test_partition_matches_reference(monkeypatch, g, p, epsilon, r, rounds):
     )
     assert got == want
     assert got.rounds_used == rounds
+
+
+# -- greedy square path ---------------------------------------------------------
+
+
+def assert_same_greedy(g, seed, depth):
+    got = sw.greedy_square_path(g, seed, depth)
+    assert got == reference_greedy_square_path(g, seed, depth)
+    return got
+
+
+def disjoint_union(*parts):
+    edges, offset = [], 0
+    for h in parts:
+        edges += [(u + offset, v + offset) for u, v in h.edges()]
+        offset += h.n
+    return graph.from_edges(offset, edges)
+
+
+SHAPES = [
+    ("edgeless", lambda: graph.empty(6)),
+    ("single-edge", lambda: graph.from_edges(5, [(1, 3)])),
+    ("complete-12", lambda: graph.complete(12)),
+    ("cycle-9", lambda: cycle_graph(9)),
+    ("disconnected", lambda: disjoint_union(graph.complete(4), squared_cycle_graph(10), graph.empty(3))),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in SHAPES], ids=[i for i, _ in SHAPES])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_greedy_matches_reference_on_shapes(make, depth):
+    g = make()
+    for seed in range(8):
+        assert_same_greedy(g, seed, depth)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_greedy_matches_reference_across_padding(n, depth):
+    for p in (0.3, 0.8):
+        for seed in (0, 5):
+            assert_same_greedy(graph.gnp(n, p, seed), seed, depth)
+
+
+def test_greedy_matches_reference_at_scale():
+    assert len(assert_same_greedy(graph.gnp(2000, 0.5, 4), 4, 1)) > 1900
+
+
+def test_greedy_empty_graph_raises():
+    with pytest.raises(ValueError):
+        sw.greedy_square_path(graph.empty(0), 0)
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 10**6), st.sampled_from([1, 2]))
+def test_greedy_matches_reference_property(n, p, seed, depth):
+    assert_same_greedy(graph.gnp(n, p, seed), seed, depth)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [graph.complete(6), cycle_graph(9), graph.gnp(23, 0.4, 2), graph.gnp(70, 0.2, 3)],
+    ids=["complete-6", "cycle-9", "gnp-23", "gnp-70"],
+)
+def test_kth_edge_matches_edge_list(g):
+    edges = list(g.edges())
+    assert [sw._kth_edge(g, k) for k in range(len(edges))] == edges
+    with pytest.raises(IndexError):
+        sw._kth_edge(g, len(edges))
