@@ -4,12 +4,15 @@ edge expansion through the chain, and exact square-path counting.
 A chain is an ordered list of disjoint equal-size vertex classes V1..Vk in
 which only pairs of classes at distance 1 or 2 carry edges (synthetic chains
 are built that way; views into larger graphs mask everything else out).  Per
-pair the adjacency is a packed bit matrix (numpy uint8, little-endian rows),
-so triangle counts and frontier unions vectorise; single rows convert to
-Python-int bitsets for the per-edge walks that recover concrete paths.
-Good-edge classification instead runs many sources at once through
-:func:`expansion_fractions`, which unpacks the pairs to dense float32
-matrices and advances every source with one matrix product per layer.
+pair the adjacency is a packed bit matrix (numpy uint8, little-endian rows).
+
+The chain kernels unpack pairs to dense matrices and work by matrix
+products: pruning counts triangles with one float32 GEMM per step (in row
+blocks), good-edge classification advances many sources at once through
+:func:`expansion_fractions`, and the exact path counters advance integer
+state matrices by one product per layer.  Only the per-edge walks that
+recover concrete, certified paths (:func:`edge_expansion`,
+:func:`recover_square_path`) still go through Python-int bitset rows.
 
 Pruning owns a private copy of the pair matrices; the underlying Graph, when
 one exists, is never mutated.
@@ -276,22 +279,28 @@ class PruneResult:
     threshold: float
 
 
+def _triangle_blocks(chain: ChainPartition, i: int):
+    """Triangle counts of pair (i, i+1) against class i+2 in row blocks of
+    at most _BLOCK_ENTRIES entries: yields (lo, tri) with tri[u - lo, v] the
+    number of w in V_{i+2} adjacent to u in V_i and to v in V_{i+1}.  Each
+    block is one float32 GEMM, exact because every entry sums at most
+    n0 < 2^24 products of 0/1 values."""
+    n0 = chain.n0
+    B = chain.pair(i, i + 2)
+    CT = _dense32(chain, i + 1, i + 2).T
+    rows = max(1, _BLOCK_ENTRIES // n0)
+    for lo in range(0, n0, rows):
+        yield lo, unpack_packed_matrix(B[lo : lo + rows], n0).astype(np.float32) @ CT
+
+
 def triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tuple[int, int], int]:
     """Per-edge triangle counts of pair (i, i+1) into class i+2 (local ids)."""
-    n0 = chain.n0
-    A = chain.pair(i, i + 1)
-    B = chain.pair(i, i + 2)
-    C = chain.pair(i + 1, i + 2)
+    A = _dense(chain, i, i + 1)
     out: dict[tuple[int, int], int] = {}
-    for u in range(n0):
-        vs = np.nonzero(
-            np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
-        )[0]
-        if not vs.size:
-            continue
-        tri = popcount_rows(C[vs] & B[u][None, :])
-        for v, t in zip(vs.tolist(), tri.tolist()):
-            out[(u, v)] = t
+    for lo, tri in _triangle_blocks(chain, i):
+        us, vs = np.nonzero(A[lo : lo + len(tri)])
+        counts = tri[us, vs].astype(np.int64).tolist()
+        out.update(zip(zip((us + lo).tolist(), vs.tolist()), counts))
     return out
 
 
@@ -319,22 +328,14 @@ def prune_to_gtilde(
     fractions: dict[tuple[int, int], float] = {}
     flagged: dict[tuple[int, int], bool] = {}
     for i in range(out.k - 3, -1, -1):
-        A = out.pair(i, i + 1)
-        B = out.pair(i, i + 2)
-        C = out.pair(i + 1, i + 2)
-        before = int(popcount_rows(A).sum())
-        dropped = 0
-        for u in range(n0):
-            row_bool = np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
-            vs = np.nonzero(row_bool)[0]
-            if not vs.size:
-                continue
-            tri = popcount_rows(C[vs] & B[u][None, :])
-            bad = vs[tri < tau]
-            if bad.size:
-                row_bool[bad] = False
-                A[u] = np.packbits(row_bool, bitorder="little")
-                dropped += int(bad.size)
+        A = _dense(out, i, i + 1)
+        before = int(np.count_nonzero(A))
+        for lo, tri in _triangle_blocks(out, i):
+            # a float64 scalar keeps the comparison in float64: against a
+            # Python float, numpy would round tau to float32 first
+            A[lo : lo + len(tri)] &= tri >= np.float64(tau)
+        dropped = before - int(np.count_nonzero(A))
+        out._pairs[(i, i + 1)] = pack_bool_matrix(A)
         out._invalidate(i, i + 1)
         key = (i, i + 1)
         removed[key] = dropped
@@ -363,7 +364,7 @@ def check_gtilde_ii(
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
     either a hard size violation or a replayable density witness.
     """
-    from .regularity import sampled_lower_regular_packed
+    from .regularity import lower_regular_verdict
 
     rng = rng_from(seed)
     n0 = chain.n0
@@ -372,22 +373,18 @@ def check_gtilde_ii(
     out: dict[int, int] = {}
     for i in range(chain.k - 2):
         middle = i + 1
-        AT = chain.pair_T(i, middle)  # rows: middle locals, bits over class i
-        Bm = chain.pair(middle, i + 2)
-        flank = chain.pair(i, i + 2)
+        left_of = _dense(chain, i, middle).T  # rows: middle locals
+        right_of = _dense(chain, middle, i + 2)
+        flank = _dense(chain, i, i + 2)
         exceptions = 0
         for v in range(n0):
-            left = np.nonzero(
-                np.unpackbits(AT[v], bitorder="little", count=n0).astype(bool)
-            )[0]
-            right = np.nonzero(
-                np.unpackbits(Bm[v], bitorder="little", count=n0).astype(bool)
-            )[0]
+            left = left_of[v].nonzero()[0]
+            right = right_of[v].nonzero()[0]
             if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
                 exceptions += 1
                 continue
-            verdict = sampled_lower_regular_packed(
-                flank, left, right, reference_p, epsilon, sample_count, rng
+            verdict = lower_regular_verdict(
+                flank[np.ix_(left, right)], reference_p, epsilon, sample_count, rng
             )
             if verdict == "violated":
                 exceptions += 1
@@ -484,32 +481,14 @@ def edge_expansion(chain: ChainPartition, e: tuple[int, int]) -> ExpansionResult
     ci, cj, li, lj = chain.locate_edge(*e)
     if (ci, cj) != (0, 1):
         raise ValueError("expansion starts from a first-pair edge")
-    u0, v0 = li, lj
-    n0 = chain.n0
     k = chain.k
-    # frontier[v] = bitset of predecessors u with state (u, v) reachable
-    frontier: dict[int, int] = {v0: 1 << u0}
-    layers: list[dict[int, int]] = [dict(frontier)]
-    for i in range(k - 2):
-        B = chain.pair(i, i + 2)
-        A2 = chain.pair(i + 1, i + 2)
-        nxt: dict[int, int] = {}
-        for v, umask in frontier.items():
-            reach = 0
-            for u in bits(umask):
-                reach |= packed_to_int(B[u])
-            hits = packed_to_int(A2[v]) & reach
-            for w in bits(hits):
-                nxt[w] = nxt.get(w, 0) | (1 << v)
-        frontier = nxt
-        layers.append(dict(frontier))
-        if not frontier:
-            break
+    layers = _frontier_layers(chain, li, lj)
+    frontier = layers[-1]
     total = chain.pair_edge_count(k - 2, k - 1)
     reachable: list[tuple[int, int]] = []
     certified = 0
     discarded = 0
-    if len(layers) == k - 1 and frontier:
+    if frontier:  # empty when a frontier died before the last pair
         bt = [chain.pair_T(i, i + 2) for i in range(k - 2)]
         for w in sorted(frontier):
             for v in bits(frontier[w]):
@@ -522,6 +501,30 @@ def edge_expansion(chain: ChainPartition, e: tuple[int, int]) -> ExpansionResult
                     discarded += 1
     fraction = len(reachable) / total if total else 0.0
     return ExpansionResult(tuple(sorted(reachable)), fraction, certified, discarded)
+
+
+def _frontier_layers(chain: ChainPartition, li: int, lj: int) -> list[dict[int, int]]:
+    """Forward frontiers from the local first-pair edge (li, lj): layers[i]
+    maps v to the bitset of u whose state (u, v) at pair (i, i+1) is
+    reachable.  Stops after the first empty layer."""
+    frontier: dict[int, int] = {lj: 1 << li}
+    layers = [frontier]
+    for i in range(chain.k - 2):
+        B = chain.pair(i, i + 2)
+        A2 = chain.pair(i + 1, i + 2)
+        nxt: dict[int, int] = {}
+        for v, umask in frontier.items():
+            reach = 0
+            for u in bits(umask):
+                reach |= packed_to_int(B[u])
+            hits = packed_to_int(A2[v]) & reach
+            for w in bits(hits):
+                nxt[w] = nxt.get(w, 0) | (1 << v)
+        frontier = nxt
+        layers.append(frontier)
+        if not frontier:
+            break
+    return layers
 
 
 def _recover_backwards(chain, layers, bt, v, w) -> Optional[list[int]]:
@@ -553,33 +556,18 @@ def recover_square_path(chain: ChainPartition, e: tuple[int, int], target: tuple
     tci, tcj, tli, tlj = chain.locate_edge(*target)
     if (tci, tcj) != (chain.k - 2, chain.k - 1):
         raise ValueError("target must be a last-pair edge")
-    n0, k = chain.n0, chain.k
-    frontier: dict[int, int] = {lj: 1 << li}
-    layers = [dict(frontier)]
-    for i in range(k - 2):
-        B = chain.pair(i, i + 2)
-        A2 = chain.pair(i + 1, i + 2)
-        nxt: dict[int, int] = {}
-        for v, umask in frontier.items():
-            reach = 0
-            for u in bits(umask):
-                reach |= packed_to_int(B[u])
-            hits = packed_to_int(A2[v]) & reach
-            for w in bits(hits):
-                nxt[w] = nxt.get(w, 0) | (1 << v)
-        frontier = nxt
-        layers.append(dict(frontier))
-        if not frontier:
-            return None
-    if not (layers[-1].get(tlj, 0) >> tli) & 1:
+    k = chain.k
+    layers = _frontier_layers(chain, li, lj)
+    if not (layers[-1].get(tlj, 0) >> tli) & 1:  # also when a frontier died
         return None
     bt = [chain.pair_T(i, i + 2) for i in range(k - 2)]
     return _recover_backwards(chain, layers, bt, tli, tlj)
 
 
-# Sources advance through the layers in blocks whose state holds at most this
-# many float32 entries (4 MB, twice over with the layer output), whatever the
-# number of sources.
+# The float32 kernels work in blocks of at most this many entries (4 MB):
+# expansion sources advance through the layers in blocks whose state holds
+# this many (twice over with the layer output), whatever the number of
+# sources, and triangle counts are computed this many at a time.
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -604,7 +592,7 @@ def expansion_fractions(
     src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
     if src.size:
         in_range = (src >= 0).all() and (src < n0).all()
-        first = unpack_packed_matrix(chain.pair(0, 1), n0)
+        first = _dense(chain, 0, 1)
         if not in_range or not first[src[:, 0], src[:, 1]].all():
             raise ValueError("sources must be surviving first-pair edges")
     total = chain.pair_edge_count(k - 2, k - 1)
@@ -633,21 +621,53 @@ def expansion_fractions(
     return [c / total for c in reached]
 
 
+def _dense(chain: ChainPartition, i: int, j: int) -> np.ndarray:
+    return unpack_packed_matrix(chain.pair(i, j), chain.n0)
+
+
 def _dense32(chain: ChainPartition, i: int, j: int) -> np.ndarray:
-    return unpack_packed_matrix(chain.pair(i, j), chain.n0).astype(np.float32)
+    return _dense(chain, i, j).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
 # exact square-path counting between end edges
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _exact_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for nonnegative integer (or boolean) matrices, exactly: in int64
+    while no entry can pass INT64_MAX, in Python ints (dtype object) past
+    that; never in floating point.  A zero column of x or zero row of y adds
+    nothing to any sum, so the product runs over the other indices only (few,
+    while a walk count spreads out from one state)."""
+    inner = np.flatnonzero(x.any(axis=0) & y.any(axis=1))
+    bound = int(x.max(initial=0)) * int(y.max(initial=0)) * inner.size
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    return x[:, inner].astype(dtype) @ y[inner].astype(dtype)
+
+
+def _forward_counts(chain: ChainPartition, a: int, b: int, steps: int) -> np.ndarray:
+    """Square-walk counts from the local first-pair state (a, b) after
+    ``steps`` forward moves: N[u, v] walks end in state (u, v) of pair
+    (steps, steps+1).  One move is N' = (N^T @ B) * A2, with B = E(V_i,
+    V_{i+2}) and A2 = E(V_{i+1}, V_{i+2})."""
+    n = np.zeros((chain.n0, chain.n0), dtype=np.int64)
+    n[a, b] = 1
+    for i in range(steps):
+        n = _exact_matmul(n.T, _dense(chain, i, i + 2)) * _dense(chain, i + 1, i + 2)
+    return n
+
+
 def count_square_paths_between(
     chain: ChainPartition, e1: tuple[int, int], e2: tuple[int, int]
 ) -> int:
     """Exact number of squares of paths spanning the chain from e1 (first
-    pair) to e2 (last pair), by meet-in-the-middle dynamic programming over
-    edge states.  Classes are disjoint, so layered walks are automatically
-    vertex-distinct and the count is exact.
+    pair) to e2 (last pair), meeting in the middle: forward counts from e1,
+    backward counts from e2, stitched across the shared class.  Classes are
+    disjoint, so layered walks are automatically vertex-distinct and the
+    count is exact.
     """
     k = chain.k
     c1, d1, a1, b1 = chain.locate_edge(*e1)
@@ -656,88 +676,38 @@ def count_square_paths_between(
         raise ValueError("e1 must lie in the first pair")
     if (c2, d2) != (k - 2, k - 1):
         raise ValueError("e2 must lie in the last pair")
-    # forward t_f transitions to pair (t_f, t_f+1); backward the rest to the
-    # adjacent pair; stitch across the shared class.
+    if k == 2:  # the first pair is the last pair
+        return int((a1, b1) == (a2, b2))
+    # forward t_f moves to pair (t_f, t_f+1); backward the rest to pair
+    # (t_f+1, t_f+2)
     t_f = (k - 2) // 2
-    t_b = k - 3 - t_f  # backward transitions; stitch pairs (t_f, t_f+1), (t_f+1, t_f+2)
-
-    fwd: dict[tuple[int, int], int] = {(a1, b1): 1}
-    for i in range(t_f):
-        B = chain.pair(i, i + 2)
-        A2 = chain.pair(i + 1, i + 2)
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), cnt in fwd.items():
-            hits = packed_to_int(B[a]) & packed_to_int(A2[b])
-            for c in bits(hits):
-                key = (b, c)
-                nxt[key] = nxt.get(key, 0) + cnt
-        fwd = nxt
-        if not fwd:
-            return 0
-
-    bwd: dict[tuple[int, int], int] = {(a2, b2): 1}
+    fwd = _forward_counts(chain, a1, b1, t_f)
+    # M[b, c] counts walks from state (b, c) of pair (j, j+1) to e2; its
+    # predecessors (a, b) have a adjacent to b and to c: M' = A * (B @ M^T)
+    bwd = np.zeros((chain.n0, chain.n0), dtype=np.int64)
+    bwd[a2, b2] = 1
     for j in range(k - 2, t_f + 1, -1):
-        # states (b, c) at pair (j, j+1) -> predecessors (a, b) at (j-1, j):
-        # a adjacent to b (consecutive) and to c (distance 2)
-        AT = chain.pair_T(j - 1, j)
-        BT = chain.pair_T(j - 1, j + 1)
-        nxt: dict[tuple[int, int], int] = {}
-        for (b, c), cnt in bwd.items():
-            hits = packed_to_int(AT[b]) & packed_to_int(BT[c])
-            for a in bits(hits):
-                key = (a, b)
-                nxt[key] = nxt.get(key, 0) + cnt
-        bwd = nxt
-        if not bwd:
-            return 0
-
-    # stitch: fwd states (a, b) at pair (t_f, t_f+1), bwd states (b, c) at
-    # pair (t_f+1, t_f+2); the distance-2 edge (a, c) must also be present.
-    by_b: dict[int, list[tuple[int, int]]] = {}
-    cmask: dict[int, int] = {}
-    for (b, c), cnt in bwd.items():
-        by_b.setdefault(b, []).append((c, cnt))
-        cmask[b] = cmask.get(b, 0) | (1 << c)
-    D = chain.pair(t_f, t_f + 2)
-    total = 0
-    for (a, b), cnt in fwd.items():
-        if b not in by_b:
-            continue
-        ok = packed_to_int(D[a]) & cmask[b]
-        if not ok:
-            continue
-        for c, cnt2 in by_b[b]:
-            if (ok >> c) & 1:
-                total += cnt * cnt2
-    return total
+        bwd = _dense(chain, j - 1, j) * _exact_matmul(_dense(chain, j - 1, j + 1), bwd.T)
+    # stitch: the distance-2 edge (a, c) of pair (t_f, t_f+2) must be present,
+    # so the total is sum(F * (D @ M^T)), taken as one exact dot product
+    reach = _exact_matmul(_dense(chain, t_f, t_f + 2), bwd.T)
+    return int(_exact_matmul(fwd.reshape(1, -1), reach.reshape(-1, 1))[0, 0])
 
 
 def square_path_counts_from(
     chain: ChainPartition, e1: tuple[int, int]
 ) -> dict[tuple[int, int], int]:
-    """Forward-only DP: counts of spanning square paths from e1 to every
-    last-pair edge (global ids).  Cross-checks the bidirectional counter."""
+    """Forward counts of spanning square paths from e1 to every last-pair
+    edge (global ids).  Cross-checks the meet-in-the-middle counter."""
     k = chain.k
     c1, d1, a1, b1 = chain.locate_edge(*e1)
     if (c1, d1) != (0, 1):
         raise ValueError("e1 must lie in the first pair")
-    fwd: dict[tuple[int, int], int] = {(a1, b1): 1}
-    for i in range(k - 2):
-        B = chain.pair(i, i + 2)
-        A2 = chain.pair(i + 1, i + 2)
-        nxt: dict[tuple[int, int], int] = {}
-        for (a, b), cnt in fwd.items():
-            hits = packed_to_int(B[a]) & packed_to_int(A2[b])
-            for c in bits(hits):
-                key = (b, c)
-                nxt[key] = nxt.get(key, 0) + cnt
-        fwd = nxt
-        if not fwd:
-            return {}
-    return {
-        (chain.to_global(k - 2, a), chain.to_global(k - 1, b)): cnt
-        for (a, b), cnt in fwd.items()
-    }
+    counts = _forward_counts(chain, a1, b1, k - 2)
+    rows, cols = np.nonzero(counts)
+    ca, cb = chain.classes[k - 2], chain.classes[k - 1]
+    ends = [(ca[a], cb[b]) for a, b in zip(rows.tolist(), cols.tolist())]
+    return dict(zip(ends, counts[rows, cols].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -345,11 +345,6 @@ def embed_square_cycle(
     def min_pool_ahead() -> int:
         return min(st.pool_size(c) for c in range(r))
 
-    def seam_ok(y, z):
-        return (
-            (adj[z] >> x1) & 1 and (adj[y] >> x1) & 1 and (adj[z] >> x2) & 1
-        )
-
     def backtrack_and_retry() -> bool:
         """Undo the last window, ban its target, re-advance differently."""
         nonlocal windows, backtracks
@@ -380,7 +375,7 @@ def embed_square_cycle(
         # viability; while pools are healthy, keep consuming laps
         if st.closing and lap_remaining <= 2 * k0 - 2 and not _can_wind_generously(st):
             if lap_remaining == 0:
-                if seam_ok(st.path[-2], st.path[-1]):
+                if _seam_ok(adj, x1, x2, st.path[-2], st.path[-1]):
                     trace.closing_status = "closed"
                     break
             else:
@@ -414,7 +409,7 @@ def embed_square_cycle(
             continue
         # no way forward: one last join attempt from where we stand
         lap_remaining = (r - 1 - ((len(st.path) - 1) % r)) % r
-        if lap_remaining == 0 and seam_ok(st.path[-2], st.path[-1]):
+        if lap_remaining == 0 and _seam_ok(adj, x1, x2, st.path[-2], st.path[-1]):
             trace.closing_status = "closed"
             break
         if 1 <= lap_remaining <= 2 * k0 - 2:
@@ -581,6 +576,12 @@ def _dfs_to_targets(st, u, v, c0, t, targets, budget):
     return None
 
 
+def _seam_ok(adj, x1, x2, y, z) -> bool:
+    """Whether a path ending y, z closes into a square cycle with the start
+    edge (x1, x2): z must see x1 and x2, and y must see x1."""
+    return bool((adj[z] >> x1) & 1 and (adj[y] >> x1) & 1 and (adj[z] >> x2) & 1)
+
+
 def _attempt_join(st, x1, x2, lap_remaining, params):
     """Close the cycle: extend through the rest of the lap so the last two
     vertices also satisfy the seam adjacencies against the start edge."""
@@ -593,13 +594,6 @@ def _attempt_join(st, x1, x2, lap_remaining, params):
 
     stack = []
     nodes = 0
-
-    def seam_ok(y, z):
-        return (
-            (adj[z] >> x1) & 1
-            and (adj[y] >> x1) & 1
-            and (adj[z] >> x2) & 1
-        )
 
     def candidates(pu, pv, depth, chosen_mask):
         pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
@@ -621,7 +615,7 @@ def _attempt_join(st, x1, x2, lap_remaining, params):
         depth, w, chosen = stack.pop()
         if depth == depth_total - 1:
             y = chosen[-2] if len(chosen) >= 2 else v
-            if seam_ok(y, w):
+            if _seam_ok(adj, x1, x2, y, w):
                 for off, nv in enumerate(chosen):
                     st.consume(end_pos + 1 + off, nv)
                 return True, len(chosen)

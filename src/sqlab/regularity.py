@@ -30,8 +30,7 @@ Graph pairs are tested on their dense |L| x |R| boolean matrix, sliced once
 per test: a sample's edge count is one fancy-indexed sum and a pivot's
 neighbourhood is the nonzero positions of one row or column.
 ``partition_heuristic`` takes each pair's density from the same matrix
-before testing it.  Chain pairs use the packed matrices of the chain
-partition instead.
+before testing it.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitops import mask_of, pack_bool_matrix, popcount_rows
+from .bitops import mask_of
 from .graph import Graph, to_matrix
 from .util import rng_from, trial_seed
 
@@ -150,14 +149,14 @@ def replay_witness(g: Graph, report: RegularityReport) -> bool:
 # the shared sampling core
 #
 # An edge counter abstracts the adjacency source so the same tester runs on
-# Graph pairs and on packed chain pair matrices.
+# Graph pairs and on dense sub-pairs of chain pair matrices.
 
 
-class _GraphCounter:
-    """Counter over the dense |L| x |R| boolean matrix of a Graph pair."""
+class _MatrixCounter:
+    """Counter over a dense boolean pair matrix (rows left, columns right)."""
 
-    def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
-        self.m = to_matrix(g, left)[:, np.asarray(right, dtype=np.int64)]
+    def __init__(self, m: np.ndarray):
+        self.m = m
 
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.m))
@@ -172,35 +171,11 @@ class _GraphCounter:
         return self.m[left_pos].nonzero()[0]
 
 
-class _PackedCounter:
-    """Counter over a packed pair matrix restricted to row/col index lists."""
+class _GraphCounter(_MatrixCounter):
+    """Counter over the dense |L| x |R| boolean matrix of a Graph pair."""
 
-    def __init__(self, packed: np.ndarray, rows: np.ndarray, cols: np.ndarray, n0: int):
-        self.packed = packed
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.n0 = n0
-
-    def _colmask(self, ci: np.ndarray) -> np.ndarray:
-        bitsrow = np.zeros(self.n0, dtype=bool)
-        bitsrow[self.cols[ci]] = True
-        return np.packbits(bitsrow, bitorder="little")
-
-    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
-        cm = self._colmask(ri)
-        sub = self.packed[self.rows[li]] & cm[None, :]
-        return int(popcount_rows(sub).sum())
-
-    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
-        c = int(self.cols[right_pos])
-        byte, bit = c >> 3, c & 7
-        hit = (self.packed[self.rows, byte] >> bit) & 1
-        return np.nonzero(hit)[0]
-
-    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
-        row = self.packed[self.rows[left_pos]]
-        full = np.unpackbits(row, bitorder="little", count=self.n0).astype(bool)
-        return np.nonzero(full[self.cols])[0]
+    def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
+        super().__init__(to_matrix(g, left)[:, np.asarray(right, dtype=np.int64)])
 
 
 def _sampled_test(
@@ -375,30 +350,25 @@ def test_lower_regular(
     )
 
 
-def sampled_lower_regular_packed(
-    packed: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
+def lower_regular_verdict(
+    m: np.ndarray,
     reference_p: float,
     epsilon: float,
     sample_count: int,
     rng,
 ) -> str:
-    """Lower-regularity verdict for an induced sub-pair of a packed chain
-    pair matrix (rows/cols are local index arrays).  Returns the verdict
-    string only; used by the per-vertex neighbourhood checks where full
-    reports would be wasteful."""
-    if not rows.size or not cols.size:
+    """Lower-regularity verdict for a dense boolean pair matrix, such as the
+    sub-pair of a chain pair induced by two neighbourhoods.  Returns the
+    verdict string only; used by the per-vertex neighbourhood checks where
+    full reports would be wasteful."""
+    if not m.size:
         return "violated" if reference_p > 0 else "no-violation-found"
-    n0 = packed.shape[1] * 8
-    counter = _PackedCounter(packed, rows, cols, n0)
-    e = counter.count(np.arange(rows.size), np.arange(cols.size))
-    d = Fraction(e, rows.size * cols.size)
+    counter = _MatrixCounter(m)
     hit, _ = _sampled_test(
         counter,
-        rows.size,
-        cols.size,
-        float(d),
+        m.shape[0],
+        m.shape[1],
+        counter.edge_count() / m.size,
         reference_p,
         epsilon,
         sample_count,

@@ -9,16 +9,24 @@ versions of ``gnp``, ``per_vertex_deletion``, the regularity tester's
 matrix-backed code can be held to bit-identical outputs.  The counter's
 ``edge_count``, which ``partition_heuristic`` now reads for each pair's
 density, is added on top of the bitset ``count``.
+
+The chain kernels at the very end -- triangle pruning, the two exact
+square-path counters and the property-(ii) check with its packed-matrix
+counter -- are the earlier per-row and per-state versions, kept verbatim
+for the same purpose against the dense matrix-product kernels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 import numpy as np
 
-from sqlab.bitops import bits, mask_of
+from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows
+from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule
 from sqlab.graph import Graph
+from sqlab.regularity import _sampled_test
 from sqlab.squarewalk import SquarePath
 from sqlab.util import rng_from
 
@@ -205,3 +213,283 @@ def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) 
         seq.insert(0, w)
         visited |= 1 << w
     return SquarePath.checked(g, seq)
+
+
+# ---------------------------------------------------------------------------
+# per-row chain kernels
+
+
+class ReferencePackedCounter:
+    """Counter over a packed pair matrix restricted to row/col index lists."""
+
+    def __init__(self, packed: np.ndarray, rows: np.ndarray, cols: np.ndarray, n0: int):
+        self.packed = packed
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.cols = np.asarray(cols, dtype=np.int64)
+        self.n0 = n0
+
+    def _colmask(self, ci: np.ndarray) -> np.ndarray:
+        bitsrow = np.zeros(self.n0, dtype=bool)
+        bitsrow[self.cols[ci]] = True
+        return np.packbits(bitsrow, bitorder="little")
+
+    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
+        cm = self._colmask(ri)
+        sub = self.packed[self.rows[li]] & cm[None, :]
+        return int(popcount_rows(sub).sum())
+
+    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
+        c = int(self.cols[right_pos])
+        byte, bit = c >> 3, c & 7
+        hit = (self.packed[self.rows, byte] >> bit) & 1
+        return np.nonzero(hit)[0]
+
+    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
+        row = self.packed[self.rows[left_pos]]
+        full = np.unpackbits(row, bitorder="little", count=self.n0).astype(bool)
+        return np.nonzero(full[self.cols])[0]
+
+
+def reference_sampled_lower_regular_packed(
+    packed: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    reference_p: float,
+    epsilon: float,
+    sample_count: int,
+    rng,
+) -> str:
+    """Lower-regularity verdict for an induced sub-pair of a packed chain
+    pair matrix (rows/cols are local index arrays).  Returns the verdict
+    string only; used by the per-vertex neighbourhood checks where full
+    reports would be wasteful."""
+    if not rows.size or not cols.size:
+        return "violated" if reference_p > 0 else "no-violation-found"
+    n0 = packed.shape[1] * 8
+    counter = ReferencePackedCounter(packed, rows, cols, n0)
+    e = counter.count(np.arange(rows.size), np.arange(cols.size))
+    d = Fraction(e, rows.size * cols.size)
+    hit, _ = _sampled_test(
+        counter,
+        rows.size,
+        cols.size,
+        float(d),
+        reference_p,
+        epsilon,
+        sample_count,
+        rng,
+        one_sided=True,
+    )
+    return "violated" if hit is not None else "no-violation-found"
+
+
+def reference_triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tuple[int, int], int]:
+    """Per-edge triangle counts of pair (i, i+1) into class i+2 (local ids)."""
+    n0 = chain.n0
+    A = chain.pair(i, i + 1)
+    B = chain.pair(i, i + 2)
+    C = chain.pair(i + 1, i + 2)
+    out: dict[tuple[int, int], int] = {}
+    for u in range(n0):
+        vs = np.nonzero(
+            np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
+        )[0]
+        if not vs.size:
+            continue
+        tri = popcount_rows(C[vs] & B[u][None, :])
+        for v, t in zip(vs.tolist(), tri.tolist()):
+            out[(u, v)] = t
+    return out
+
+
+def reference_prune_to_gtilde(
+    chain: ChainPartition,
+    epsilon: float,
+    schedule: Optional[PruneSchedule] = None,
+) -> PruneResult:
+    """Triangle pruning: for i from the last interior pair down to the first,
+    drop every surviving edge of E(V_i, V_{i+1}) that closes fewer than
+    (1 - epsilon) n0 p0^2 triangles with V_{i+2}, counted against surviving
+    edges.  Counts at step i depend only on the pairs (i, i+2) and
+    (i+1, i+2), so removal within a step is order-independent; steps run
+    strictly from the top index down.  The final pair is never touched.
+
+    Returns a pruned copy; the input chain is unchanged.
+    """
+    out = chain.copy()
+    n0, p0 = out.n0, out.reference_p
+    tau = (1 - epsilon) * n0 * p0 * p0
+    steps = out.k - 2
+    if schedule is None:
+        schedule = PruneSchedule.build(0.1, max(epsilon, 1e-9), steps, n0, p0)
+    removed: dict[tuple[int, int], int] = {}
+    fractions: dict[tuple[int, int], float] = {}
+    flagged: dict[tuple[int, int], bool] = {}
+    for i in range(out.k - 3, -1, -1):
+        A = out.pair(i, i + 1)
+        B = out.pair(i, i + 2)
+        C = out.pair(i + 1, i + 2)
+        before = int(popcount_rows(A).sum())
+        dropped = 0
+        for u in range(n0):
+            row_bool = np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
+            vs = np.nonzero(row_bool)[0]
+            if not vs.size:
+                continue
+            tri = popcount_rows(C[vs] & B[u][None, :])
+            bad = vs[tri < tau]
+            if bad.size:
+                row_bool[bad] = False
+                A[u] = np.packbits(row_bool, bitorder="little")
+                dropped += int(bad.size)
+        out._invalidate(i, i + 1)
+        key = (i, i + 1)
+        removed[key] = dropped
+        fractions[key] = dropped / before if before else 0.0
+        step_1based = i + 1
+        bound = 2 * schedule.delta[step_1based - 1] * schedule.m[step_1based - 1]
+        flagged[key] = dropped > bound
+    return PruneResult(out, removed, fractions, flagged, tau)
+
+
+def reference_check_gtilde_ii(
+    chain: ChainPartition,
+    epsilon: float,
+    reference_p: float,
+    sample_count: int,
+    seed: int,
+) -> dict[int, int]:
+    """Per middle class, the number of vertices whose neighbourhoods into the
+    two flanking classes miss the (1 +- eps) n0 p size window or fail the
+    sampled lower-regularity test on the induced flank pair.
+
+    Sampling makes the per-vertex verdicts one-sided: a counted exception is
+    either a hard size violation or a replayable density witness.
+    """
+    rng = rng_from(seed)
+    n0 = chain.n0
+    lo = (1 - epsilon) * n0 * reference_p
+    hi = (1 + epsilon) * n0 * reference_p
+    out: dict[int, int] = {}
+    for i in range(chain.k - 2):
+        middle = i + 1
+        AT = chain.pair_T(i, middle)  # rows: middle locals, bits over class i
+        Bm = chain.pair(middle, i + 2)
+        flank = chain.pair(i, i + 2)
+        exceptions = 0
+        for v in range(n0):
+            left = np.nonzero(
+                np.unpackbits(AT[v], bitorder="little", count=n0).astype(bool)
+            )[0]
+            right = np.nonzero(
+                np.unpackbits(Bm[v], bitorder="little", count=n0).astype(bool)
+            )[0]
+            if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
+                exceptions += 1
+                continue
+            verdict = reference_sampled_lower_regular_packed(
+                flank, left, right, reference_p, epsilon, sample_count, rng
+            )
+            if verdict == "violated":
+                exceptions += 1
+        out[middle] = exceptions
+    return out
+
+
+def reference_count_square_paths_between(
+    chain: ChainPartition, e1: tuple[int, int], e2: tuple[int, int]
+) -> int:
+    """Exact number of squares of paths spanning the chain from e1 (first
+    pair) to e2 (last pair), by meet-in-the-middle dynamic programming over
+    edge states.  Classes are disjoint, so layered walks are automatically
+    vertex-distinct and the count is exact.
+    """
+    k = chain.k
+    c1, d1, a1, b1 = chain.locate_edge(*e1)
+    c2, d2, a2, b2 = chain.locate_edge(*e2)
+    if (c1, d1) != (0, 1):
+        raise ValueError("e1 must lie in the first pair")
+    if (c2, d2) != (k - 2, k - 1):
+        raise ValueError("e2 must lie in the last pair")
+    # forward t_f transitions to pair (t_f, t_f+1); backward the rest to the
+    # adjacent pair; stitch across the shared class.
+    t_f = (k - 2) // 2
+    t_b = k - 3 - t_f  # backward transitions; stitch pairs (t_f, t_f+1), (t_f+1, t_f+2)
+
+    fwd: dict[tuple[int, int], int] = {(a1, b1): 1}
+    for i in range(t_f):
+        B = chain.pair(i, i + 2)
+        A2 = chain.pair(i + 1, i + 2)
+        nxt: dict[tuple[int, int], int] = {}
+        for (a, b), cnt in fwd.items():
+            hits = packed_to_int(B[a]) & packed_to_int(A2[b])
+            for c in bits(hits):
+                key = (b, c)
+                nxt[key] = nxt.get(key, 0) + cnt
+        fwd = nxt
+        if not fwd:
+            return 0
+
+    bwd: dict[tuple[int, int], int] = {(a2, b2): 1}
+    for j in range(k - 2, t_f + 1, -1):
+        # states (b, c) at pair (j, j+1) -> predecessors (a, b) at (j-1, j):
+        # a adjacent to b (consecutive) and to c (distance 2)
+        AT = chain.pair_T(j - 1, j)
+        BT = chain.pair_T(j - 1, j + 1)
+        nxt: dict[tuple[int, int], int] = {}
+        for (b, c), cnt in bwd.items():
+            hits = packed_to_int(AT[b]) & packed_to_int(BT[c])
+            for a in bits(hits):
+                key = (a, b)
+                nxt[key] = nxt.get(key, 0) + cnt
+        bwd = nxt
+        if not bwd:
+            return 0
+
+    # stitch: fwd states (a, b) at pair (t_f, t_f+1), bwd states (b, c) at
+    # pair (t_f+1, t_f+2); the distance-2 edge (a, c) must also be present.
+    by_b: dict[int, list[tuple[int, int]]] = {}
+    cmask: dict[int, int] = {}
+    for (b, c), cnt in bwd.items():
+        by_b.setdefault(b, []).append((c, cnt))
+        cmask[b] = cmask.get(b, 0) | (1 << c)
+    D = chain.pair(t_f, t_f + 2)
+    total = 0
+    for (a, b), cnt in fwd.items():
+        if b not in by_b:
+            continue
+        ok = packed_to_int(D[a]) & cmask[b]
+        if not ok:
+            continue
+        for c, cnt2 in by_b[b]:
+            if (ok >> c) & 1:
+                total += cnt * cnt2
+    return total
+
+
+def reference_square_path_counts_from(
+    chain: ChainPartition, e1: tuple[int, int]
+) -> dict[tuple[int, int], int]:
+    """Forward-only DP: counts of spanning square paths from e1 to every
+    last-pair edge (global ids).  Cross-checks the bidirectional counter."""
+    k = chain.k
+    c1, d1, a1, b1 = chain.locate_edge(*e1)
+    if (c1, d1) != (0, 1):
+        raise ValueError("e1 must lie in the first pair")
+    fwd: dict[tuple[int, int], int] = {(a1, b1): 1}
+    for i in range(k - 2):
+        B = chain.pair(i, i + 2)
+        A2 = chain.pair(i + 1, i + 2)
+        nxt: dict[tuple[int, int], int] = {}
+        for (a, b), cnt in fwd.items():
+            hits = packed_to_int(B[a]) & packed_to_int(A2[b])
+            for c in bits(hits):
+                key = (b, c)
+                nxt[key] = nxt.get(key, 0) + cnt
+        fwd = nxt
+        if not fwd:
+            return {}
+    return {
+        (chain.to_global(k - 2, a), chain.to_global(k - 1, b)): cnt
+        for (a, b), cnt in fwd.items()
+    }

@@ -1,21 +1,31 @@
-"""The matrix-backed gnp, per-vertex deletion, pair counter and greedy
-square path against the bitset reference implementations in ``oracles``:
-outputs must be identical, down to edge counts, witnesses, sample indices
-and path vertices."""
+"""The matrix-backed gnp, per-vertex deletion, pair counter, greedy square
+path and chain kernels against the bitset reference implementations in
+``oracles``: outputs must be identical, down to edge counts, witnesses,
+sample indices, path vertices, pruned pairs and path counts."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sqlab import adversary, graph
+from sqlab import blowup as bl
 from sqlab import regularity as reg
 from sqlab import squarewalk as sw
+from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
 from oracles import (
     ReferenceGraphCounter,
+    reference_check_gtilde_ii,
+    reference_count_square_paths_between,
     reference_gnp,
     reference_greedy_square_path,
     reference_per_vertex_deletion,
+    reference_prune_to_gtilde,
+    reference_square_path_counts_from,
+    reference_triangle_counts_of_pair,
 )
+from test_blowup import complete_chain
 from test_regularity import squared_cycle_blowup
 from test_squarewalk import cycle_graph, squared_cycle_graph
 
@@ -205,3 +215,192 @@ def test_kth_edge_matches_edge_list(g):
     assert [sw._kth_edge(g, k) for k in range(len(edges))] == edges
     with pytest.raises(IndexError):
         sw._kth_edge(g, len(edges))
+
+
+# -- chain kernels ----------------------------------------------------------------
+
+
+def prune_schedule(chain):
+    """None (the default schedule) up to k = 5; PruneSchedule.build underflows
+    to a schedule that is not strictly decreasing past that, so longer chains
+    get a hand-made geometric one."""
+    if chain.k <= 5:
+        return None
+    delta = tuple(0.05 / 4**i for i in range(chain.k - 2))
+    eps = tuple(d / 4 for d in delta)
+    m = tuple(math.ceil((1 - e) * chain.n0**2 * chain.reference_p) for e in eps)
+    return bl.PruneSchedule(0.1, 0.2, delta, eps, m)
+
+
+def assert_same_prune(chain, epsilon, triangles=True):
+    schedule = prune_schedule(chain)
+    got = bl.prune_to_gtilde(chain, epsilon, schedule)
+    want = reference_prune_to_gtilde(chain, epsilon, schedule)
+    assert got.removed == want.removed
+    assert got.removed_fraction == want.removed_fraction
+    assert got.flagged == want.flagged
+    assert got.threshold == want.threshold
+    for key in want.chain.pair_indices():
+        assert np.array_equal(got.chain.pair(*key), want.chain.pair(*key)), key
+    # the first and the last pair that pruning processes
+    for i in sorted({0, chain.k - 3}) if triangles else ():
+        got_tri = bl.triangle_counts_of_pair(got.chain, i)
+        assert list(got_tri.items()) == list(reference_triangle_counts_of_pair(want.chain, i).items())
+    return got
+
+
+# n0 = 9 and 700 are not multiples of 8 (packing padding)
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+@pytest.mark.parametrize("n0", [3, 7, 8, 9, 700])
+@pytest.mark.parametrize("p0", [0.0, 0.05, 0.5, 1.0])
+def test_prune_matches_reference(k, n0, p0):
+    chain = bl.build_chain_random(k, n0, p0, seed=k * n0)
+    pruned = assert_same_prune(chain, 0.2)
+    assert_same_prune(pruned.chain, 0.2, triangles=False)  # the re-prune of a pruned chain
+
+
+def test_prune_grid_removes_edges():
+    # the grid above must exercise real removals, not only untouched chains
+    res = bl.prune_to_gtilde(bl.build_chain_random(5, 700, 0.5, seed=5 * 700), 0.2)
+    assert 0 < sum(res.removed.values())
+
+
+@pytest.mark.parametrize("n0, rows", [(9, 2), (700, 64), (700, 1)])
+def test_prune_matches_reference_across_row_blocks(monkeypatch, n0, rows):
+    chain = bl.build_chain_random(5, n0, 0.5, seed=n0 + rows)
+    monkeypatch.setattr(bl, "_BLOCK_ENTRIES", rows * n0 + n0 - 1)  # `rows` rows a block
+    assert n0 % rows or rows == 1
+    assert_same_prune(chain, 0.2)
+
+
+def test_prune_matches_reference_at_block_size():
+    # 1100^2 entries exceed _BLOCK_ENTRIES, so the real constant splits the rows
+    assert 1100 * 1100 > bl._BLOCK_ENTRIES
+    assert_same_prune(bl.build_chain_random(3, 1100, 0.5, seed=12), 0.2)
+
+
+def test_prune_threshold_is_not_rounded_to_float32():
+    # every edge (u, v) of pair (0, 1) closes exactly u triangles; tau sits
+    # just above 4, where float32 would round it down to 4.0, so the edges
+    # with 4 triangles must go
+    epsilon, n0 = 0.2, 8
+    p = math.sqrt(4 / 6.4)
+    while (1 - epsilon) * n0 * p * p <= 4:
+        p = math.nextafter(p, 1.0)
+    assert np.float32((1 - epsilon) * n0 * p * p) == 4
+    full = np.ones((n0, n0), dtype=bool)
+    steps = np.arange(n0)[None, :] < np.arange(n0)[:, None]  # row u: u ones
+    pairs = {(0, 1): full, (0, 2): steps, (1, 2): full}
+    chain = bl.ChainPartition(
+        [tuple(range(c * n0, (c + 1) * n0)) for c in range(3)],
+        p,
+        {key: pack_bool_matrix(m) for key, m in pairs.items()},
+    )
+    assert assert_same_prune(chain, epsilon).removed == {(0, 1): 5 * n0}
+
+
+def end_edges(chain, i, limit, seed):
+    """Up to `limit` seeded picks of pair (i, i+1) edges, in global ids."""
+    local = chain.pair_edges_local(i, i + 1)
+    rng = np.random.default_rng(seed)
+    picks = sorted(rng.choice(len(local), size=min(limit, len(local)), replace=False))
+    return [(chain.to_global(i, local[j][0]), chain.to_global(i + 1, local[j][1])) for j in picks]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+@pytest.mark.parametrize("n0", [3, 7, 8, 9])
+@pytest.mark.parametrize("p0", [0.05, 0.5, 1.0])
+def test_counts_match_reference(k, n0, p0):
+    chain = bl.build_chain_random(k, n0, p0, seed=k + n0)
+    targets = end_edges(chain, k - 2, 12, seed=1)
+    for e1 in end_edges(chain, 0, 3, seed=0):
+        forward = bl.square_path_counts_from(chain, e1)
+        assert forward == reference_square_path_counts_from(chain, e1)
+        for e2 in targets:
+            got = bl.count_square_paths_between(chain, e1, e2)
+            assert got == reference_count_square_paths_between(chain, e1, e2)
+            assert got == forward.get(e2, 0)
+
+
+def test_counts_grid_reaches_zero_and_nonzero():
+    chain = bl.build_chain_random(5, 9, 0.5, seed=14)
+    e1 = end_edges(chain, 0, 1, seed=0)[0]
+    counts = [bl.count_square_paths_between(chain, e1, e2) for e2 in end_edges(chain, 3, 12, seed=1)]
+    assert 0 in counts and max(counts) > 1
+
+
+# k = 26 passes int64 in the forward counter and in the stitch; k = 50 also
+# in both halves of the meet-in-the-middle counter
+@pytest.mark.parametrize("k", [26, 50])
+def test_counts_exact_past_int64(k):
+    chain = complete_chain(k, 8)
+    e1 = (chain.to_global(0, 0), chain.to_global(1, 1))
+    e2 = (chain.to_global(k - 2, 2), chain.to_global(k - 1, 3))
+    want = 8 ** (k - 4)  # one free vertex in each of the k - 4 inner classes
+    assert want > 2**63
+    forward = bl.square_path_counts_from(chain, e1)
+    assert forward[e2] == want and type(forward[e2]) is int
+    assert bl.count_square_paths_between(chain, e1, e2) == want
+    assert reference_count_square_paths_between(chain, e1, e2) == want
+    assert forward == reference_square_path_counts_from(chain, e1)
+
+
+def test_counts_on_two_class_chain():
+    m = np.zeros((4, 4), dtype=bool)
+    m[0, 1] = m[2, 3] = m[3, 3] = True
+    chain = bl.ChainPartition([(0, 1, 2, 3), (4, 5, 6, 7)], 0.2, {(0, 1): pack_bool_matrix(m)})
+    e, other = (0, 5), (2, 7)
+    assert bl.square_path_counts_from(chain, e) == {e: 1}
+    assert bl.count_square_paths_between(chain, e, e) == 1
+    assert bl.count_square_paths_between(chain, (5, 0), e) == 1
+    assert bl.count_square_paths_between(chain, e, other) == 0
+    with pytest.raises(ValueError):
+        bl.count_square_paths_between(chain, e, (0, 4))  # not an edge
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8])
+@pytest.mark.parametrize("n0", [3, 7, 8, 9, 40])
+@pytest.mark.parametrize("p0", [0.0, 0.05, 0.5, 1.0])
+@pytest.mark.parametrize("epsilon", [0.2, 0.6, 1.0])
+def test_check_ii_matches_reference(k, n0, p0, epsilon):
+    chain = bl.build_chain_random(k, n0, p0, seed=3 * k + n0)
+    for p in {p0, 0.5}:
+        got = bl.check_gtilde_ii(chain, epsilon, p, sample_count=10, seed=n0)
+        assert got == reference_check_gtilde_ii(chain, epsilon, p, sample_count=10, seed=n0)
+
+
+def test_check_ii_matches_reference_at_scale():
+    chain = bl.build_chain_random(3, 700, 0.6, seed=7)
+    got = bl.check_gtilde_ii(chain, 0.1, 0.6, sample_count=10, seed=1)
+    assert got == reference_check_gtilde_ii(chain, 0.1, 0.6, sample_count=10, seed=1)
+
+
+def hollow_chain():
+    """complete_chain(4, 8) where middle vertex 5 of class 1 is isolated and
+    middle vertex 2 of class 2 has no class-3 neighbours."""
+    chain = complete_chain(4, 8)
+    dense = {key: unpack_packed_matrix(chain.pair(*key), 8) for key in chain.pair_indices()}
+    dense[(0, 1)][:, 5] = False
+    dense[(1, 2)][5, :] = False
+    dense[(1, 3)][5, :] = False
+    dense[(2, 3)][2, :] = False
+    return bl.ChainPartition(chain.classes, 1.0, {key: pack_bool_matrix(m) for key, m in dense.items()})
+
+
+@pytest.mark.parametrize("reference_p", [0.0, 0.4, 1.0])
+@pytest.mark.parametrize("epsilon", [0.2, 1.0, 1.5])
+def test_check_ii_matches_reference_on_empty_neighbourhoods(reference_p, epsilon):
+    chain = hollow_chain()
+    got = bl.check_gtilde_ii(chain, epsilon, reference_p, sample_count=10, seed=2)
+    assert got == reference_check_gtilde_ii(chain, epsilon, reference_p, sample_count=10, seed=2)
+
+
+def test_empty_neighbourhood_is_a_violation():
+    # at epsilon >= 1 an empty neighbourhood passes the size window and the
+    # empty flank slice reaches the verdict, which flags it when p > 0
+    chain = hollow_chain()
+    assert bl.check_gtilde_ii(chain, 1.0, 1.0, sample_count=10, seed=2) == {1: 1, 2: 1}
+    assert reg.lower_regular_verdict(np.zeros((0, 3), dtype=bool), 0.5, 0.2, 10, None) == "violated"
+    assert reg.lower_regular_verdict(np.zeros((3, 0), dtype=bool), 0.0, 0.2, 10, None) == (
+        "no-violation-found"
+    )
