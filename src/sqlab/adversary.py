@@ -57,6 +57,11 @@ class AdversarySpec:
         return cls(**obj)
 
 
+# per_vertex_deletion walks the permuted edges this many at a time, dropping
+# edges with a spent endpoint in one numpy pass before each chunk's loop
+_CHUNK_EDGES = 8192
+
+
 def per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
     """Delete at most an r-fraction of the edges at every vertex.
 
@@ -71,13 +76,20 @@ def per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
     # np.nonzero walks the upper triangle row-major: the order of g.edges()
     us, vs = np.nonzero(np.triu(a, 1))
     order = rng_from(seed).permutation(us.size)
+    us, vs = us[order], vs[order]
     removed_u, removed_v = [], []
-    for u, v in zip(us[order].tolist(), vs[order].tolist()):
-        if budget[u] > 0 and budget[v] > 0:
-            budget[u] -= 1
-            budget[v] -= 1
-            removed_u.append(u)
-            removed_v.append(v)
+    for lo in range(0, us.size, _CHUNK_EDGES):
+        cu, cv = us[lo : lo + _CHUNK_EDGES], vs[lo : lo + _CHUNK_EDGES]
+        # budgets only fall, so an edge with a spent endpoint at the start of
+        # its chunk would be skipped at its turn anyway
+        left = np.array(budget)
+        live = (left[cu] > 0) & (left[cv] > 0)
+        for u, v in zip(cu[live].tolist(), cv[live].tolist()):
+            if budget[u] > 0 and budget[v] > 0:
+                budget[u] -= 1
+                budget[v] -= 1
+                removed_u.append(u)
+                removed_v.append(v)
     a[removed_u, removed_v] = False
     a[removed_v, removed_u] = False
     return graphmod.from_matrix(a)

@@ -14,6 +14,14 @@ state matrices by one product per layer.  Only the per-edge walks that
 recover concrete, certified paths (:func:`edge_expansion`,
 :func:`recover_square_path`) still go through Python-int bitset rows.
 
+The good-edge kernel reads a chain in its dense-layer form,
+:class:`ChainLayers`: the boolean first pair and one float32 (B, A2) block
+pair per forward move.  It is unpacked from a :class:`ChainPartition`, or
+sliced straight out of a graph's boolean adjacency matrix, as the embedder
+does for each window with no packed pairs in between.  The kernel's first
+layer is closed-form (a source edge (a, b) reaches (b, w) for w in
+N(a) & N(b)), so its GEMMs start at the second layer.
+
 Pruning owns a private copy of the pair matrices; the underlying Graph, when
 one exists, is never mutated.
 """
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -221,6 +230,14 @@ class PruneSchedule:
     constructive; the default is flagged in reports that use it).
     m_i = ceil((1 - eps_i) n0^2 p0) is the per-pair edge yardstick, and a
     step is flagged when it removes more than 2 delta_i m_i edges.
+
+    The values fall doubly exponentially: at epsilon_0 = 0.2, delta_3 is
+    about 2e-114 and delta_4 underflows to 0.0.  ``build`` therefore carries
+    the recursion in natural logs as well (``log_delta``, ``log_epsilon``),
+    which never underflow, and checks the strict decrease on them; the floats
+    are the direct recursion and may be 0.0 or subnormal from the fourth step
+    on (``underflows``).  A schedule made by hand takes its logs from its
+    floats.
     """
 
     alpha: float
@@ -229,10 +246,24 @@ class PruneSchedule:
     epsilon: tuple[float, ...]  # epsilon[i-1] holds eps_i
     m: tuple[int, ...]
     eps_cor_is_default: bool = True
+    log_delta: tuple[float, ...] = ()
+    log_epsilon: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if not self.log_delta:
+            object.__setattr__(self, "log_delta", tuple(map(_log, self.delta)))
+        if not self.log_epsilon:
+            object.__setattr__(self, "log_epsilon", tuple(map(_log, self.epsilon)))
 
     @property
     def beta(self) -> float:
         return (self.alpha / (4 * math.e)) ** 3
+
+    @property
+    def underflows(self) -> bool:
+        """Whether some delta_i lies below the smallest normal float, so its
+        float is rounded or 0.0 and only ``log_delta`` holds it."""
+        return any(d < sys.float_info.min for d in self.delta)
 
     @classmethod
     def build(
@@ -248,26 +279,44 @@ class PruneSchedule:
         default = eps_cor is None
         if eps_cor is None:
             eps_cor = lambda beta_, delta_: delta_ / 4  # noqa: E731
-        deltas, epsilons, ms = [], [], []
-        prev_eps = epsilon_0
+        deltas, epsilons, ms, log_deltas, log_epsilons = [], [], [], [], []
+        prev_eps, log_prev = epsilon_0, _log(epsilon_0)
         for _ in range(steps):
             d = (prev_eps / 4) ** 4 / 2
-            e = min(d / 4, eps_cor(beta, d))
+            c = eps_cor(beta, d)
+            e = min(d / 4, c)
+            log_d = 4 * (log_prev - _LOG_4) - _LOG_2
+            # the default's log is exact; a custom eps_cor is known only as the
+            # float it returns, so once that underflows its schedule is refused
+            log_e = log_d - _LOG_4 if default else min(log_d - _LOG_4, _log(c))
             deltas.append(d)
             epsilons.append(e)
+            log_deltas.append(log_d)
+            log_epsilons.append(log_e)
             ms.append(math.ceil((1 - e) * n0 * n0 * p0))
-            prev_eps = e
-        sched = cls(alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms), default)
+            prev_eps, log_prev = e, log_e
+        sched = cls(
+            alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms), default,
+            tuple(log_deltas), tuple(log_epsilons),
+        )
         sched.check_decreasing()
         return sched
 
     def check_decreasing(self) -> None:
-        seq = [self.epsilon_0]
-        for d, e in zip(self.delta, self.epsilon):
+        seq = [_log(self.epsilon_0)]
+        for d, e in zip(self.log_delta, self.log_epsilon):
             seq.extend([d, e])
         for a, b in zip(seq, seq[1:]):
             if not a > b:
                 raise ValueError("schedule is not strictly decreasing")
+
+
+_LOG_2 = math.log(2)
+_LOG_4 = math.log(4)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -277,6 +326,10 @@ class PruneResult:
     removed_fraction: dict[tuple[int, int], float]
     flagged: dict[tuple[int, int], bool]
     threshold: float
+    # set when the schedule underflows: a step's flag bound 2 delta_i m_i then
+    # reads 0.0 or a subnormal.  Its flag is still exact, because the true
+    # bound is below 1 and removals are whole edges, so it reads "removed any"
+    schedule_underflow: bool = False
 
 
 def _triangle_blocks(chain: ChainPartition, i: int):
@@ -343,7 +396,7 @@ def prune_to_gtilde(
         step_1based = i + 1
         bound = 2 * schedule.delta[step_1based - 1] * schedule.m[step_1based - 1]
         flagged[key] = dropped > bound
-    return PruneResult(out, removed, fractions, flagged, tau)
+    return PruneResult(out, removed, fractions, flagged, tau, schedule.underflows)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +624,120 @@ def recover_square_path(chain: ChainPartition, e: tuple[int, int], target: tuple
 _BLOCK_ENTRIES = 1 << 20
 
 
+@dataclass(frozen=True, eq=False)
+class ChainLayers:
+    """The dense-layer form of a chain: everything the good-edge kernel reads.
+
+    ``first`` is the boolean first pair E(V_0, V_1); ``layers[i]`` is the
+    float32 pair (B, A2) = (E(V_i, V_{i+2}), E(V_{i+1}, V_{i+2})) that one
+    forward move from pair (i, i+1) reads; ``last_edges`` counts the edges of
+    the last pair.  Build it from a :class:`ChainPartition` with
+    :meth:`from_chain`, or slice it straight out of a boolean adjacency
+    matrix with :meth:`from_matrix`.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    first: np.ndarray
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    last_edges: int
+
+    @classmethod
+    def from_chain(cls, chain: ChainPartition) -> "ChainLayers":
+        k = chain.k
+        layers = tuple(
+            (_dense32(chain, i, i + 2), _dense32(chain, i + 1, i + 2)) for i in range(k - 2)
+        )
+        return cls(chain.classes, _dense(chain, 0, 1), layers, chain.pair_edge_count(k - 2, k - 1))
+
+    @classmethod
+    def from_matrix(cls, a: np.ndarray, classes: Sequence[Sequence[int]]) -> "ChainLayers":
+        """The chain on ``classes`` (global ids) of the graph whose boolean
+        adjacency matrix is ``a``: only distance-1/2 class pairs are read.
+        Rejects what :func:`chain_view` rejects: fewer than 2 classes,
+        unequal sizes, classes below 3 vertices, ids out of range, overlap."""
+        classes = tuple(tuple(c) for c in classes)
+        if len(classes) < 2:
+            raise ValueError("a chain needs at least 2 classes")
+        if len({len(c) for c in classes}) != 1:
+            raise ValueError("classes must have equal size")
+        if len(classes[0]) < 3:
+            raise ValueError("class size must be >= 3")
+        idx = np.array(classes, dtype=np.int64)
+        n = a.shape[0]
+        if idx.min() < 0 or idx.max() >= n:
+            raise ValueError(f"class vertex out of range [0, {n})")
+        seen = np.zeros(n, dtype=bool)
+        seen[idx.ravel()] = True
+        if np.count_nonzero(seen) != idx.size:
+            raise ValueError("classes overlap")
+        k = len(classes)
+        # a[rows][:, cols]: two plain gathers, much cheaper than np.ix_ here
+        rows = [a[idx[i]] for i in range(k - 1)]
+        consecutive = [rows[i][:, idx[i + 1]] for i in range(k - 1)]
+        layers = tuple(
+            (rows[i][:, idx[i + 2]].astype(np.float32), consecutive[i + 1].astype(np.float32))
+            for i in range(k - 2)
+        )
+        return cls(classes, consecutive[0], layers, int(np.count_nonzero(consecutive[-1])))
+
+    @property
+    def k(self) -> int:
+        return len(self.classes)
+
+    @property
+    def n0(self) -> int:
+        return len(self.classes[0])
+
+    def to_global(self, class_index: int, local: int) -> int:
+        return self.classes[class_index][local]
+
+    def to_local(self, v: int) -> tuple[int, int]:
+        for ci, cls in enumerate(self.classes):
+            if v in cls:
+                return ci, cls.index(v)
+        raise ValueError(f"vertex {v} is not in the chain")
+
+    def first_edges(self) -> list[tuple[int, int]]:
+        """First-pair edges in local ids, row-major."""
+        rows, cols = np.nonzero(self.first)
+        return list(zip(rows.tolist(), cols.tolist()))
+
+    def expansion_fractions(self, sources: Sequence[tuple[int, int]]) -> list[float]:
+        """The good-edge kernel; see :func:`expansion_fractions`."""
+        n0 = self.n0
+        src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
+        if src.size:
+            in_range = (src >= 0).all() and (src < n0).all()
+            if not in_range or not self.first[src[:, 0], src[:, 1]].all():
+                raise ValueError("sources must be surviving first-pair edges")
+        total = self.last_edges
+        if not total:
+            return [0.0] * len(src)
+        if not self.layers:  # k = 2: each source is its own only last-pair edge
+            return [1 / total] * len(src)
+        (B0, A0), rest = self.layers[0], self.layers[1:]
+        block = max(1, _BLOCK_ENTRIES // (n0 * n0))
+        reached: list[int] = []
+        for lo in range(0, len(src), block):
+            part = src[lo : lo + block]
+            s = len(part)
+            state = np.zeros((s, n0, n0), dtype=np.float32)
+            step = np.empty_like(state)
+            # the first layer in closed form: from (a, b) the states are
+            # (b, w) for w in N(a) & N(b), so state[s, w, b] = B[a, w] A2[b, w]
+            state[np.arange(s), :, part[:, 1]] = B0[part[:, 0]] * A0[part[:, 1]]
+            for B, A2 in rest:
+                if not state.any():
+                    break
+                np.matmul(state.reshape(s * n0, n0), B, out=step.reshape(s * n0, n0))
+                # entries are whole numbers >= 0 and A2 is 0/1: min clips and masks
+                np.minimum(step, A2, out=step)
+                # the next layer contracts over v, so it becomes the last axis
+                state[...] = step.transpose(0, 2, 1)
+            reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
+        return [c / total for c in reached]
+
+
 def expansion_fractions(
     chain: ChainPartition, sources: Sequence[tuple[int, int]]
 ) -> list[float]:
@@ -578,47 +745,22 @@ def expansion_fractions(
     last-pair edges it reaches by forward square-walk moves: the value
     ``edge_expansion`` reports, for many sources at once.
 
-    A multi-source traversal in dense linear algebra.  The states of a block
-    of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i,
-    v in V_{i+1}), and one layer is
+    A multi-source traversal in dense linear algebra, run on the chain's
+    :class:`ChainLayers`.  The states of a block of S sources at pair
+    (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i, v in V_{i+1}), and one
+    layer is
 
         R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
 
     with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
     (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
     GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is exact.
+    The first layer needs no product: a source (a, b) has one state, so it
+    reaches exactly the states (b, w) with w in N(a) & N(b), and the kernel
+    starts its GEMMs at the second layer (the multi-source frontier start of
+    Then et al., "The More the Merrier", PVLDB 2014).
     """
-    n0, k = chain.n0, chain.k
-    src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
-    if src.size:
-        in_range = (src >= 0).all() and (src < n0).all()
-        first = _dense(chain, 0, 1)
-        if not in_range or not first[src[:, 0], src[:, 1]].all():
-            raise ValueError("sources must be surviving first-pair edges")
-    total = chain.pair_edge_count(k - 2, k - 1)
-    if not total:
-        return [0.0] * len(src)
-    layers = [
-        (_dense32(chain, i, i + 2), _dense32(chain, i + 1, i + 2)) for i in range(k - 2)
-    ]
-    block = max(1, _BLOCK_ENTRIES // (n0 * n0))
-    reached: list[int] = []
-    for lo in range(0, len(src), block):
-        part = src[lo : lo + block]
-        s = len(part)
-        state = np.zeros((s, n0, n0), dtype=np.float32)
-        step = np.empty_like(state)
-        state[np.arange(s), part[:, 1], part[:, 0]] = 1.0
-        for B, A2 in layers:
-            np.matmul(state.reshape(s * n0, n0), B, out=step.reshape(s * n0, n0))
-            # entries are whole numbers >= 0 and A2 is 0/1: min clips and masks
-            np.minimum(step, A2, out=step)
-            # the next layer contracts over v, so it becomes the last axis
-            state[...] = step.transpose(0, 2, 1)
-            if not state.any():
-                break
-        reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
-    return [c / total for c in reached]
+    return ChainLayers.from_chain(chain).expansion_fractions(sources)
 
 
 def _dense(chain: ChainPartition, i: int, j: int) -> np.ndarray:

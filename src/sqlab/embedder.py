@@ -7,15 +7,18 @@ order, one vertex per class per lap.  Growth is windowed: the path's end
 edge is extended to a *good* edge of the next window (one whose expansion
 through the window reaches at least ``good_threshold`` of the window's last
 pair), via a concrete square path recovered by depth-first search over the
-per-class pools of unused vertices.  Each window is a chain view of those
-pools, and a seeded sample of its first-pair edges is classified in one
-batched call to :func:`sqlab.blowup.expansion_fractions`.  Reserved
+per-class pools of unused vertices.  Each window is a set of dense blocks
+of one boolean adjacency matrix, made once per embed: a
+:class:`sqlab.blowup.ChainLayers` sliced over those pools.  A seeded sample
+of its first-pair edges is classified in one batched call to the good-edge
+kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  Reserved
 per-class sets are set aside before growth starts and spent only in the
 closing phase, which winds the path through the leftover-plus-reserved
 pools to the lap boundary and joins it back to the start edge.
 
 The embedder never trusts itself: every window asserts square-path validity
-of the grown prefix, and the final cycle is re-validated from scratch.
+of the whole grown prefix on the adjacency matrix, and the final cycle is
+re-validated from scratch on the graph.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
+
+import numpy as np
 
 from .bitops import bits, mask_of
-from .blowup import ChainPartition, chain_view, expansion_fractions
-from .graph import Graph
+from .blowup import ChainLayers
+from .graph import Graph, to_matrix
 from .regularity import EquitablePartition
 from .squarewalk import (
     CycleSearchResult,
@@ -38,6 +43,9 @@ from .squarewalk import (
     longest_square_cycle_exact,
 )
 from .util import rng_from
+
+if TYPE_CHECKING:
+    from .blowup import ChainPartition
 
 
 def k0_from_gamma(gamma: float) -> int:
@@ -217,19 +225,19 @@ def classify_good_edges(
     """
     if k0 is not None and not k0 <= window.k <= 2 * k0:
         raise ValueError(f"window length {window.k} outside [{k0}, {2 * k0}]")
-    return _classify(window, threshold, sample_limit, rng_from(seed))
+    return _classify(ChainLayers.from_chain(window), threshold, sample_limit, rng_from(seed))
 
 
-def _classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
+def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeReport:
     """Sample at most ``sample_limit`` first-pair edges in row-major order and
     classify them with one batched expansion call."""
-    pairs = window.pair_edges_local(0, 1)
+    pairs = window.first_edges()
     if not pairs:
         return GoodEdgeReport((), 0.0, 0)
     if len(pairs) > sample_limit:
         idx = rng.choice(len(pairs), size=sample_limit, replace=False)
         pairs = [pairs[int(i)] for i in sorted(idx)]
-    fractions = expansion_fractions(window, pairs)
+    fractions = window.expansion_fractions(pairs)
     good = tuple(
         (window.to_global(0, a), window.to_global(1, b))
         for (a, b), frac in zip(pairs, fractions)
@@ -243,11 +251,13 @@ def _classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
 
 
 class _EmbedState:
-    """Mutable growth state: the path, per-class pools as bitsets, bookkeeping."""
+    """Mutable growth state: the path, per-class pools as bitsets, the
+    boolean adjacency matrix that windows are sliced from, bookkeeping."""
 
     def __init__(self, g, classes, reserve_count, rng):
         self.g = g
         self.adj = g.adjacency
+        self.a = to_matrix(g)
         self.r = len(classes)
         self.classes = classes
         self.reserved: list[set[int]] = []
@@ -360,7 +370,7 @@ def embed_square_cycle(
                 trace.windows.append(rec)
                 history.append((t - 2, prev_banned))
                 windows += 1
-                assert is_square_path(g, st.path), "window broke validity"
+                assert _is_square_path_dense(st.a, st.path), "window broke validity"
                 return True
         return bool(history)  # deeper unwinding may still help
 
@@ -399,7 +409,7 @@ def embed_square_cycle(
                 advanced = True
                 break
         if advanced:
-            assert is_square_path(g, st.path), "window broke square-path validity"
+            assert _is_square_path_dense(st.a, st.path), "window broke square-path validity"
             continue
 
         if backtrack_and_retry():
@@ -448,10 +458,12 @@ def _pick_start_edge(st, params, rng, trace):
     if not all(len(st.reserved[(1 - i) % r]) >= 3 for i in range(k0 + 2)):
         best_fallback = viable[0] if viable else None
     else:
-        view = chain_view(st.g, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)])
+        view = ChainLayers.from_matrix(
+            st.a, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)]
+        )
         # the backward chain starts at class 1, so (u, v) enters it as (v, u)
         sources = [(view.to_local(v)[1], view.to_local(u)[1]) for u, v in viable]
-        fractions = expansion_fractions(view, sources)
+        fractions = view.expansion_fractions(sources)
         for e, frac in zip(viable, fractions):
             if frac >= params.good_threshold:
                 trace.start_certified = True
@@ -474,10 +486,11 @@ def _pick_start_edge(st, params, rng, trace):
     return None
 
 
-def _window(st, start_pos: int, t: int, rng) -> Optional[ChainPartition]:
-    """Equal-size chain view over the pools of classes start_pos..start_pos+t-1;
-    pools are truncated to the smallest pool size by seeded subsampling.
-    Rebuilt per window because pools shrink as the path consumes vertices."""
+def _window(st, start_pos: int, t: int, rng) -> Optional[ChainLayers]:
+    """Equal-size chain over the pools of classes start_pos..start_pos+t-1,
+    sliced from the embed's adjacency matrix; pools are truncated to the
+    smallest pool size by seeded subsampling.  Rebuilt per window because
+    pools shrink as the path consumes vertices."""
     sizes = [st.pool_size(start_pos + i) for i in range(t)]
     m = min(sizes)
     if m < 3:
@@ -489,7 +502,7 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[ChainPartition]:
             picks = rng.choice(len(avail), size=m, replace=False)
             avail = [avail[int(j)] for j in sorted(picks)]
         cols.append(tuple(avail))
-    return chain_view(st.g, cols)
+    return ChainLayers.from_matrix(st.a, cols)
 
 
 def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | None:
@@ -574,6 +587,21 @@ def _dfs_to_targets(st, u, v, c0, t, targets, budget):
         for nw in candidates(pu, w, depth + 1, mask):
             stack.append((depth + 1, nw, chosen + (nw,)))
     return None
+
+
+def _is_square_path_dense(a: np.ndarray, seq: Sequence[int]) -> bool:
+    """:func:`sqlab.squarewalk.is_square_path` on the boolean adjacency
+    matrix ``a``, from scratch: ids in range and distinct, and every pair at
+    distance 1 or 2 along ``seq`` adjacent."""
+    p = np.asarray(seq, dtype=np.int64)
+    n = a.shape[0]
+    if not p.size or p.min() < 0 or p.max() >= n:
+        return False
+    seen = np.zeros(n, dtype=bool)
+    seen[p] = True
+    if np.count_nonzero(seen) != p.size:
+        return False
+    return bool(a[p[:-1], p[1:]].all() and a[p[:-2], p[2:]].all())
 
 
 def _seam_ok(adj, x1, x2, y, z) -> bool:

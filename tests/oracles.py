@@ -10,10 +10,17 @@ matrix-backed code can be held to bit-identical outputs.  The counter's
 ``edge_count``, which ``partition_heuristic`` now reads for each pair's
 density, is added on top of the bitset ``count``.
 
-The chain kernels at the very end -- triangle pruning, the two exact
+The chain kernels after them -- triangle pruning, the two exact
 square-path counters and the property-(ii) check with its packed-matrix
 counter -- are the earlier per-row and per-state versions, kept verbatim
 for the same purpose against the dense matrix-product kernels.
+
+The embedder's window route at the very end -- each window a ``chain_view``
+of the pools, classified through the packed pairs of a ``ChainPartition``
+by the good-edge kernel with a GEMM for every layer, and the start pick's
+backward view -- is the earlier version of the one that slices
+``ChainLayers`` out of one adjacency matrix, kept verbatim so windows,
+fractions, picks and rng draws can be held to it.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows
-from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule
+from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows, unpack_packed_matrix
+from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
+from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph
 from sqlab.regularity import _sampled_test
 from sqlab.squarewalk import SquarePath
@@ -493,3 +501,147 @@ def reference_square_path_counts_from(
         (chain.to_global(k - 2, a), chain.to_global(k - 1, b)): cnt
         for (a, b), cnt in fwd.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# the embedder's window route on chain views
+
+
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _dense(chain: ChainPartition, i: int, j: int) -> np.ndarray:
+    return unpack_packed_matrix(chain.pair(i, j), chain.n0)
+
+
+def _dense32(chain: ChainPartition, i: int, j: int) -> np.ndarray:
+    return _dense(chain, i, j).astype(np.float32)
+
+
+def reference_expansion_fractions(
+    chain: ChainPartition, sources: Sequence[tuple[int, int]]
+) -> list[float]:
+    """For each first-pair edge (a, b), in local ids, the fraction of
+    last-pair edges it reaches by forward square-walk moves: the value
+    ``edge_expansion`` reports, for many sources at once.
+
+    A multi-source traversal in dense linear algebra.  The states of a block
+    of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i,
+    v in V_{i+1}), and one layer is
+
+        R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
+
+    with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
+    (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
+    GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is exact.
+    """
+    n0, k = chain.n0, chain.k
+    src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
+    if src.size:
+        in_range = (src >= 0).all() and (src < n0).all()
+        first = _dense(chain, 0, 1)
+        if not in_range or not first[src[:, 0], src[:, 1]].all():
+            raise ValueError("sources must be surviving first-pair edges")
+    total = chain.pair_edge_count(k - 2, k - 1)
+    if not total:
+        return [0.0] * len(src)
+    layers = [
+        (_dense32(chain, i, i + 2), _dense32(chain, i + 1, i + 2)) for i in range(k - 2)
+    ]
+    block = max(1, _BLOCK_ENTRIES // (n0 * n0))
+    reached: list[int] = []
+    for lo in range(0, len(src), block):
+        part = src[lo : lo + block]
+        s = len(part)
+        state = np.zeros((s, n0, n0), dtype=np.float32)
+        step = np.empty_like(state)
+        state[np.arange(s), part[:, 1], part[:, 0]] = 1.0
+        for B, A2 in layers:
+            np.matmul(state.reshape(s * n0, n0), B, out=step.reshape(s * n0, n0))
+            # entries are whole numbers >= 0 and A2 is 0/1: min clips and masks
+            np.minimum(step, A2, out=step)
+            # the next layer contracts over v, so it becomes the last axis
+            state[...] = step.transpose(0, 2, 1)
+            if not state.any():
+                break
+        reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
+    return [c / total for c in reached]
+
+
+def reference_classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
+    """Sample at most ``sample_limit`` first-pair edges in row-major order and
+    classify them with one batched expansion call."""
+    pairs = window.pair_edges_local(0, 1)
+    if not pairs:
+        return GoodEdgeReport((), 0.0, 0)
+    if len(pairs) > sample_limit:
+        idx = rng.choice(len(pairs), size=sample_limit, replace=False)
+        pairs = [pairs[int(i)] for i in sorted(idx)]
+    fractions = reference_expansion_fractions(window, pairs)
+    good = tuple(
+        (window.to_global(0, a), window.to_global(1, b))
+        for (a, b), frac in zip(pairs, fractions)
+        if frac >= threshold
+    )
+    return GoodEdgeReport(good, len(good) / len(pairs), len(pairs))
+
+
+def reference_window(st, start_pos: int, t: int, rng) -> Optional[ChainPartition]:
+    """Equal-size chain view over the pools of classes start_pos..start_pos+t-1;
+    pools are truncated to the smallest pool size by seeded subsampling.
+    Rebuilt per window because pools shrink as the path consumes vertices."""
+    sizes = [st.pool_size(start_pos + i) for i in range(t)]
+    m = min(sizes)
+    if m < 3:
+        return None
+    cols = []
+    for i in range(t):
+        avail = sorted(bits(st.available_mask(start_pos + i)))
+        if len(avail) > m:
+            picks = rng.choice(len(avail), size=m, replace=False)
+            avail = [avail[int(j)] for j in sorted(picks)]
+        cols.append(tuple(avail))
+    return chain_view(st.g, cols)
+
+
+def reference_pick_start_edge(st, params, rng, trace):
+    """Start edge inside the reserved sets of the first two classes, chosen to
+    expand backwards through the reserved chain when that window is buildable;
+    falls back to any viable reserved edge (flagged) and then to pool edges."""
+    adj = st.adj
+    r = st.r
+    k0 = params.k0
+    res0 = sorted(st.reserved[0])
+    res1 = sorted(st.reserved[1])
+    candidates = [
+        (u, v) for u in res0 for v in res1 if (adj[u] >> v) & 1
+    ]
+    rng.shuffle(candidates)
+    viable = [(u, v) for u, v in candidates if adj[u] & adj[v] & st.pool_mask[2]]
+    if not all(len(st.reserved[(1 - i) % r]) >= 3 for i in range(k0 + 2)):
+        best_fallback = viable[0] if viable else None
+    else:
+        view = chain_view(st.g, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)])
+        # the backward chain starts at class 1, so (u, v) enters it as (v, u)
+        sources = [(view.to_local(v)[1], view.to_local(u)[1]) for u, v in viable]
+        fractions = reference_expansion_fractions(view, sources)
+        for e, frac in zip(viable, fractions):
+            if frac >= params.good_threshold:
+                trace.start_certified = True
+                return e
+        best_fallback = next((e for e, frac in zip(viable, fractions) if frac > 0), None)
+    if best_fallback is not None:
+        trace.flags.append("start-uncertified")
+        return best_fallback
+    # no reserved edge at all: fall back to pool edges of classes 0, 1
+    trace.flags.append("start-from-pool")
+    pool0 = sorted(bits(st.pool_mask[0]))
+    pool1 = sorted(bits(st.pool_mask[1]))
+    pool_candidates = [
+        (u, v) for u in pool0 for v in pool1 if (adj[u] >> v) & 1
+    ]
+    rng.shuffle(pool_candidates)
+    for u, v in pool_candidates:
+        if adj[u] & adj[v] & st.pool_mask[2]:
+            return (u, v)
+    return None

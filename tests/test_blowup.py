@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,55 @@ def test_prune_schedule_custom_eps_cor():
     )
     assert not sched.eps_cor_is_default
     assert sched.epsilon[0] == pytest.approx(sched.delta[0] / 8)
+
+
+def direct_schedule(epsilon_0, steps, n0, p0):
+    """(delta, epsilon, m) by the plain float recursion with eps_i = delta_i / 4."""
+    deltas, epsilons, ms = [], [], []
+    prev = epsilon_0
+    for _ in range(steps):
+        d = (prev / 4) ** 4 / 2
+        prev = d / 4
+        deltas.append(d)
+        epsilons.append(prev)
+        ms.append(math.ceil((1 - prev) * n0 * n0 * p0))
+    return tuple(deltas), tuple(epsilons), tuple(ms)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.35, 0.5])
+def test_prune_schedule_short_chains_exact_floats(k, epsilon):
+    sched = bl.PruneSchedule.build(0.1, epsilon, k - 2, 1500, 0.35)
+    assert (sched.delta, sched.epsilon, sched.m) == direct_schedule(epsilon, k - 2, 1500, 0.35)
+    assert not sched.underflows
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+@pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.5])
+def test_prune_default_schedule_long_chains(k, epsilon):
+    sched = bl.PruneSchedule.build(0.1, epsilon, k - 2, 12, 0.5)
+    assert sched.underflows and 0.0 in sched.delta
+    seq = [math.log(epsilon)]
+    for d, e in zip(sched.log_delta, sched.log_epsilon):
+        assert d == pytest.approx(4 * (seq[-1] - math.log(4)) - math.log(2))
+        assert e == pytest.approx(d - math.log(4))
+        seq += [d, e]
+    assert all(a > b for a, b in zip(seq, seq[1:])) and math.isfinite(seq[-1])
+    for d, log_d in zip(sched.delta, sched.log_delta):
+        if d >= sys.float_info.min:
+            assert math.log(d) == pytest.approx(log_d)
+    res = bl.prune_to_gtilde(bl.build_chain_random(k, 12, 0.5, seed=k), epsilon)
+    assert res.schedule_underflow
+    assert 0 < sum(res.removed.values())
+    for step, d in enumerate(sched.delta):
+        if d == 0.0:  # the bound is below one edge, so the flag reads "removed any"
+            key = (step, step + 1)
+            assert res.flagged[key] == (res.removed[key] > 0)
+
+
+def test_prune_schedule_custom_eps_cor_refused_once_it_underflows():
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        bl.PruneSchedule.build(0.4, 0.2, 5, 100, 0.5, eps_cor=lambda beta, d: d / 8)
 
 
 # -- pruning -------------------------------------------------------------------

@@ -14,6 +14,10 @@ from sqlab.util import rng_from
 # PipelineParams(epsilon=0.2, nu=0.3), as produced by the per-edge
 # Python-int frontier that the batched kernel replaced
 PIPELINE_600_TRACE_SHA256 = "e25f4558593cde3590aa52aa372b876d50a4f693cd2cb0a71f283cf660fe214f"
+# the same for G(1200, 0.6), graph seed 1, which closes at 1110/1200, as
+# produced by windows built as chain views: at the benchmark's size the
+# windows subsample unequal pools, which the 600-vertex run never does
+PIPELINE_1200_TRACE_SHA256 = "49ae1d62abbbcd76bfe140aaea6e56246d2f08dccad8f2e12809860131a34dca"
 
 
 def reference_fractions(chain):
@@ -154,6 +158,13 @@ def test_pipeline_600_closes_with_unchanged_trace():
     position = {v: j for j, c in enumerate(cyc.vertices) for v in pr.partition.classes[c]}
     assert len(seq) % r == 0
     assert all(position[v] == idx % r for idx, v in enumerate(seq))
+
+
+def test_pipeline_1200_trace_unchanged():
+    h, _, _, tr = run_pipeline(1200, 0.6, 1)
+    assert (tr.closing_status, tr.final_length) == ("closed", 1110)
+    assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_1200_TRACE_SHA256
+    assert is_square_cycle(h, tr.cycle.vertices)
 
 
 @pytest.mark.xfail(

@@ -1,7 +1,8 @@
 """The matrix-backed gnp, per-vertex deletion, pair counter, greedy square
-path and chain kernels against the bitset reference implementations in
-``oracles``: outputs must be identical, down to edge counts, witnesses,
-sample indices, path vertices, pruned pairs and path counts."""
+path, chain kernels and embedder windows against the bitset and chain-view
+reference implementations in ``oracles``: outputs must be identical, down to
+edge counts, witnesses, sample indices, path vertices, pruned pairs, path
+counts, expansion fractions and rng draws."""
 
 import math
 
@@ -9,21 +10,26 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqlab import adversary, graph
+from sqlab import adversary, embedder, graph
 from sqlab import blowup as bl
 from sqlab import regularity as reg
 from sqlab import squarewalk as sw
-from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
+from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
+from sqlab.util import rng_from
 from oracles import (
     ReferenceGraphCounter,
     reference_check_gtilde_ii,
+    reference_classify,
     reference_count_square_paths_between,
+    reference_expansion_fractions,
     reference_gnp,
     reference_greedy_square_path,
     reference_per_vertex_deletion,
+    reference_pick_start_edge,
     reference_prune_to_gtilde,
     reference_square_path_counts_from,
     reference_triangle_counts_of_pair,
+    reference_window,
 )
 from test_blowup import complete_chain
 from test_regularity import squared_cycle_blowup
@@ -53,6 +59,18 @@ def test_per_vertex_deletion_matches_reference(n, p, r):
             adversary.per_vertex_deletion(g, r, seed),
             reference_per_vertex_deletion(g, r, seed),
         )
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_per_vertex_deletion_matches_reference_across_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(adversary, "_CHUNK_EDGES", chunk)
+    for n, p, r in [(5, 1.0, 1.0), (40, 0.6, 0.37), (150, 0.6, 0.1)]:
+        g = graph.gnp(n, p, seed=n)
+        for seed in (0, 3):
+            assert_same_graph(
+                adversary.per_vertex_deletion(g, r, seed),
+                reference_per_vertex_deletion(g, r, seed),
+            )
 
 
 def with_reference_counter(monkeypatch, fn, *args, **kwargs):
@@ -220,22 +238,9 @@ def test_kth_edge_matches_edge_list(g):
 # -- chain kernels ----------------------------------------------------------------
 
 
-def prune_schedule(chain):
-    """None (the default schedule) up to k = 5; PruneSchedule.build underflows
-    to a schedule that is not strictly decreasing past that, so longer chains
-    get a hand-made geometric one."""
-    if chain.k <= 5:
-        return None
-    delta = tuple(0.05 / 4**i for i in range(chain.k - 2))
-    eps = tuple(d / 4 for d in delta)
-    m = tuple(math.ceil((1 - e) * chain.n0**2 * chain.reference_p) for e in eps)
-    return bl.PruneSchedule(0.1, 0.2, delta, eps, m)
-
-
 def assert_same_prune(chain, epsilon, triangles=True):
-    schedule = prune_schedule(chain)
-    got = bl.prune_to_gtilde(chain, epsilon, schedule)
-    want = reference_prune_to_gtilde(chain, epsilon, schedule)
+    got = bl.prune_to_gtilde(chain, epsilon)
+    want = reference_prune_to_gtilde(chain, epsilon)
     assert got.removed == want.removed
     assert got.removed_fraction == want.removed_fraction
     assert got.flagged == want.flagged
@@ -404,3 +409,192 @@ def test_empty_neighbourhood_is_a_violation():
     assert reg.lower_regular_verdict(np.zeros((3, 0), dtype=bool), 0.0, 0.2, 10, None) == (
         "no-violation-found"
     )
+
+
+# -- embedder windows ---------------------------------------------------------------
+
+
+def embed_state(n, p, r, reserve, seed, closing=False):
+    """An embedder state over r seeded classes of G(n, p) whose pools have
+    lost a seeded, class-dependent number of vertices, so their sizes differ."""
+    g = graph.gnp(n, p, seed)
+    gen = np.random.default_rng(seed)
+    order = [int(v) for v in gen.permutation(n)]
+    size = n // r
+    classes = [tuple(order[i * size : (i + 1) * size]) for i in range(r)]
+    state = embedder._EmbedState(g, classes, reserve, rng_from(seed))
+    for c in range(r):
+        pool = list(bits(state.pool_mask[c]))
+        drop = gen.choice(len(pool), size=int(gen.integers(0, len(pool) // 2)), replace=False)
+        state.pool_mask[c] &= ~mask_of(pool[int(i)] for i in drop)
+    state.closing = closing
+    return state
+
+
+def assert_same_layers(layers, view):
+    """A ChainLayers and a ChainPartition of the same chain agree on every
+    block the kernel reads."""
+    want = bl.ChainLayers.from_chain(view)
+    assert layers.classes == view.classes
+    assert np.array_equal(layers.first, want.first) and layers.first.dtype == bool
+    assert len(layers.layers) == len(want.layers) == view.k - 2
+    for (b, a2), (wb, wa2) in zip(layers.layers, want.layers):
+        assert b.dtype == a2.dtype == np.float32
+        assert np.array_equal(b, wb) and np.array_equal(a2, wa2)
+    assert layers.last_edges == view.pair_edge_count(view.k - 2, view.k - 1)
+    assert layers.first_edges() == view.pair_edges_local(0, 1)
+
+
+WINDOW_STATES = [
+    ("dense", lambda closing: embed_state(240, 0.6, 12, 2, 1, closing)),
+    ("sparse", lambda closing: embed_state(240, 0.35, 12, 2, 2, closing)),
+    ("small-pools", lambda closing: embed_state(96, 0.7, 12, 1, 3, closing)),
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in WINDOW_STATES], ids=[i for i, _ in WINDOW_STATES])
+@pytest.mark.parametrize("closing", [False, True], ids=["growing", "closing"])
+def test_window_route_matches_chain_view(make, closing):
+    state = make(closing)
+    sizes = [state.pool_size(c) for c in range(state.r)]
+    assert len(set(sizes)) > 1  # the subsampling rng.choice runs
+    for start in (0, 5, 9):
+        for t in (5, 7, 10):
+            seed = 100 * start + t
+            rng, ref_rng = rng_from(seed), rng_from(seed)
+            win = embedder._window(state, start, t, rng)
+            ref = reference_window(state, start, t, ref_rng)
+            assert (win is None) == (ref is None)
+            if win is not None:
+                assert_same_layers(win, ref)
+                pairs = ref.pair_edges_local(0, 1)
+                assert win.expansion_fractions(pairs) == reference_expansion_fractions(ref, pairs)
+                got = embedder._classify(win, 0.51, 16, rng)
+                assert got == reference_classify(ref, 0.51, 16, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_window_route_reaches_dead_frontiers_and_subsamples():
+    # the grid above must see frontiers that die, frontiers that survive, and
+    # first pairs larger than the classification sample
+    state = embed_state(240, 0.35, 12, 2, 2)
+    win = embedder._window(state, 0, 10, rng_from(10))
+    fractions = win.expansion_fractions(win.first_edges())
+    assert 0.0 in fractions and max(fractions) > 0
+    assert len(win.first_edges()) > 16
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 10])
+@pytest.mark.parametrize("n0", [3, 9])
+@pytest.mark.parametrize("p", [0.15, 0.6, 1.0])
+def test_layers_from_matrix_match_chain_view(k, n0, p):
+    g = graph.gnp(k * n0 + 4, p, seed=k + n0)
+    order = [int(v) for v in np.random.default_rng(k * n0).permutation(g.n)]
+    classes = [tuple(order[i * n0 : (i + 1) * n0]) for i in range(k)]
+    layers = bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
+    view = bl.chain_view(g, classes)
+    assert_same_layers(layers, view)
+    pairs = view.pair_edges_local(0, 1)
+    want = reference_expansion_fractions(view, pairs)
+    assert layers.expansion_fractions(pairs) == want
+    assert bl.expansion_fractions(view, pairs) == want
+    for ci, cls in enumerate(classes):
+        for li, v in enumerate(cls):
+            assert layers.to_local(v) == view.to_local(v) == (ci, li)
+            assert layers.to_global(ci, li) == v
+    if k == 2:
+        assert want == [1 / len(pairs)] * len(pairs)
+
+
+def test_layers_kernel_spans_several_source_blocks(monkeypatch):
+    g = graph.gnp(60, 0.7, 8)
+    classes = [tuple(range(i * 9, (i + 1) * 9)) for i in range(6)]
+    layers = bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
+    view = bl.chain_view(g, classes)
+    pairs = view.pair_edges_local(0, 1)
+    want = reference_expansion_fractions(view, pairs)
+    monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * 9 * 9)  # 4 sources per block
+    assert len(pairs) > 4 and len(pairs) % 4
+    assert layers.expansion_fractions(pairs) == want
+
+
+@pytest.mark.parametrize(
+    "classes",
+    [
+        [(0, 1, 2), (3, 4, 2)],  # overlap
+        [(0, 1, 2), (3, 4, 12)],  # past the last vertex
+        [(0, 1, 2), (-1, 4, 5)],  # negative
+        [(0, 1, 2), (3, 4, 5, 6)],  # unequal sizes
+        [(0, 1), (3, 4)],  # classes below 3 vertices
+        [(0, 1, 2)],  # one class
+    ],
+    ids=["overlap", "too-large", "negative", "unequal", "small", "single"],
+)
+def test_layers_reject_what_chain_view_rejects(classes):
+    g = graph.complete(12)
+    with pytest.raises(ValueError):
+        bl.chain_view(g, classes)
+    with pytest.raises(ValueError):
+        bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
+
+
+def test_layers_reject_bad_sources():
+    g = graph.gnp(30, 0.5, 7)
+    classes = [tuple(range(i * 6, (i + 1) * 6)) for i in range(4)]
+    layers = bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
+    view = bl.chain_view(g, classes)
+    non_edge = tuple(int(x) for x in np.argwhere(~layers.first)[0])
+    for bad in (non_edge, (6, 0), (0, 6), (-1, 0)):
+        with pytest.raises(ValueError):
+            layers.expansion_fractions([bad])
+        with pytest.raises(ValueError):
+            reference_expansion_fractions(view, [bad])
+    with pytest.raises(ValueError):
+        layers.to_local(29)
+
+
+def assert_same_start_pick(n, p, reserve, seed):
+    """The start pick and the chain-view reference on a growing and a closing
+    state; returns the (certified, flags) outcomes."""
+    params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
+    outcomes = []
+    for closing in (False, True):
+        state = embed_state(n, p, 3 * params.k0, reserve, seed, closing)
+        got_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
+        want_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
+        rng, ref_rng = rng_from(seed), rng_from(seed)
+        got = embedder._pick_start_edge(state, params, rng, got_trace)
+        assert got == reference_pick_start_edge(state, params, ref_rng, want_trace)
+        assert got_trace.flags == want_trace.flags
+        assert got_trace.start_certified == want_trace.start_certified
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        outcomes.append((got_trace.start_certified, tuple(got_trace.flags)))
+    return outcomes
+
+
+def test_start_pick_matches_chain_view():
+    seen = set()
+    for p, reserve, seed in [(0.8, 3, 1), (0.6, 4, 2), (0.3, 3, 3), (0.6, 2, 4), (0.05, 3, 5)]:
+        seen.update(assert_same_start_pick(300, p, reserve, seed))
+    # certified, uncertified and pool starts, with and without the reserved view
+    assert {(True, ()), (False, ("start-uncertified",)), (False, ("start-from-pool",))} <= seen
+
+
+@given(
+    st.lists(st.integers(-2, 11), max_size=8),
+    st.sampled_from([0.5, 0.9, 1.0]),
+    st.integers(0, 20),
+)
+def test_dense_square_path_check_matches_is_square_path(seq, p, seed):
+    g = graph.gnp(10, p, seed)
+    assert embedder._is_square_path_dense(graph.to_matrix(g), seq) == sw.is_square_path(g, seq)
+
+
+@pytest.mark.parametrize(
+    "seq",
+    [[], [3], [3, 4], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 1], [0, 1, 2, 3, 5], [0, 2, 1],
+     [9, 10]],
+)
+def test_dense_square_path_check_on_squared_cycle(seq):
+    g = squared_cycle_graph(10)
+    assert embedder._is_square_path_dense(graph.to_matrix(g), seq) == sw.is_square_path(g, seq)
