@@ -48,6 +48,28 @@ from .graph import Graph, to_matrix
 from .util import rng_from
 
 
+def _class_index(classes: tuple[tuple[int, ...], ...], n: Optional[int] = None) -> np.ndarray:
+    """The (k, n0) id array of a chain's classes, after checking them: at
+    least 2 classes, all of one size n0 >= 3, ids in [0, n) (only >= 0 when
+    n is None), and no id in two classes."""
+    if len(classes) < 2:
+        raise ValueError("a chain needs at least 2 classes")
+    if len({len(c) for c in classes}) != 1:
+        raise ValueError("classes must have equal size")
+    if len(classes[0]) < 3:
+        raise ValueError("class size must be >= 3")
+    idx = np.array(classes, dtype=np.int64)
+    if n is None:
+        n = int(idx.max()) + 1
+    if idx.min() < 0 or idx.max() >= n:
+        raise ValueError(f"class vertex out of range [0, {n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[idx.ravel()] = True
+    if np.count_nonzero(seen) != idx.size:
+        raise ValueError("classes overlap")
+    return idx
+
+
 class ChainPartition:
     """Ordered disjoint equal-size classes with packed pair adjacency."""
 
@@ -59,22 +81,9 @@ class ChainPartition:
         source: Optional[Graph] = None,
     ):
         classes = tuple(tuple(c) for c in classes)
-        if len(classes) < 2:
-            raise ValueError("a chain needs at least 2 classes")
-        sizes = {len(c) for c in classes}
-        if len(sizes) != 1:
-            raise ValueError("classes must have equal size")
-        n0 = sizes.pop()
-        if n0 < 3:
-            raise ValueError("class size must be >= 3")
-        seen: set[int] = set()
-        for c in classes:
-            for v in c:
-                if v in seen:
-                    raise ValueError("classes overlap")
-                seen.add(v)
+        _class_index(classes)
         self.classes = classes
-        self.n0 = n0
+        self.n0 = len(classes[0])
         self.reference_p = reference_p
         self._pairs = pairs
         self._pairs_T: dict[tuple[int, int], np.ndarray] = {}
@@ -232,12 +241,10 @@ class PruneSchedule:
     step is flagged when it removes more than 2 delta_i m_i edges.
 
     The values fall doubly exponentially: at epsilon_0 = 0.2, delta_3 is
-    about 2e-114 and delta_4 underflows to 0.0.  ``build`` therefore carries
-    the recursion in natural logs as well (``log_delta``, ``log_epsilon``),
-    which never underflow, and checks the strict decrease on them; the floats
-    are the direct recursion and may be 0.0 or subnormal from the fourth step
-    on (``underflows``).  A schedule made by hand takes its logs from its
-    floats.
+    about 2e-114 and delta_4 underflows to 0.0 (``underflows``).  The
+    default's strict decrease holds by construction then (eps_i = delta_i / 4,
+    and delta_{i+1} < eps_i whenever eps_i < 1), so ``build`` checks it on the
+    floats only where they carry it: a custom eps_cor, or no underflow.
     """
 
     alpha: float
@@ -246,14 +253,6 @@ class PruneSchedule:
     epsilon: tuple[float, ...]  # epsilon[i-1] holds eps_i
     m: tuple[int, ...]
     eps_cor_is_default: bool = True
-    log_delta: tuple[float, ...] = ()
-    log_epsilon: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not self.log_delta:
-            object.__setattr__(self, "log_delta", tuple(map(_log, self.delta)))
-        if not self.log_epsilon:
-            object.__setattr__(self, "log_epsilon", tuple(map(_log, self.epsilon)))
 
     @property
     def beta(self) -> float:
@@ -262,7 +261,7 @@ class PruneSchedule:
     @property
     def underflows(self) -> bool:
         """Whether some delta_i lies below the smallest normal float, so its
-        float is rounded or 0.0 and only ``log_delta`` holds it."""
+        float is rounded or 0.0."""
         return any(d < sys.float_info.min for d in self.delta)
 
     @classmethod
@@ -279,44 +278,28 @@ class PruneSchedule:
         default = eps_cor is None
         if eps_cor is None:
             eps_cor = lambda beta_, delta_: delta_ / 4  # noqa: E731
-        deltas, epsilons, ms, log_deltas, log_epsilons = [], [], [], [], []
-        prev_eps, log_prev = epsilon_0, _log(epsilon_0)
+        deltas, epsilons, ms = [], [], []
+        prev_eps = epsilon_0
         for _ in range(steps):
             d = (prev_eps / 4) ** 4 / 2
-            c = eps_cor(beta, d)
-            e = min(d / 4, c)
-            log_d = 4 * (log_prev - _LOG_4) - _LOG_2
-            # the default's log is exact; a custom eps_cor is known only as the
-            # float it returns, so once that underflows its schedule is refused
-            log_e = log_d - _LOG_4 if default else min(log_d - _LOG_4, _log(c))
+            e = min(d / 4, eps_cor(beta, d))
             deltas.append(d)
             epsilons.append(e)
-            log_deltas.append(log_d)
-            log_epsilons.append(log_e)
             ms.append(math.ceil((1 - e) * n0 * n0 * p0))
-            prev_eps, log_prev = e, log_e
-        sched = cls(
-            alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms), default,
-            tuple(log_deltas), tuple(log_epsilons),
-        )
-        sched.check_decreasing()
+            prev_eps = e
+        sched = cls(alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms), default)
+        # a custom eps_cor that underflows is refused (0.0 > 0.0 is false)
+        if not default or not sched.underflows:
+            sched.check_decreasing()
         return sched
 
     def check_decreasing(self) -> None:
-        seq = [_log(self.epsilon_0)]
-        for d, e in zip(self.log_delta, self.log_epsilon):
+        seq = [self.epsilon_0]
+        for d, e in zip(self.delta, self.epsilon):
             seq.extend([d, e])
         for a, b in zip(seq, seq[1:]):
             if not a > b:
                 raise ValueError("schedule is not strictly decreasing")
-
-
-_LOG_2 = math.log(2)
-_LOG_4 = math.log(4)
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -656,20 +639,7 @@ class ChainLayers:
         Rejects what :func:`chain_view` rejects: fewer than 2 classes,
         unequal sizes, classes below 3 vertices, ids out of range, overlap."""
         classes = tuple(tuple(c) for c in classes)
-        if len(classes) < 2:
-            raise ValueError("a chain needs at least 2 classes")
-        if len({len(c) for c in classes}) != 1:
-            raise ValueError("classes must have equal size")
-        if len(classes[0]) < 3:
-            raise ValueError("class size must be >= 3")
-        idx = np.array(classes, dtype=np.int64)
-        n = a.shape[0]
-        if idx.min() < 0 or idx.max() >= n:
-            raise ValueError(f"class vertex out of range [0, {n})")
-        seen = np.zeros(n, dtype=bool)
-        seen[idx.ravel()] = True
-        if np.count_nonzero(seen) != idx.size:
-            raise ValueError("classes overlap")
+        idx = _class_index(classes, a.shape[0])
         k = len(classes)
         # a[rows][:, cols]: two plain gathers, much cheaper than np.ix_ here
         rows = [a[idx[i]] for i in range(k - 1)]
@@ -690,12 +660,6 @@ class ChainLayers:
 
     def to_global(self, class_index: int, local: int) -> int:
         return self.classes[class_index][local]
-
-    def to_local(self, v: int) -> tuple[int, int]:
-        for ci, cls in enumerate(self.classes):
-            if v in cls:
-                return ci, cls.index(v)
-        raise ValueError(f"vertex {v} is not in the chain")
 
     def first_edges(self) -> list[tuple[int, int]]:
         """First-pair edges in local ids, row-major."""

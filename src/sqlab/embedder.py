@@ -461,8 +461,11 @@ def _pick_start_edge(st, params, rng, trace):
         view = ChainLayers.from_matrix(
             st.a, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)]
         )
-        # the backward chain starts at class 1, so (u, v) enters it as (v, u)
-        sources = [(view.to_local(v)[1], view.to_local(u)[1]) for u, v in viable]
+        # the backward chain starts at class 1 (ids res1) and goes on to
+        # class 0 (ids res0), so (u, v) enters it as (v, u), in local ids
+        at0 = {u: i for i, u in enumerate(res0)}
+        at1 = {v: i for i, v in enumerate(res1)}
+        sources = [(at1[v], at0[u]) for u, v in viable]
         fractions = view.expansion_fractions(sources)
         for e, frac in zip(viable, fractions):
             if frac >= params.good_threshold:

@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -175,16 +174,8 @@ def test_prune_schedule_short_chains_exact_floats(k, epsilon):
 @pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.5])
 def test_prune_default_schedule_long_chains(k, epsilon):
     sched = bl.PruneSchedule.build(0.1, epsilon, k - 2, 12, 0.5)
-    assert sched.underflows and 0.0 in sched.delta
-    seq = [math.log(epsilon)]
-    for d, e in zip(sched.log_delta, sched.log_epsilon):
-        assert d == pytest.approx(4 * (seq[-1] - math.log(4)) - math.log(2))
-        assert e == pytest.approx(d - math.log(4))
-        seq += [d, e]
-    assert all(a > b for a, b in zip(seq, seq[1:])) and math.isfinite(seq[-1])
-    for d, log_d in zip(sched.delta, sched.log_delta):
-        if d >= sys.float_info.min:
-            assert math.log(d) == pytest.approx(log_d)
+    assert (sched.delta, sched.epsilon, sched.m) == direct_schedule(epsilon, k - 2, 12, 0.5)
+    assert sched.underflows and sched.delta[-1] == 0.0
     res = bl.prune_to_gtilde(bl.build_chain_random(k, 12, 0.5, seed=k), epsilon)
     assert res.schedule_underflow
     assert 0 < sum(res.removed.values())
@@ -192,6 +183,12 @@ def test_prune_default_schedule_long_chains(k, epsilon):
         if d == 0.0:  # the bound is below one edge, so the flag reads "removed any"
             key = (step, step + 1)
             assert res.flagged[key] == (res.removed[key] > 0)
+
+
+def test_prune_default_schedule_still_refuses_a_rising_one():
+    # for epsilon_0 >= 8, delta_1 = (epsilon_0 / 4)^4 / 2 is not below it
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        bl.PruneSchedule.build(0.1, 10.0, 2, 100, 0.5)
 
 
 def test_prune_schedule_custom_eps_cor_refused_once_it_underflows():

@@ -238,9 +238,18 @@ def test_kth_edge_matches_edge_list(g):
 # -- chain kernels ----------------------------------------------------------------
 
 
-def assert_same_prune(chain, epsilon, triangles=True):
-    got = bl.prune_to_gtilde(chain, epsilon)
-    want = reference_prune_to_gtilde(chain, epsilon)
+def geometric_schedule(chain):
+    """A hand-built schedule whose delta_i fall geometrically, not doubly
+    exponentially, so every step's flag bound 2 delta_i m_i stays nonzero."""
+    delta = tuple(0.05 / 4**i for i in range(chain.k - 2))
+    eps = tuple(d / 4 for d in delta)
+    m = tuple(math.ceil((1 - e) * chain.n0**2 * chain.reference_p) for e in eps)
+    return bl.PruneSchedule(0.1, 0.2, delta, eps, m)
+
+
+def assert_same_prune(chain, epsilon, triangles=True, schedule=None):
+    got = bl.prune_to_gtilde(chain, epsilon, schedule)
+    want = reference_prune_to_gtilde(chain, epsilon, schedule)
     assert got.removed == want.removed
     assert got.removed_fraction == want.removed_fraction
     assert got.flagged == want.flagged
@@ -262,6 +271,29 @@ def test_prune_matches_reference(k, n0, p0):
     chain = bl.build_chain_random(k, n0, p0, seed=k * n0)
     pruned = assert_same_prune(chain, 0.2)
     assert_same_prune(pruned.chain, 0.2, triangles=False)  # the re-prune of a pruned chain
+
+
+@pytest.mark.parametrize("n0", [3, 7, 8, 9, 700])
+@pytest.mark.parametrize("p0", [0.0, 0.05, 0.5, 1.0])
+def test_prune_matches_reference_with_explicit_schedule(n0, p0):
+    # the default schedule underflows at k = 8, so its late flag bounds read
+    # 0.0; a hand-built one keeps them nonzero and takes the schedule= path
+    chain = bl.build_chain_random(8, n0, p0, seed=8 * n0)
+    schedule = geometric_schedule(chain)
+    assert not schedule.underflows
+    pruned = assert_same_prune(chain, 0.2, schedule=schedule)
+    assert not pruned.schedule_underflow
+    assert_same_prune(pruned.chain, 0.2, triangles=False, schedule=schedule)
+
+
+def test_explicit_schedule_flags_differ_from_default():
+    # the explicit-schedule grid must reach a step where the nonzero bound
+    # matters: edges are removed there, yet fewer than the bound allows
+    chain = bl.build_chain_random(8, 700, 0.5, seed=8 * 700)
+    default = bl.prune_to_gtilde(chain, 0.2)
+    explicit = bl.prune_to_gtilde(chain, 0.2, geometric_schedule(chain))
+    assert default.removed == explicit.removed
+    assert default.flagged != explicit.flagged
 
 
 def test_prune_grid_removes_edges():
@@ -500,8 +532,7 @@ def test_layers_from_matrix_match_chain_view(k, n0, p):
     assert bl.expansion_fractions(view, pairs) == want
     for ci, cls in enumerate(classes):
         for li, v in enumerate(cls):
-            assert layers.to_local(v) == view.to_local(v) == (ci, li)
-            assert layers.to_global(ci, li) == v
+            assert layers.to_global(ci, li) == view.to_global(ci, li) == v
     if k == 2:
         assert want == [1 / len(pairs)] * len(pairs)
 
@@ -549,8 +580,6 @@ def test_layers_reject_bad_sources():
             layers.expansion_fractions([bad])
         with pytest.raises(ValueError):
             reference_expansion_fractions(view, [bad])
-    with pytest.raises(ValueError):
-        layers.to_local(29)
 
 
 def assert_same_start_pick(n, p, reserve, seed):
