@@ -8,7 +8,6 @@ Library layers:
 * :mod:`sqlab.regularity` -- density and sampled regularity testing
 * :mod:`sqlab.blowup` -- chain partitions, pruning, expansion, path counts
 * :mod:`sqlab.embedder` -- the window-by-window square-cycle embedder
-* :mod:`sqlab.cli` -- the ``sqlab`` experiment harness
 """
 
 __version__ = "0.1.0"

@@ -116,8 +116,9 @@ def independent_blocker(g: Graph, c: float, seed: int) -> tuple[Graph, tuple[int
 
     All edges inside U are removed, making U independent.  Any square path
     then has at most ceil(len/3) vertices in U (each three consecutive
-    square-path vertices form a triangle), which caps square paths at roughly
-    (3c/2) n vertices.
+    square-path vertices form a triangle), so a square path on m vertices has
+    m - ceil(m/3) <= n - |U| vertices outside U.  That caps square paths at
+    floor((3 (n - |U|) + 2) / 2) vertices: 16 at n = 20, |U| = 10.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"blocker fraction {c} outside (0, 1)")

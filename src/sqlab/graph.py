@@ -98,9 +98,6 @@ class Graph:
             raise ValueError(f"({u}, {v}) is not an edge")
         return tuple(bits(self.adjacency[u] & self.adjacency[v]))
 
-    def common_neighbors_mask(self, u: int, v: int) -> int:
-        return self.adjacency[u] & self.adjacency[v]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         for u in range(self.n):

@@ -12,6 +12,15 @@ optional node budget; when the budget runs out the best object found so far
 is returned flagged as a lower bound / unknown verdict.  Every path or cycle
 returned by any routine is re-validated before it is handed back.
 
+The longest-path search prunes with two admissible bounds: the unvisited
+vertices reachable from the end vertex, and an independent-set count.  Any
+three consecutive vertices of a square path form a triangle, so an
+independent set I holds at most one vertex in every three; with a greedy
+maximal I, a path can add at most about 3/2 times the reachable vertices
+outside I.  Both bounds only cut subtrees that cannot beat the best path so
+far, so without a budget the returned path is the one the reach bound alone
+gives; only the node count falls.
+
 The exact searches keep Python-int bitsets.  The greedy heuristic, which
 runs on graphs of thousands of vertices, instead reads the adjacency once
 as packed uint8 rows (``graph.to_packed``, n^2 / 8 bytes): each step finds
@@ -152,12 +161,25 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
     """Maximum-cardinality square path by branch and bound over edge states.
 
     DFS grows a path forward from every ordered start edge, keeping a
-    visited-vertex bitset.  The admissible bound is the current length plus
-    the number of new vertices reachable from the end state in the static
-    state graph (computed once per start edge, ignoring revisits).  Successor
-    states with fewer onward moves are tried first.  If ``node_budget`` DFS
-    expansions are exhausted the best path found so far is returned with
-    ``optimal=False``.
+    visited-vertex bitset.  Start edges with more common neighbours go first;
+    successor states with fewer onward moves are tried first.  A node whose
+    path cannot beat the best so far is cut by two admissible bounds, with
+    ``avail`` the unvisited vertices reachable from the end vertex cv in the
+    static state graph (computed once per call, ignoring revisits):
+
+    * the reach bound: current length plus ``|avail|``;
+    * the independent-set bound, tried when the reach bound fails.  I is one
+      greedy maximal independent set (``_greedy_independent_set``).  Three
+      consecutive vertices of a square path form a triangle, so t further
+      vertices hold at most floor((t + off) / 3) vertices of I, where off is 0
+      if cv is in I, 1 if the vertex before it is and 2 otherwise; the rest
+      come from ``avail`` outside I.  With a of those, the largest such t is
+      ``(3 a + off) // 2``.
+
+    Both bounds only cut subtrees that cannot beat the best length, so an
+    unbudgeted call returns the path the reach bound alone would return, in
+    fewer nodes.  If ``node_budget`` DFS expansions are exhausted the best
+    path found so far is returned with ``optimal=False``.
     """
     if g.n == 0:
         raise ValueError("empty graph has no square path")
@@ -165,7 +187,7 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
     best_seq = [0]
     best_len = 1
     nodes = 0
-    budget = node_budget if node_budget is not None else -1
+    limit = node_budget if node_budget is not None and node_budget >= 0 else 1 << 62
     exhausted = False
 
     # reach[v] = vertices reachable from any state entering v, ignoring
@@ -173,47 +195,73 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
     # fixed-point over vertex bitsets is a sound over-approximation of the
     # per-state reach and much cheaper to compute.
     reach = _vertex_reach_closure(g)
+    indep = _greedy_independent_set(g)
+    outside = ~indep
 
     states = edge_states(g)
-    # try denser start edges last: short-circuiting works best when a long
-    # path is found early, so order by decreasing successor count.
+    # try denser start edges first: pruning works best when a long path is
+    # found early, so order by decreasing successor count.
     states.sort(key=lambda s: -(adj[s.first] & adj[s.second]).bit_count())
 
-    for s in states:
-        if exhausted:
-            break
-        u, v = s
+    for u, v in states:
         stack = [(u, v, (1 << u) | (1 << v), [u, v])]
+        push, pop = stack.append, stack.pop
         while stack:
-            if budget >= 0 and nodes >= budget:
+            if nodes >= limit:
                 exhausted = True
                 break
-            cu, cv, visited, seq = stack.pop()
+            cu, cv, visited, seq = pop()
             nodes += 1
-            if len(seq) > best_len:
-                best_len = len(seq)
+            depth = len(seq)
+            if depth > best_len:
+                best_len = depth
                 best_seq = list(seq)
                 if best_len == g.n:
-                    stack.clear()
                     break
-            cand = adj[cu] & adj[cv] & ~visited
+            free = ~visited
+            cand = adj[cu] & adj[cv] & free
             if not cand:
                 continue
-            # bound: everything reachable through cv, minus already visited
-            ub = len(seq) + (reach[cv] & ~visited).bit_count()
-            if ub <= best_len:
+            avail = reach[cv] & free
+            if depth + avail.bit_count() <= best_len:
                 continue
-            children = sorted(
-                bits(cand),
-                key=lambda w: (adj[cv] & adj[w] & ~visited).bit_count(),
-                reverse=True,  # stack pops last first -> fewest successors first
-            )
-            for w in children:
-                stack.append((cv, w, visited | (1 << w), seq + [w]))
-        if best_len == g.n:
+            off = 0 if indep >> cv & 1 else 1 if indep >> cu & 1 else 2
+            if depth + (3 * (avail & outside).bit_count() + off) // 2 <= best_len:
+                continue
+            if not cand & (cand - 1):
+                w = cand.bit_length() - 1
+                push((cv, w, visited | cand, seq + [w]))
+                continue
+            # stack pops last first: sort by (-onward moves, id) so the child
+            # with the fewest onward moves, largest id among ties, pops first
+            near = adj[cv] & free
+            order = []
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                order.append((-(near & adj[w]).bit_count(), w))
+                cand ^= low
+            order.sort()
+            for _, w in order:
+                push((cv, w, visited | (1 << w), seq + [w]))
+        if exhausted or best_len == g.n:
             break
 
     return PathSearchResult(SquarePath.checked(g, best_seq), not exhausted, nodes)
+
+
+def _greedy_independent_set(g: Graph) -> int:
+    """A maximal independent set as a bitset: repeatedly take the vertex of
+    least degree among those left (smallest id on ties) and drop it and its
+    neighbours."""
+    adj = g.adjacency
+    left = (1 << g.n) - 1
+    chosen = 0
+    while left:
+        v = min(bits(left), key=lambda x: (adj[x] & left).bit_count())
+        chosen |= 1 << v
+        left &= ~(adj[v] | (1 << v))
+    return chosen
 
 
 def _vertex_reach_closure(g: Graph) -> list[int]:

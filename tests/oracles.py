@@ -6,7 +6,10 @@ check: plain prefix enumeration and triple loops, pruned only on adjacency.
 The reference implementations at the end are the earlier Python-int bitset
 versions of ``gnp``, ``per_vertex_deletion``, the regularity tester's
 ``_GraphCounter`` and ``greedy_square_path``, kept verbatim so the
-matrix-backed code can be held to bit-identical outputs.  The counter's
+matrix-backed code can be held to bit-identical outputs.  The exact longest
+square path search with the reach bound alone follows them, kept verbatim so
+the search with the independent-set bound can be held to the same paths in
+no more nodes.  The counter's
 ``edge_count``, which ``partition_heuristic`` now reads for each pair's
 density, is added on top of the bitset ``count``.
 
@@ -35,7 +38,7 @@ from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
 from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph
 from sqlab.regularity import _sampled_test
-from sqlab.squarewalk import SquarePath
+from sqlab.squarewalk import PathSearchResult, SquarePath, _vertex_reach_closure, edge_states
 from sqlab.util import rng_from
 
 
@@ -221,6 +224,74 @@ def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) 
         seq.insert(0, w)
         visited |= 1 << w
     return SquarePath.checked(g, seq)
+
+
+def reference_longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathSearchResult:
+    """Maximum-cardinality square path by branch and bound over edge states.
+
+    DFS grows a path forward from every ordered start edge, keeping a
+    visited-vertex bitset.  The admissible bound is the current length plus
+    the number of new vertices reachable from the end state in the static
+    state graph (computed once per start edge, ignoring revisits).  Successor
+    states with fewer onward moves are tried first.  If ``node_budget`` DFS
+    expansions are exhausted the best path found so far is returned with
+    ``optimal=False``.
+    """
+    if g.n == 0:
+        raise ValueError("empty graph has no square path")
+    adj = g.adjacency
+    best_seq = [0]
+    best_len = 1
+    nodes = 0
+    budget = node_budget if node_budget is not None else -1
+    exhausted = False
+
+    # reach[v] = vertices reachable from any state entering v, ignoring
+    # revisits: the transitive closure of v -> (N(u) & N(v)) unions.  A
+    # fixed-point over vertex bitsets is a sound over-approximation of the
+    # per-state reach and much cheaper to compute.
+    reach = _vertex_reach_closure(g)
+
+    states = edge_states(g)
+    # try denser start edges last: short-circuiting works best when a long
+    # path is found early, so order by decreasing successor count.
+    states.sort(key=lambda s: -(adj[s.first] & adj[s.second]).bit_count())
+
+    for s in states:
+        if exhausted:
+            break
+        u, v = s
+        stack = [(u, v, (1 << u) | (1 << v), [u, v])]
+        while stack:
+            if budget >= 0 and nodes >= budget:
+                exhausted = True
+                break
+            cu, cv, visited, seq = stack.pop()
+            nodes += 1
+            if len(seq) > best_len:
+                best_len = len(seq)
+                best_seq = list(seq)
+                if best_len == g.n:
+                    stack.clear()
+                    break
+            cand = adj[cu] & adj[cv] & ~visited
+            if not cand:
+                continue
+            # bound: everything reachable through cv, minus already visited
+            ub = len(seq) + (reach[cv] & ~visited).bit_count()
+            if ub <= best_len:
+                continue
+            children = sorted(
+                bits(cand),
+                key=lambda w: (adj[cv] & adj[w] & ~visited).bit_count(),
+                reverse=True,  # stack pops last first -> fewest successors first
+            )
+            for w in children:
+                stack.append((cv, w, visited | (1 << w), seq + [w]))
+        if best_len == g.n:
+            break
+
+    return PathSearchResult(SquarePath.checked(g, best_seq), not exhausted, nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,22 @@ def test_blocker_path_intersection_invariant():
         assert inside <= math.ceil(len(p) / 3)
 
 
+@pytest.mark.parametrize("graph_seed,blocker_seed", [(0, 1), (1, 2), (2, 3), (3, 4), (41, 7)])
+def test_blocker_caps_square_paths_exactly(graph_seed, blocker_seed):
+    """Claim (3) on G(20, 0.7): the exact search proves the longest square
+    path of the blocker graph, which meets the cap floor((3 (n - |U|) + 2) / 2)
+    and holds at most ceil(len/3) vertices of U."""
+    g = graph.gnp(20, 0.7, graph_seed)
+    h, blocked = adv.independent_blocker(g, 0.5, blocker_seed)
+    cap = (3 * (g.n - len(blocked)) + 2) // 2
+    res = sw.longest_square_path_exact(h, node_budget=20_000)
+    assert res.optimal
+    assert len(res.path) <= cap
+    assert len(set(res.path.vertices) & set(blocked)) <= math.ceil(len(res.path) / 3)
+    # on these seeds the counting cap is attained
+    assert len(res.path) == cap == 16
+
+
 def test_tripartite_template():
     t2 = adv.tripartite_template(2)
     assert t2.n == 7 and t2.min_degree() == 4

@@ -2,7 +2,9 @@
 path, chain kernels and embedder windows against the bitset and chain-view
 reference implementations in ``oracles``: outputs must be identical, down to
 edge counts, witnesses, sample indices, path vertices, pruned pairs, path
-counts, expansion fractions and rng draws."""
+counts, expansion fractions and rng draws.  The exact longest square path
+search, which prunes with a second bound, is held to the same paths and
+verdicts in no more nodes."""
 
 import math
 
@@ -24,6 +26,7 @@ from oracles import (
     reference_expansion_fractions,
     reference_gnp,
     reference_greedy_square_path,
+    reference_longest_square_path_exact,
     reference_per_vertex_deletion,
     reference_pick_start_edge,
     reference_prune_to_gtilde,
@@ -233,6 +236,57 @@ def test_kth_edge_matches_edge_list(g):
     assert [sw._kth_edge(g, k) for k in range(len(edges))] == edges
     with pytest.raises(IndexError):
         sw._kth_edge(g, len(edges))
+
+
+# -- exact longest square path ---------------------------------------------------
+
+
+def assert_same_exact_path(g, node_budget=None, same_nodes=False):
+    """Same path and verdict as the reach-bound-only search; never more nodes."""
+    got = sw.longest_square_path_exact(g, node_budget)
+    want = reference_longest_square_path_exact(g, node_budget)
+    assert got.path == want.path
+    assert got.optimal == want.optimal
+    if same_nodes:
+        assert got.nodes == want.nodes
+    else:
+        assert got.nodes <= want.nodes
+    return got
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7, 0.9])
+def test_exact_path_matches_reference(n, p):
+    # the reference alone takes up to 8 s on a blocker of G(13, 0.9), so
+    # n = 12 and 13 run one seed
+    for seed in range(3 if n <= 11 else 1):
+        g = graph.gnp(n, p, 100 * n + seed)
+        assert_same_exact_path(g)
+        blocked, _ = adversary.independent_blocker(g, 0.5, seed)
+        assert_same_exact_path(blocked)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_exact_path_matches_reference_on_shapes(n):
+    assert len(assert_same_exact_path(graph.complete(n)).path) == n
+    assert len(assert_same_exact_path(graph.empty(n)).path) == 1
+    if n >= 3:
+        assert len(assert_same_exact_path(cycle_graph(n)).path) == (3 if n == 3 else 2)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_exact_path_budgeted_matches_reference_on_complete(n):
+    # I is one vertex, so the independent-set bound never cuts and a budget
+    # stops both searches at the same node
+    g = graph.complete(n)
+    assert sw._greedy_independent_set(g) == 1
+    for budget in range(n + 1):
+        assert_same_exact_path(g, budget, same_nodes=True)
+
+
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_exact_path_matches_reference_property(n, p, seed):
+    assert_same_exact_path(graph.gnp(n, p, seed))
 
 
 # -- chain kernels ----------------------------------------------------------------

@@ -3,6 +3,9 @@ from hypothesis import given, strategies as st
 
 from sqlab import graph
 from sqlab import squarewalk as sw
+from sqlab.adversary import independent_blocker
+from sqlab.bitops import bits
+from sqlab.util import rng_from
 from oracles import oracle_common_neighbors, oracle_longest_square_path
 
 
@@ -86,6 +89,72 @@ def test_longest_exact_budget_flag():
     res = sw.longest_square_path_exact(g, node_budget=3)
     assert not res.optimal
     assert sw.is_square_path(g, res.path.vertices)
+
+
+def test_greedy_independent_set_takes_least_degree_first():
+    # path 0-1-2-3-4: 0 (degree 1, smallest id), then 2 (degree 1 among
+    # 2, 3, 4), then 4
+    assert sw._greedy_independent_set(graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])) == 0b10101
+    # star: every leaf before the centre
+    assert sw._greedy_independent_set(graph.from_edges(5, [(0, v) for v in range(1, 5)])) == 0b11110
+    assert sw._greedy_independent_set(graph.complete(6)) == 1
+    assert sw._greedy_independent_set(graph.empty(4)) == 0b1111
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_greedy_independent_set_is_maximal(seed):
+    g = graph.gnp(3 + seed % 20, (seed % 9 + 1) / 10, seed)
+    indep = sw._greedy_independent_set(g)
+    for v in range(g.n):
+        if (indep >> v) & 1:
+            assert not g.adjacency[v] & indep
+        else:
+            assert g.adjacency[v] & indep
+
+
+def longest_extension(g, cu, cv, visited):
+    """Brute force: most vertices a square path ending (cu, cv) can add."""
+    adj = g.adjacency
+    best = 0
+    stack = [(cu, cv, visited, 0)]
+    while stack:
+        a, b, seen, added = stack.pop()
+        best = max(best, added)
+        for w in range(g.n):
+            if not (seen >> w) & 1 and (adj[a] >> w) & 1 and (adj[b] >> w) & 1:
+                stack.append((b, w, seen | (1 << w), added + 1))
+    return best
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_exact_bounds_cover_every_extension(seed):
+    """Both bounds of longest_square_path_exact, restated here and evaluated
+    at random partial square paths, are at least the longest extension found
+    by brute force."""
+    rng = rng_from(seed)
+    n = int(rng.integers(3, 10))
+    g = graph.gnp(n, float(rng.choice([0.4, 0.6, 0.8, 0.95])), seed)
+    if seed % 2:
+        g, _ = independent_blocker(g, 0.5, seed)
+    states = sw.edge_states(g)
+    if not states:
+        return
+    reach = sw._vertex_reach_closure(g)
+    indep = sw._greedy_independent_set(g)
+    for _ in range(30):
+        cu, cv = states[int(rng.integers(len(states)))]
+        visited = (1 << cu) | (1 << cv)
+        for _ in range(int(rng.integers(0, n))):
+            cand = list(bits(g.adjacency[cu] & g.adjacency[cv] & ~visited))
+            if not cand:
+                break
+            w = cand[int(rng.integers(len(cand)))]
+            cu, cv, visited = cv, w, visited | (1 << w)
+        avail = reach[cv] & ~visited
+        off = 0 if (indep >> cv) & 1 else 1 if (indep >> cu) & 1 else 2
+        ext = longest_extension(g, cu, cv, visited)
+        assert avail.bit_count() >= ext
+        assert (3 * (avail & ~indep).bit_count() + off) // 2 >= ext
 
 
 def test_hamilton_k7():
