@@ -28,7 +28,6 @@ one exists, is never mutated.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -36,7 +35,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import graph as graphmod
 from .bitops import (
     bits,
     pack_bool_matrix,
@@ -814,48 +812,3 @@ def square_path_counts_from(
     ca, cb = chain.classes[k - 2], chain.classes[k - 1]
     ends = [(ca[a], cb[b]) for a, b in zip(rows.tolist(), cols.tolist())]
     return dict(zip(ends, counts[rows, cols].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-
-
-def save_chain(chain: ChainPartition, graph_path, sidecar_path) -> None:
-    """Write the underlying graph plus a JSON sidecar with class membership
-    and the surviving-edge mask as a sorted global edge list."""
-    graphmod.write_text(chain.graph(), graph_path)
-    surviving = []
-    for (i, j) in chain.pair_indices():
-        ci, cj = chain.classes[i], chain.classes[j]
-        for li, lj in chain.pair_edges_local(i, j):
-            u, v = ci[li], cj[lj]
-            surviving.append([min(u, v), max(u, v)])
-    surviving.sort()
-    doc = {
-        "classes": [list(c) for c in chain.classes],
-        "reference_p": chain.reference_p,
-        "surviving_edges": surviving,
-    }
-    with open(sidecar_path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh)
-
-
-def load_chain(graph_path, sidecar_path) -> ChainPartition:
-    g = graphmod.read_text(graph_path)
-    with open(sidecar_path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    view = chain_view(g, doc["classes"])
-    keep = {tuple(e) for e in doc["surviving_edges"]}
-    out = view.copy()
-    for (i, j) in out.pair_indices():
-        ci, cj = out.classes[i], out.classes[j]
-        packed = out._pairs[(i, j)]
-        m = unpack_packed_matrix(packed, out.n0)
-        for li, lj in zip(*np.nonzero(m)):
-            u, v = ci[int(li)], cj[int(lj)]
-            if (min(u, v), max(u, v)) not in keep:
-                m[li, lj] = False
-        out._pairs[(i, j)] = pack_bool_matrix(m)
-        out._invalidate(i, j)
-    out.reference_p = float(doc["reference_p"])
-    return out

@@ -41,6 +41,7 @@ from .squarewalk import (
     has_square_hamilton_cycle,
     is_square_path,
     longest_square_cycle_exact,
+    search_square_paths,
 )
 from .util import rng_from
 
@@ -81,6 +82,12 @@ class PipelineParams:
             raise ValueError("need 0 < epsilon' < epsilon < nu")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
+        if self.good_sample_limit < 1:
+            raise ValueError(f"good_sample_limit must be >= 1, got {self.good_sample_limit}")
+        if self.window_node_budget < 0:
+            raise ValueError(f"window_node_budget must be >= 0, got {self.window_node_budget}")
+        if self.backtrack_budget < 0:
+            raise ValueError(f"backtrack_budget must be >= 0, got {self.backtrack_budget}")
         k0 = self.k0
         rmin = self.r_min or 3 * k0
         if rmin < 3 * k0:
@@ -389,8 +396,7 @@ def embed_square_cycle(
                     trace.closing_status = "closed"
                     break
             else:
-                done, _ = _attempt_join(st, x1, x2, lap_remaining, params)
-                if done:
+                if _attempt_join(st, x1, x2, lap_remaining, params):
                     trace.closing_status = "closed"
                     break
             # the boundary join failed: re-route the last window so the next
@@ -423,8 +429,7 @@ def embed_square_cycle(
             trace.closing_status = "closed"
             break
         if 1 <= lap_remaining <= 2 * k0 - 2:
-            done, _ = _attempt_join(st, x1, x2, lap_remaining, params)
-            if done:
+            if _attempt_join(st, x1, x2, lap_remaining, params):
                 trace.closing_status = "closed"
                 break
         trace.closing_status = "open-path"
@@ -551,45 +556,27 @@ def _dfs_to_targets(st, u, v, c0, t, targets, budget):
     target_by_a: dict[int, int] = {}
     for a, b in targets:
         target_by_a[a] = target_by_a.get(a, 0) | (1 << b)
+    heads = mask_of(target_by_a)
+    found = None
 
-    nodes = 0
-    stack: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def candidates(pu, pv, depth, chosen_mask):
-        pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
-        cand = adj[pu] & adj[pv] & pool
-        if depth == depth_total - 2:
-            cand &= mask_of(target_by_a)  # second-to-last must head a target
-        out = []
-        if depth == depth_total - 1:
-            tb = target_by_a.get(pv, 0)
-            cand &= tb
-        nxt_pool = (
-            st.available_mask(c0 + 3 + depth) if depth < depth_total - 1 else 0
-        )
-        for w in bits(cand):
-            onward = (adj[pv] & adj[w] & nxt_pool).bit_count() if nxt_pool else 0
-            out.append((onward, w))
-        out.sort()
-        return [w for _, w in out]  # stack pops last = highest onward degree
-
-    first = candidates(u, v, 0, 0)
-    for w in first:
-        stack.append((0, w, (w,)))
-    while stack:
-        nodes += 1
-        if nodes > budget:
+    def expand(pu, pv, chosen_mask, chosen):
+        nonlocal found
+        depth = len(chosen)
+        if depth == depth_total:
+            found = chosen
             return None
-        depth, w, chosen = stack.pop()
+        cand = adj[pu] & adj[pv] & st.available_mask(c0 + 2 + depth) & ~chosen_mask
+        if depth == depth_total - 2:
+            cand &= heads  # second-to-last must head a target
         if depth == depth_total - 1:
-            return list(chosen)
-        pu = chosen[-2] if len(chosen) >= 2 else v
-        mask = 0
-        for x in chosen:
-            mask |= 1 << x
-        for nw in candidates(pu, w, depth + 1, mask):
-            stack.append((depth + 1, nw, chosen + (nw,)))
-    return None
+            return cand & target_by_a.get(pv, 0)
+        near = adj[pv] & st.available_mask(c0 + 3 + depth)
+        # stack pops last = highest onward degree, largest id among ties
+        return sorted(bits(cand), key=lambda w: (near & adj[w]).bit_count())
+
+    roots = [(v, w, 1 << w, [w]) for w in expand(u, v, 0, [])]
+    search_square_paths(reversed(roots), expand, budget)
+    return found
 
 
 def _is_square_path_dense(a: np.ndarray, seq: Sequence[int]) -> bool:
@@ -617,47 +604,34 @@ def _attempt_join(st, x1, x2, lap_remaining, params):
     """Close the cycle: extend through the rest of the lap so the last two
     vertices also satisfy the seam adjacencies against the start edge."""
     adj = st.adj
-    r = st.r
     u, v = st.path[-2], st.path[-1]
     end_pos = len(st.path) - 1
     c0 = end_pos - 1
     depth_total = lap_remaining
+    found = None
 
-    stack = []
-    nodes = 0
-
-    def candidates(pu, pv, depth, chosen_mask):
-        pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
-        cand = adj[pu] & adj[pv] & pool
+    def expand(y, z, chosen_mask, chosen):
+        nonlocal found
+        depth = len(chosen)
+        if depth == depth_total:
+            if _seam_ok(adj, x1, x2, y, z):
+                found = chosen
+                return None
+            return 0
+        cand = adj[y] & adj[z] & st.available_mask(c0 + 2 + depth) & ~chosen_mask
         if depth == depth_total - 1:
             cand &= adj[x1] & adj[x2]  # z constraints
         if depth == depth_total - 2:
             cand &= adj[x1]  # y constraint
-        if depth_total == 1:
-            cand &= adj[x1] & adj[x2]
-        return sorted(bits(cand))
+        return cand
 
-    for w in candidates(u, v, 0, 0):
-        stack.append((0, w, (w,)))
-    while stack:
-        nodes += 1
-        if nodes > params.window_node_budget:
-            return False, 0
-        depth, w, chosen = stack.pop()
-        if depth == depth_total - 1:
-            y = chosen[-2] if len(chosen) >= 2 else v
-            if _seam_ok(adj, x1, x2, y, w):
-                for off, nv in enumerate(chosen):
-                    st.consume(end_pos + 1 + off, nv)
-                return True, len(chosen)
-            continue
-        pu = chosen[-2] if len(chosen) >= 2 else v
-        mask = 0
-        for x in chosen:
-            mask |= 1 << x
-        for nw in candidates(pu, w, depth + 1, mask):
-            stack.append((depth + 1, nw, chosen + (nw,)))
-    return False, 0
+    roots = [(v, w, 1 << w, [w]) for w in bits(expand(u, v, 0, []))]
+    search_square_paths(reversed(roots), expand, params.window_node_budget)
+    if found is None:
+        return False
+    for off, nv in enumerate(found):
+        st.consume(end_pos + 1 + off, nv)
+    return True
 
 
 def _can_wind_generously(st) -> bool:

@@ -7,10 +7,21 @@ last two vertices, so searches run over *edge states*: ordered pairs (u, v)
 with {u, v} an edge.  The successors of (u, v) are exactly (v, w) for
 w in N(u) & N(v).
 
-Exact searches here are depth-first with a visited-vertex set and an
-optional node budget; when the budget runs out the best object found so far
-is returned flagged as a lower bound / unknown verdict.  Every path or cycle
-returned by any routine is re-validated before it is handed back.
+Every exact search here, and the embedder's window and join searches, is
+one depth-first walk, :func:`search_square_paths`, over states
+(cu, cv, visited, seq): a square path seq ending in the edge state (cu, cv),
+with visited the bitset the caller's filters read.  Roots are drawn lazily;
+each root's subtree is searched to the end, last in first out, before the
+next is drawn.  The caller's ``expand(cu, cv, visited, seq)`` holds its
+candidate filter, acceptance test and child order.  It returns None to stop
+the search, or the vertices w that extend the path, each pushed as the
+state (cv, w, visited | 1 << w, seq + [w]): an int bitset is pushed in
+ascending id order, a sequence in the order given.  The search holds the
+one stack, node counter and budget rule: at most ``node_budget`` states are
+expanded, ``None`` means no limit and a negative budget is a ValueError.
+When the budget runs out the best object found so far is returned flagged
+as a lower bound / unknown verdict.  Every path or cycle returned by any
+routine is re-validated before it is handed back.
 
 The longest-path search prunes with two admissible bounds: the unvisited
 vertices reachable from the end vertex, and an independent-set count.  Any
@@ -34,7 +45,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,13 +66,6 @@ def edge_states(g: Graph) -> list[EdgeState]:
         for v in bits(g.adjacency[u]):
             out.append(EdgeState(u, v))
     return out
-
-
-def successors(g: Graph, s: EdgeState) -> list[EdgeState]:
-    u, v = s
-    if not g.has_edge(u, v):
-        raise ValueError(f"state ({u}, {v}) is not an edge")
-    return [EdgeState(v, w) for w in bits(g.adjacency[u] & g.adjacency[v])]
 
 
 def is_square_path(g: Graph, seq: Sequence[int]) -> bool:
@@ -154,6 +158,45 @@ class CycleSearchResult:
 
 
 # ---------------------------------------------------------------------------
+# the search
+
+
+def search_square_paths(
+    roots: Iterable[tuple[int, int, int, list[int]]],
+    expand: Callable[[int, int, int, list[int]], int | Sequence[int] | None],
+    node_budget: int | None = None,
+) -> tuple[int, bool]:
+    """Depth-first search over square-path states (see the module docstring
+    for the contract); returns ``(nodes, exhausted)``, where ``exhausted``
+    means the node budget ran out with states left."""
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be None or >= 0, got {node_budget}")
+    limit = 1 << 62 if node_budget is None else node_budget
+    nodes = 0
+    for root in roots:
+        stack = [root]
+        push, pop = stack.append, stack.pop
+        while stack:
+            if nodes >= limit:
+                return nodes, True
+            cu, cv, visited, seq = pop()
+            nodes += 1
+            kids = expand(cu, cv, visited, seq)
+            if kids is None:
+                return nodes, False
+            if type(kids) is int:
+                while kids:
+                    low = kids & -kids
+                    w = low.bit_length() - 1
+                    push((cv, w, visited | low, seq + [w]))
+                    kids ^= low
+            else:
+                for w in kids:
+                    push((cv, w, visited | (1 << w), seq + [w]))
+    return nodes, False
+
+
+# ---------------------------------------------------------------------------
 # exact longest square path
 
 
@@ -186,9 +229,6 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
     adj = g.adjacency
     best_seq = [0]
     best_len = 1
-    nodes = 0
-    limit = node_budget if node_budget is not None and node_budget >= 0 else 1 << 62
-    exhausted = False
 
     # reach[v] = vertices reachable from any state entering v, ignoring
     # revisits: the transitive closure of v -> (N(u) & N(v)) unions.  A
@@ -198,55 +238,44 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
     indep = _greedy_independent_set(g)
     outside = ~indep
 
+    def expand(cu, cv, visited, seq):
+        nonlocal best_len, best_seq
+        depth = len(seq)
+        if depth > best_len:
+            best_len = depth
+            best_seq = seq
+            if best_len == g.n:
+                return None
+        free = ~visited
+        cand = adj[cu] & adj[cv] & free
+        if not cand:
+            return 0
+        avail = reach[cv] & free
+        if depth + avail.bit_count() <= best_len:
+            return 0
+        off = 0 if indep >> cv & 1 else 1 if indep >> cu & 1 else 2
+        if depth + (3 * (avail & outside).bit_count() + off) // 2 <= best_len:
+            return 0
+        if not cand & (cand - 1):
+            return cand
+        # stack pops last first: sort by (-onward moves, id) so the child
+        # with the fewest onward moves, largest id among ties, pops first
+        near = adj[cv] & free
+        order = []
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
+            order.append((-(near & adj[w]).bit_count(), w))
+            cand ^= low
+        order.sort()
+        return [w for _, w in order]
+
     states = edge_states(g)
     # try denser start edges first: pruning works best when a long path is
     # found early, so order by decreasing successor count.
     states.sort(key=lambda s: -(adj[s.first] & adj[s.second]).bit_count())
-
-    for u, v in states:
-        stack = [(u, v, (1 << u) | (1 << v), [u, v])]
-        push, pop = stack.append, stack.pop
-        while stack:
-            if nodes >= limit:
-                exhausted = True
-                break
-            cu, cv, visited, seq = pop()
-            nodes += 1
-            depth = len(seq)
-            if depth > best_len:
-                best_len = depth
-                best_seq = list(seq)
-                if best_len == g.n:
-                    break
-            free = ~visited
-            cand = adj[cu] & adj[cv] & free
-            if not cand:
-                continue
-            avail = reach[cv] & free
-            if depth + avail.bit_count() <= best_len:
-                continue
-            off = 0 if indep >> cv & 1 else 1 if indep >> cu & 1 else 2
-            if depth + (3 * (avail & outside).bit_count() + off) // 2 <= best_len:
-                continue
-            if not cand & (cand - 1):
-                w = cand.bit_length() - 1
-                push((cv, w, visited | cand, seq + [w]))
-                continue
-            # stack pops last first: sort by (-onward moves, id) so the child
-            # with the fewest onward moves, largest id among ties, pops first
-            near = adj[cv] & free
-            order = []
-            while cand:
-                low = cand & -cand
-                w = low.bit_length() - 1
-                order.append((-(near & adj[w]).bit_count(), w))
-                cand ^= low
-            order.sort()
-            for _, w in order:
-                push((cv, w, visited | (1 << w), seq + [w]))
-        if exhausted or best_len == g.n:
-            break
-
+    roots = ((u, v, (1 << u) | (1 << v), [u, v]) for u, v in states)
+    nodes, exhausted = search_square_paths(roots, expand, node_budget)
     return PathSearchResult(SquarePath.checked(g, best_seq), not exhausted, nodes)
 
 
@@ -289,7 +318,21 @@ def _vertex_reach_closure(g: Graph) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# square Hamilton cycle
+# square Hamilton cycle and square cycles
+
+
+def _closes(adj: list[int], seq: Sequence[int], cu: int, cv: int) -> bool:
+    """Whether the square path ``seq``, ending cu, cv, closes into a square
+    cycle: cv must see seq[0] and seq[1], and cu must see seq[0]."""
+    s0 = seq[0]
+    return bool((adj[cv] >> s0) & 1 and (adj[cu] >> s0) & 1 and (adj[cv] >> seq[1]) & 1)
+
+
+def _cycle_result(g: Graph, seq, nodes: int, exhausted: bool) -> CycleSearchResult:
+    """"unknown" if the budget ran out, else "found" or "none"; the best
+    cycle found, if any, is attached either way."""
+    status = "unknown" if exhausted else "none" if seq is None else "found"
+    return CycleSearchResult(status, None if seq is None else SquareCycle.checked(g, seq), nodes)
 
 
 def has_square_hamilton_cycle(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
@@ -308,35 +351,24 @@ def has_square_hamilton_cycle(g: Graph, node_budget: int | None = None) -> Cycle
         return CycleSearchResult("none", None, 0)
     adj = g.adjacency
     anchor = min(range(n), key=g.degree)
-    nodes = 0
-    budget = node_budget if node_budget is not None else -1
+    found = None
 
-    a_mask = 1 << anchor
-    stack = []
-    for b in bits(adj[anchor]):
-        stack.append((anchor, b, a_mask | (1 << b), [anchor, b]))
-    full = (1 << n) - 1
-    while stack:
-        if budget >= 0 and nodes >= budget:
-            return CycleSearchResult("unknown", None, nodes)
-        cu, cv, visited, seq = stack.pop()
-        nodes += 1
+    def expand(cu, cv, visited, seq):
+        nonlocal found
         if len(seq) == n:
-            # closure: last two vertices against the anchor and its successor
-            if (
-                (adj[cv] >> anchor) & 1
-                and (adj[cu] >> anchor) & 1
-                and (adj[cv] >> seq[1]) & 1
-            ):
-                cyc = SquareCycle.checked(g, seq)
-                return CycleSearchResult("found", cyc, nodes)
-            continue
+            if _closes(adj, seq, cu, cv):
+                found = seq
+                return None
+            return 0
         cand = adj[cu] & adj[cv] & ~visited
         if len(seq) == n - 1:
             cand &= adj[anchor]  # last vertex must close consecutively
-        for w in bits(cand):
-            stack.append((cv, w, visited | (1 << w), seq + [w]))
-    return CycleSearchResult("none", None, nodes)
+        return cand
+
+    a_mask = 1 << anchor
+    roots = [(anchor, b, a_mask | (1 << b), [anchor, b]) for b in bits(adj[anchor])]
+    nodes, exhausted = search_square_paths(reversed(roots), expand, node_budget)
+    return _cycle_result(g, found, nodes, exhausted)
 
 
 def has_square_cycle_through(
@@ -351,30 +383,24 @@ def has_square_cycle_through(
     if min_length < 5:
         raise ValueError("square cycles need length >= 5")
     adj = g.adjacency
-    nodes = 0
-    budget = node_budget if node_budget is not None else -1
+    found = None
+
+    def expand(cu, cv, visited, seq):
+        nonlocal found
+        if len(seq) >= min_length and _closes(adj, seq, cu, cv):
+            found = seq
+            return None
+        return adj[cu] & adj[cv] & ~visited
+
     # search square paths b, v, c, ... that wrap around to b; anchoring at v
     # keeps the search restricted to cycles through v.
-    for b in bits(adj[v]):
-        for c in bits(adj[v] & adj[b]):
-            stack = [(v, c, (1 << v) | (1 << b) | (1 << c), [b, v, c])]
-            while stack:
-                if budget >= 0 and nodes >= budget:
-                    return CycleSearchResult("unknown", None, nodes)
-                cu, cv, visited, seq = stack.pop()
-                nodes += 1
-                if (
-                    len(seq) >= min_length
-                    and (adj[cv] >> b) & 1
-                    and (adj[cu] >> b) & 1
-                    and (adj[cv] >> v) & 1
-                ):
-                    cyc = SquareCycle.checked(g, seq)
-                    return CycleSearchResult("found", cyc, nodes)
-                cand = adj[cu] & adj[cv] & ~visited
-                for w in bits(cand):
-                    stack.append((cv, w, visited | (1 << w), seq + [w]))
-    return CycleSearchResult("none", None, nodes)
+    roots = (
+        (v, c, (1 << v) | (1 << b) | (1 << c), [b, v, c])
+        for b in bits(adj[v])
+        for c in bits(adj[v] & adj[b])
+    )
+    nodes, exhausted = search_square_paths(roots, expand, node_budget)
+    return _cycle_result(g, found, nodes, exhausted)
 
 
 def longest_square_cycle_exact(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
@@ -386,45 +412,31 @@ def longest_square_cycle_exact(g: Graph, node_budget: int | None = None) -> Cycl
     """
     adj = g.adjacency
     best: list[int] | None = None
-    nodes = 0
-    budget = node_budget if node_budget is not None else -1
-    exhausted = False
-    for a in range(g.n):
-        if exhausted or g.n - a <= (len(best) if best else 4):
-            break
-        higher = -1 << (a + 1)
-        for b in bits(adj[a] & higher):
-            stack = [(a, b, (1 << a) | (1 << b), [a, b])]
-            while stack:
-                if budget >= 0 and nodes >= budget:
-                    exhausted = True
-                    break
-                cu, cv, visited, seq = stack.pop()
-                nodes += 1
-                if (
-                    len(seq) >= 5
-                    and (best is None or len(seq) > len(best))
-                    and (adj[cv] >> a) & 1
-                    and (adj[cu] >> a) & 1
-                    and (adj[cv] >> b) & 1
-                ):
-                    best = list(seq)
-                    if len(best) == g.n:
-                        return CycleSearchResult(
-                            "found", SquareCycle.checked(g, best), nodes
-                        )
-                cand = adj[cu] & adj[cv] & ~visited & higher
-                for w in bits(cand):
-                    stack.append((cv, w, visited | (1 << w), seq + [w]))
-            if exhausted:
-                break
-    if best is not None:
-        return CycleSearchResult(
-            "found" if not exhausted else "unknown",
-            SquareCycle.checked(g, best),
-            nodes,
-        )
-    return CycleSearchResult("unknown" if exhausted else "none", None, nodes)
+
+    def roots():
+        for a in range(g.n):
+            # read after the previous anchor's subtrees are done
+            if g.n - a <= (len(best) if best else 4):
+                return
+            # marking every id up to a visited keeps the rest of the cycle above a
+            below = (2 << a) - 1
+            for b in bits(adj[a] & ~below):
+                yield a, b, below | (1 << b), [a, b]
+
+    def expand(cu, cv, visited, seq):
+        nonlocal best
+        if (
+            len(seq) >= 5
+            and (best is None or len(seq) > len(best))
+            and _closes(adj, seq, cu, cv)
+        ):
+            best = seq
+            if len(best) == g.n:
+                return None
+        return adj[cu] & adj[cv] & ~visited
+
+    nodes, exhausted = search_square_paths(roots(), expand, node_budget)
+    return _cycle_result(g, best, nodes, exhausted)
 
 
 def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:

@@ -24,6 +24,13 @@ by the good-edge kernel with a GEMM for every layer, and the start pick's
 backward view -- is the earlier version of the one that slices
 ``ChainLayers`` out of one adjacency matrix, kept verbatim so windows,
 fractions, picks and rng draws can be held to it.
+
+The edge-state searches at the end -- the longest path search with both
+bounds, the Hamilton, through-v and longest cycle searches and the
+embedder's window and join searches -- are the
+hand-rolled loops, each with its own stack, node counter and budget check,
+that ``squarewalk.search_square_paths`` replaced; kept verbatim so the
+ported searches can be held to identical results and node counts.
 """
 
 from __future__ import annotations
@@ -35,10 +42,18 @@ import numpy as np
 
 from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows, unpack_packed_matrix
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
-from sqlab.embedder import GoodEdgeReport
+from sqlab.embedder import GoodEdgeReport, _seam_ok
 from sqlab.graph import Graph
 from sqlab.regularity import _sampled_test
-from sqlab.squarewalk import PathSearchResult, SquarePath, _vertex_reach_closure, edge_states
+from sqlab.squarewalk import (
+    CycleSearchResult,
+    PathSearchResult,
+    SquareCycle,
+    SquarePath,
+    _greedy_independent_set,
+    _vertex_reach_closure,
+    edge_states,
+)
 from sqlab.util import rng_from
 
 
@@ -716,3 +731,331 @@ def reference_pick_start_edge(st, params, rng, trace):
         if adj[u] & adj[v] & st.pool_mask[2]:
             return (u, v)
     return None
+
+
+# ---------------------------------------------------------------------------
+# hand-rolled edge-state searches
+
+
+def reference_longest_square_path_pruned(g: Graph, node_budget: int | None = None) -> PathSearchResult:
+    """Maximum-cardinality square path by branch and bound over edge states.
+
+    DFS grows a path forward from every ordered start edge, keeping a
+    visited-vertex bitset.  Start edges with more common neighbours go first;
+    successor states with fewer onward moves are tried first.  A node whose
+    path cannot beat the best so far is cut by two admissible bounds, with
+    ``avail`` the unvisited vertices reachable from the end vertex cv in the
+    static state graph (computed once per call, ignoring revisits):
+
+    * the reach bound: current length plus ``|avail|``;
+    * the independent-set bound, tried when the reach bound fails.  I is one
+      greedy maximal independent set (``_greedy_independent_set``).  Three
+      consecutive vertices of a square path form a triangle, so t further
+      vertices hold at most floor((t + off) / 3) vertices of I, where off is 0
+      if cv is in I, 1 if the vertex before it is and 2 otherwise; the rest
+      come from ``avail`` outside I.  With a of those, the largest such t is
+      ``(3 a + off) // 2``.
+
+    Both bounds only cut subtrees that cannot beat the best length, so an
+    unbudgeted call returns the path the reach bound alone would return, in
+    fewer nodes.  If ``node_budget`` DFS expansions are exhausted the best
+    path found so far is returned with ``optimal=False``.
+    """
+    if g.n == 0:
+        raise ValueError("empty graph has no square path")
+    adj = g.adjacency
+    best_seq = [0]
+    best_len = 1
+    nodes = 0
+    limit = node_budget if node_budget is not None and node_budget >= 0 else 1 << 62
+    exhausted = False
+
+    # reach[v] = vertices reachable from any state entering v, ignoring
+    # revisits: the transitive closure of v -> (N(u) & N(v)) unions.  A
+    # fixed-point over vertex bitsets is a sound over-approximation of the
+    # per-state reach and much cheaper to compute.
+    reach = _vertex_reach_closure(g)
+    indep = _greedy_independent_set(g)
+    outside = ~indep
+
+    states = edge_states(g)
+    # try denser start edges first: pruning works best when a long path is
+    # found early, so order by decreasing successor count.
+    states.sort(key=lambda s: -(adj[s.first] & adj[s.second]).bit_count())
+
+    for u, v in states:
+        stack = [(u, v, (1 << u) | (1 << v), [u, v])]
+        push, pop = stack.append, stack.pop
+        while stack:
+            if nodes >= limit:
+                exhausted = True
+                break
+            cu, cv, visited, seq = pop()
+            nodes += 1
+            depth = len(seq)
+            if depth > best_len:
+                best_len = depth
+                best_seq = list(seq)
+                if best_len == g.n:
+                    break
+            free = ~visited
+            cand = adj[cu] & adj[cv] & free
+            if not cand:
+                continue
+            avail = reach[cv] & free
+            if depth + avail.bit_count() <= best_len:
+                continue
+            off = 0 if indep >> cv & 1 else 1 if indep >> cu & 1 else 2
+            if depth + (3 * (avail & outside).bit_count() + off) // 2 <= best_len:
+                continue
+            if not cand & (cand - 1):
+                w = cand.bit_length() - 1
+                push((cv, w, visited | cand, seq + [w]))
+                continue
+            # stack pops last first: sort by (-onward moves, id) so the child
+            # with the fewest onward moves, largest id among ties, pops first
+            near = adj[cv] & free
+            order = []
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                order.append((-(near & adj[w]).bit_count(), w))
+                cand ^= low
+            order.sort()
+            for _, w in order:
+                push((cv, w, visited | (1 << w), seq + [w]))
+        if exhausted or best_len == g.n:
+            break
+
+    return PathSearchResult(SquarePath.checked(g, best_seq), not exhausted, nodes)
+
+
+def reference_has_square_hamilton_cycle(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
+    """Exact search for a spanning square cycle (n >= 5).
+
+    Anchored at a minimum-degree vertex; the DFS extends a square path and at
+    full depth checks the four closing adjacencies.  Exhaustion without a
+    find is the verdict "none"; running out of budget yields "unknown".
+    """
+    n = g.n
+    if n < 5:
+        return CycleSearchResult("none", None, 0)
+    # every vertex of a square cycle on >= 5 vertices has 4 distinct
+    # neighbours along the cycle
+    if g.min_degree() < 4:
+        return CycleSearchResult("none", None, 0)
+    adj = g.adjacency
+    anchor = min(range(n), key=g.degree)
+    nodes = 0
+    budget = node_budget if node_budget is not None else -1
+
+    a_mask = 1 << anchor
+    stack = []
+    for b in bits(adj[anchor]):
+        stack.append((anchor, b, a_mask | (1 << b), [anchor, b]))
+    full = (1 << n) - 1
+    while stack:
+        if budget >= 0 and nodes >= budget:
+            return CycleSearchResult("unknown", None, nodes)
+        cu, cv, visited, seq = stack.pop()
+        nodes += 1
+        if len(seq) == n:
+            # closure: last two vertices against the anchor and its successor
+            if (
+                (adj[cv] >> anchor) & 1
+                and (adj[cu] >> anchor) & 1
+                and (adj[cv] >> seq[1]) & 1
+            ):
+                cyc = SquareCycle.checked(g, seq)
+                return CycleSearchResult("found", cyc, nodes)
+            continue
+        cand = adj[cu] & adj[cv] & ~visited
+        if len(seq) == n - 1:
+            cand &= adj[anchor]  # last vertex must close consecutively
+        for w in bits(cand):
+            stack.append((cv, w, visited | (1 << w), seq + [w]))
+    return CycleSearchResult("none", None, nodes)
+
+
+def reference_has_square_cycle_through(
+    g: Graph, v: int, min_length: int = 5, node_budget: int | None = None
+) -> CycleSearchResult:
+    """Exact search for any square cycle (length >= min_length) through v.
+
+    Used to certify wipe-style adversaries: after all edges inside N(v) are
+    deleted, v lies in no triangle and this search must report "none".
+    """
+    g.check_vertex(v)
+    if min_length < 5:
+        raise ValueError("square cycles need length >= 5")
+    adj = g.adjacency
+    nodes = 0
+    budget = node_budget if node_budget is not None else -1
+    # search square paths b, v, c, ... that wrap around to b; anchoring at v
+    # keeps the search restricted to cycles through v.
+    for b in bits(adj[v]):
+        for c in bits(adj[v] & adj[b]):
+            stack = [(v, c, (1 << v) | (1 << b) | (1 << c), [b, v, c])]
+            while stack:
+                if budget >= 0 and nodes >= budget:
+                    return CycleSearchResult("unknown", None, nodes)
+                cu, cv, visited, seq = stack.pop()
+                nodes += 1
+                if (
+                    len(seq) >= min_length
+                    and (adj[cv] >> b) & 1
+                    and (adj[cu] >> b) & 1
+                    and (adj[cv] >> v) & 1
+                ):
+                    cyc = SquareCycle.checked(g, seq)
+                    return CycleSearchResult("found", cyc, nodes)
+                cand = adj[cu] & adj[cv] & ~visited
+                for w in bits(cand):
+                    stack.append((cv, w, visited | (1 << w), seq + [w]))
+    return CycleSearchResult("none", None, nodes)
+
+
+def reference_longest_square_cycle_exact(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
+    """Longest square cycle by exhaustive anchored DFS (small graphs only).
+
+    Cycles are enumerated anchored at their minimum vertex id (all other
+    vertices restricted to larger ids), which kills rotational duplicates;
+    reversal symmetry is left alone, harmless for maximisation.
+    """
+    adj = g.adjacency
+    best: list[int] | None = None
+    nodes = 0
+    budget = node_budget if node_budget is not None else -1
+    exhausted = False
+    for a in range(g.n):
+        if exhausted or g.n - a <= (len(best) if best else 4):
+            break
+        higher = -1 << (a + 1)
+        for b in bits(adj[a] & higher):
+            stack = [(a, b, (1 << a) | (1 << b), [a, b])]
+            while stack:
+                if budget >= 0 and nodes >= budget:
+                    exhausted = True
+                    break
+                cu, cv, visited, seq = stack.pop()
+                nodes += 1
+                if (
+                    len(seq) >= 5
+                    and (best is None or len(seq) > len(best))
+                    and (adj[cv] >> a) & 1
+                    and (adj[cu] >> a) & 1
+                    and (adj[cv] >> b) & 1
+                ):
+                    best = list(seq)
+                    if len(best) == g.n:
+                        return CycleSearchResult(
+                            "found", SquareCycle.checked(g, best), nodes
+                        )
+                cand = adj[cu] & adj[cv] & ~visited & higher
+                for w in bits(cand):
+                    stack.append((cv, w, visited | (1 << w), seq + [w]))
+            if exhausted:
+                break
+    if best is not None:
+        return CycleSearchResult(
+            "found" if not exhausted else "unknown",
+            SquareCycle.checked(g, best),
+            nodes,
+        )
+    return CycleSearchResult("unknown" if exhausted else "none", None, nodes)
+
+
+def reference_dfs_to_targets(st, u, v, c0, t, targets, budget):
+    """Depth-first search through the pools of classes c0+2..c0+t-1 for a
+    square-path extension of (u, v) ending at a target edge."""
+    adj = st.adj
+    depth_total = t - 2
+    target_by_a: dict[int, int] = {}
+    for a, b in targets:
+        target_by_a[a] = target_by_a.get(a, 0) | (1 << b)
+
+    nodes = 0
+    stack: list[tuple[int, int, tuple[int, ...]]] = []
+
+    def candidates(pu, pv, depth, chosen_mask):
+        pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
+        cand = adj[pu] & adj[pv] & pool
+        if depth == depth_total - 2:
+            cand &= mask_of(target_by_a)  # second-to-last must head a target
+        out = []
+        if depth == depth_total - 1:
+            tb = target_by_a.get(pv, 0)
+            cand &= tb
+        nxt_pool = (
+            st.available_mask(c0 + 3 + depth) if depth < depth_total - 1 else 0
+        )
+        for w in bits(cand):
+            onward = (adj[pv] & adj[w] & nxt_pool).bit_count() if nxt_pool else 0
+            out.append((onward, w))
+        out.sort()
+        return [w for _, w in out]  # stack pops last = highest onward degree
+
+    first = candidates(u, v, 0, 0)
+    for w in first:
+        stack.append((0, w, (w,)))
+    while stack:
+        nodes += 1
+        if nodes > budget:
+            return None
+        depth, w, chosen = stack.pop()
+        if depth == depth_total - 1:
+            return list(chosen)
+        pu = chosen[-2] if len(chosen) >= 2 else v
+        mask = 0
+        for x in chosen:
+            mask |= 1 << x
+        for nw in candidates(pu, w, depth + 1, mask):
+            stack.append((depth + 1, nw, chosen + (nw,)))
+    return None
+
+
+def reference_attempt_join(st, x1, x2, lap_remaining, params):
+    """Close the cycle: extend through the rest of the lap so the last two
+    vertices also satisfy the seam adjacencies against the start edge."""
+    adj = st.adj
+    r = st.r
+    u, v = st.path[-2], st.path[-1]
+    end_pos = len(st.path) - 1
+    c0 = end_pos - 1
+    depth_total = lap_remaining
+
+    stack = []
+    nodes = 0
+
+    def candidates(pu, pv, depth, chosen_mask):
+        pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
+        cand = adj[pu] & adj[pv] & pool
+        if depth == depth_total - 1:
+            cand &= adj[x1] & adj[x2]  # z constraints
+        if depth == depth_total - 2:
+            cand &= adj[x1]  # y constraint
+        if depth_total == 1:
+            cand &= adj[x1] & adj[x2]
+        return sorted(bits(cand))
+
+    for w in candidates(u, v, 0, 0):
+        stack.append((0, w, (w,)))
+    while stack:
+        nodes += 1
+        if nodes > params.window_node_budget:
+            return False, 0
+        depth, w, chosen = stack.pop()
+        if depth == depth_total - 1:
+            y = chosen[-2] if len(chosen) >= 2 else v
+            if _seam_ok(adj, x1, x2, y, w):
+                for off, nv in enumerate(chosen):
+                    st.consume(end_pos + 1 + off, nv)
+                return True, len(chosen)
+            continue
+        pu = chosen[-2] if len(chosen) >= 2 else v
+        mask = 0
+        for x in chosen:
+            mask |= 1 << x
+        for nw in candidates(pu, w, depth + 1, mask):
+            stack.append((depth + 1, nw, chosen + (nw,)))
+    return False, 0

@@ -456,17 +456,3 @@ def test_count_consistency_with_forward_dp():
     assert total_bidir == sum(forward.values())
     for e2, cnt in list(forward.items())[:10]:
         assert bl.count_square_paths_between(ch, e1, e2) == cnt
-
-
-# -- snapshots ----------------------------------------------------------------------
-
-
-def test_chain_snapshot_roundtrip(tmp_path):
-    ch = bl.build_chain_random(4, 12, 0.5, seed=29)
-    pruned = bl.prune_to_gtilde(ch, 0.3).chain
-    gpath, spath = tmp_path / "chain.txt", tmp_path / "chain.json"
-    bl.save_chain(pruned, gpath, spath)
-    loaded = bl.load_chain(gpath, spath)
-    assert loaded.classes == pruned.classes
-    for key in pruned.pair_indices():
-        assert (loaded.pair(*key) == pruned.pair(*key)).all()

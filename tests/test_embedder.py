@@ -179,6 +179,19 @@ def test_pipeline_1200_closes():
     assert tr.closing_status == "closed"
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"good_sample_limit": 0}, {"window_node_budget": -1}, {"backtrack_budget": -1}],
+    ids=["good_sample_limit", "window_node_budget", "backtrack_budget"],
+)
+def test_params_reject_invalid_limits(bad):
+    (name, value), = bad.items()
+    with pytest.raises(ValueError, match=name):
+        embedder.PipelineParams(**bad)
+    # the smallest valid value constructs
+    assert getattr(embedder.PipelineParams(**{name: value + 1}), name) == value + 1
+
+
 def test_embed_without_reduced_cycle_raises_value_error():
     g = graph.complete(12)
     part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(4)))

@@ -4,8 +4,13 @@ reference implementations in ``oracles``: outputs must be identical, down to
 edge counts, witnesses, sample indices, path vertices, pruned pairs, path
 counts, expansion fractions and rng draws.  The exact longest square path
 search, which prunes with a second bound, is held to the same paths and
-verdicts in no more nodes."""
+verdicts in no more nodes.  The six searches ported onto
+``squarewalk.search_square_paths`` are held to their hand-rolled loops:
+the same results in the same node counts, and the embedder's window and
+join searches call by call inside whole pipeline runs."""
 
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +31,13 @@ from oracles import (
     reference_expansion_fractions,
     reference_gnp,
     reference_greedy_square_path,
+    reference_attempt_join,
+    reference_dfs_to_targets,
+    reference_has_square_cycle_through,
+    reference_has_square_hamilton_cycle,
+    reference_longest_square_cycle_exact,
     reference_longest_square_path_exact,
+    reference_longest_square_path_pruned,
     reference_per_vertex_deletion,
     reference_pick_start_edge,
     reference_prune_to_gtilde,
@@ -35,6 +46,7 @@ from oracles import (
     reference_window,
 )
 from test_blowup import complete_chain
+from test_embedder import run_pipeline
 from test_regularity import squared_cycle_blowup
 from test_squarewalk import cycle_graph, squared_cycle_graph
 
@@ -287,6 +299,98 @@ def test_exact_path_budgeted_matches_reference_on_complete(n):
 @given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10**6))
 def test_exact_path_matches_reference_property(n, p, seed):
     assert_same_exact_path(graph.gnp(n, p, seed))
+
+
+# -- the searches on search_square_paths -------------------------------------------
+
+
+def cycle_outcome(res):
+    return res.status, res.cycle and res.cycle.vertices, res.nodes
+
+
+PORTED_SEARCHES = [
+    (
+        sw.longest_square_path_exact,
+        reference_longest_square_path_pruned,
+        lambda res: (res.path.vertices, res.optimal, res.nodes),
+    ),
+    (sw.has_square_hamilton_cycle, reference_has_square_hamilton_cycle, cycle_outcome),
+    (
+        lambda g, budget: sw.has_square_cycle_through(g, g.n // 2, 5, budget),
+        lambda g, budget: reference_has_square_cycle_through(g, g.n // 2, 5, budget),
+        cycle_outcome,
+    ),
+    (
+        lambda g, budget: sw.has_square_cycle_through(g, 0, 6, budget),
+        lambda g, budget: reference_has_square_cycle_through(g, 0, 6, budget),
+        cycle_outcome,
+    ),
+    (sw.longest_square_cycle_exact, reference_longest_square_cycle_exact, cycle_outcome),
+]
+
+
+@pytest.mark.parametrize("n", range(5, 12))
+def test_ported_searches_match_hand_rolled_loops(n):
+    statuses = set()
+    for p in (0.3, 0.5, 0.7, 0.9):
+        for seed in range(2):
+            g = graph.gnp(n, p, 1000 * n + seed)
+            blocked, _ = adversary.independent_blocker(g, 0.5, seed)
+            for h in (g, blocked):
+                for budget in (None, 0, 1, 7, 60, 500):
+                    for search, reference, outcome in PORTED_SEARCHES:
+                        got = outcome(search(h, budget))
+                        assert got == outcome(reference(h, budget))
+                        statuses.add(got[0])
+    assert {"found", "none", "unknown"} <= statuses
+
+
+def copy_state(st):
+    """A deep copy of an embed state that shares its immutable graph and its
+    read-only adjacency rows and matrix."""
+    return copy.deepcopy(st, {id(st.g): st.g, id(st.adj): st.adj, id(st.a): st.a})
+
+
+def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
+    """Each window and join search of six embeds is run against its
+    reference on a deep copy of the embed state, which the join consumes."""
+    calls = {"dfs": 0, "join": 0}
+    exhausted = []
+    search, dfs, join = embedder.search_square_paths, embedder._dfs_to_targets, embedder._attempt_join
+
+    def recording_search(roots, expand, budget):
+        nodes, out = search(roots, expand, budget)
+        exhausted.append(out)
+        return nodes, out
+
+    def checked_dfs(st, *args):
+        want = reference_dfs_to_targets(copy_state(st), *args)
+        got = dfs(st, *args)
+        assert got == want
+        calls["dfs"] += 1
+        return got
+
+    def checked_join(st, *args):
+        ref = copy_state(st)
+        want, _ = reference_attempt_join(ref, *args)
+        got = join(st, *args)
+        assert got == want
+        assert (st.path, st.pool_mask, st.reserve_mask) == (ref.path, ref.pool_mask, ref.reserve_mask)
+        calls["join"] += 1
+        return got
+
+    monkeypatch.setattr(embedder, "search_square_paths", recording_search)
+    monkeypatch.setattr(embedder, "_dfs_to_targets", checked_dfs)
+    monkeypatch.setattr(embedder, "_attempt_join", checked_join)
+    for seed in (1, 3):
+        # window_node_budget 4000, the default; the partition does not read it
+        h, pr, cyc, tr = run_pipeline(600, 0.7, seed)
+        params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
+        for budget in (1, 3):
+            tight = dataclasses.replace(params, window_node_budget=budget)
+            embedder.embed_square_cycle(h, pr.partition, cyc, tight, seed)
+    assert calls["dfs"] and calls["join"]
+    assert any(exhausted) and not all(exhausted)
 
 
 # -- chain kernels ----------------------------------------------------------------

@@ -6,7 +6,7 @@ from sqlab import squarewalk as sw
 from sqlab.adversary import independent_blocker
 from sqlab.bitops import bits
 from sqlab.util import rng_from
-from oracles import oracle_common_neighbors, oracle_longest_square_path
+from oracles import oracle_longest_square_path
 
 
 def cycle_graph(n):
@@ -28,25 +28,67 @@ def test_edge_states_counts():
     assert len(sw.edge_states(g)) == 2 * g.edge_count
 
 
-def test_successors_k4():
-    g = graph.complete(4)
-    succ = set(sw.successors(g, sw.EdgeState(0, 1)))
-    assert succ == {sw.EdgeState(1, 2), sw.EdgeState(1, 3)}
+# -- the one search ---------------------------------------------------------------
 
 
-def test_successors_triangle_free():
-    c4 = cycle_graph(4)
-    for s in sw.edge_states(c4):
-        assert sw.successors(c4, s) == []
+def test_search_square_paths_order_and_lazy_roots():
+    log = []
+
+    def roots():
+        for root in ((0, 1, 0b11, [0, 1]), (8, 9, 0b11 << 8, [8, 9])):
+            log.append("draw")
+            yield root
+
+    def expand(cu, cv, visited, seq):
+        log.append((cu, cv, visited, seq))
+        if seq == [0, 1]:
+            return 0b1100  # a bitset: 2 pushed before 3
+        if seq == [8, 9]:
+            return [5, 4]  # a sequence: pushed as given
+        return 0
+
+    assert sw.search_square_paths(roots(), expand) == (6, False)
+    assert log == [
+        "draw",
+        (0, 1, 0b11, [0, 1]),
+        (1, 3, 0b1011, [0, 1, 3]),
+        (1, 2, 0b111, [0, 1, 2]),
+        "draw",
+        (8, 9, 0b11 << 8, [8, 9]),
+        (9, 4, 0b1100010000, [8, 9, 4]),
+        (9, 5, 0b1100100000, [8, 9, 5]),
+    ]
 
 
-def test_successors_match_bruteforce():
-    g = graph.gnp(40, 0.4, seed=5)
-    states = sw.edge_states(g)
-    for s in states[:: max(1, len(states) // 15)]:
-        got = {t.second for t in sw.successors(g, s)}
-        assert got == oracle_common_neighbors(g, s.first, s.second)
-        assert len(sw.successors(g, s)) == len(g.triangles_of_edge(*s))
+def test_search_square_paths_stop_and_budget():
+    def chain(cu, cv, visited, seq):
+        return None if len(seq) == 4 else 1 << len(seq)
+
+    assert sw.search_square_paths([(0, 1, 0b11, [0, 1])], chain) == (3, False)
+    for budget, want in ((0, (0, True)), (2, (2, True)), (3, (3, False))):
+        assert sw.search_square_paths([(0, 1, 0b11, [0, 1])], chain, budget) == want
+    assert sw.search_square_paths([], chain, 0) == (0, False)
+    with pytest.raises(ValueError, match="node_budget"):
+        sw.search_square_paths([(0, 1, 0b11, [0, 1])], chain, -1)
+
+
+PUBLIC_SEARCHES = [
+    sw.longest_square_path_exact,
+    sw.has_square_hamilton_cycle,
+    lambda g, budget: sw.has_square_cycle_through(g, 0, node_budget=budget),
+    sw.longest_square_cycle_exact,
+]
+
+
+@pytest.mark.parametrize("search", PUBLIC_SEARCHES, ids=["path", "hamilton", "through", "cycle"])
+def test_public_searches_share_the_budget_rule(search):
+    g = graph.complete(6)
+    with pytest.raises(ValueError, match="node_budget"):
+        search(g, -1)
+    res = search(g, 0)
+    assert res.nodes == 0
+    assert getattr(res, "status", None) == "unknown" or not res.optimal
+    assert search(g, None).nodes > 0
 
 
 def test_is_square_path_basics():
