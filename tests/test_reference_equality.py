@@ -25,14 +25,14 @@ from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
 from sqlab.util import rng_from
 from oracles import (
     ReferenceGraphCounter,
+    reference_attempt_join,
     reference_check_gtilde_ii,
     reference_classify,
     reference_count_square_paths_between,
+    reference_dfs_to_targets,
     reference_expansion_fractions,
     reference_gnp,
     reference_greedy_square_path,
-    reference_attempt_join,
-    reference_dfs_to_targets,
     reference_has_square_cycle_through,
     reference_has_square_hamilton_cycle,
     reference_longest_square_cycle_exact,
