@@ -38,6 +38,7 @@ from .squarewalk import (
     CycleSearchResult,
     SquareCycle,
     SquarePath,
+    _closes,
     has_square_hamilton_cycle,
     is_square_path,
     longest_square_cycle_exact,
@@ -392,7 +393,7 @@ def embed_square_cycle(
         # viability; while pools are healthy, keep consuming laps
         if st.closing and lap_remaining <= 2 * k0 - 2 and not _can_wind_generously(st):
             if lap_remaining == 0:
-                if _seam_ok(adj, x1, x2, st.path[-2], st.path[-1]):
+                if _closes(adj, (x1, x2), st.path[-2], st.path[-1]):
                     trace.closing_status = "closed"
                     break
             else:
@@ -425,7 +426,7 @@ def embed_square_cycle(
             continue
         # no way forward: one last join attempt from where we stand
         lap_remaining = (r - 1 - ((len(st.path) - 1) % r)) % r
-        if lap_remaining == 0 and _seam_ok(adj, x1, x2, st.path[-2], st.path[-1]):
+        if lap_remaining == 0 and _closes(adj, (x1, x2), st.path[-2], st.path[-1]):
             trace.closing_status = "closed"
             break
         if 1 <= lap_remaining <= 2 * k0 - 2:
@@ -594,12 +595,6 @@ def _is_square_path_dense(a: np.ndarray, seq: Sequence[int]) -> bool:
     return bool(a[p[:-1], p[1:]].all() and a[p[:-2], p[2:]].all())
 
 
-def _seam_ok(adj, x1, x2, y, z) -> bool:
-    """Whether a path ending y, z closes into a square cycle with the start
-    edge (x1, x2): z must see x1 and x2, and y must see x1."""
-    return bool((adj[z] >> x1) & 1 and (adj[y] >> x1) & 1 and (adj[z] >> x2) & 1)
-
-
 def _attempt_join(st, x1, x2, lap_remaining, params):
     """Close the cycle: extend through the rest of the lap so the last two
     vertices also satisfy the seam adjacencies against the start edge."""
@@ -614,7 +609,7 @@ def _attempt_join(st, x1, x2, lap_remaining, params):
         nonlocal found
         depth = len(chosen)
         if depth == depth_total:
-            if _seam_ok(adj, x1, x2, y, z):
+            if _closes(adj, (x1, x2), y, z):
                 found = chosen
                 return None
             return 0

@@ -322,8 +322,9 @@ def _vertex_reach_closure(g: Graph) -> list[int]:
 
 
 def _closes(adj: list[int], seq: Sequence[int], cu: int, cv: int) -> bool:
-    """Whether the square path ``seq``, ending cu, cv, closes into a square
-    cycle: cv must see seq[0] and seq[1], and cu must see seq[0]."""
+    """Whether a square path that starts seq[0], seq[1] and ends cu, cv
+    closes into a square cycle: cv must see seq[0] and seq[1], and cu must
+    see seq[0]."""
     s0 = seq[0]
     return bool((adj[cv] >> s0) & 1 and (adj[cu] >> s0) & 1 and (adj[cv] >> seq[1]) & 1)
 

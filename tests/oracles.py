@@ -29,7 +29,8 @@ The edge-state searches at the end -- the longest path search with both
 bounds, the Hamilton, through-v and longest cycle searches and the
 embedder's window and join searches -- are the
 hand-rolled loops, each with its own stack, node counter and budget check,
-that ``squarewalk.search_square_paths`` replaced; kept verbatim so the
+that ``squarewalk.search_square_paths`` replaced, with the embedder's
+``_seam_ok`` that ``squarewalk._closes`` replaced; kept verbatim so the
 ported searches can be held to identical results and node counts.
 """
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows, unpack_packed_matrix
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
-from sqlab.embedder import GoodEdgeReport, _seam_ok
+from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph
 from sqlab.regularity import _sampled_test
 from sqlab.squarewalk import (
@@ -1012,6 +1013,12 @@ def reference_dfs_to_targets(st, u, v, c0, t, targets, budget):
         for nw in candidates(pu, w, depth + 1, mask):
             stack.append((depth + 1, nw, chosen + (nw,)))
     return None
+
+
+def _seam_ok(adj, x1, x2, y, z) -> bool:
+    """Whether a path ending y, z closes into a square cycle with the start
+    edge (x1, x2): z must see x1 and x2, and y must see x1."""
+    return bool((adj[z] >> x1) & 1 and (adj[y] >> x1) & 1 and (adj[z] >> x2) & 1)
 
 
 def reference_attempt_join(st, x1, x2, lap_remaining, params):
