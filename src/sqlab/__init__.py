@@ -2,7 +2,7 @@
 
 Library layers:
 
-* :mod:`sqlab.graph` -- immutable bitset graphs, seeded G(n, p), text I/O
+* :mod:`sqlab.graph` -- immutable bitset graphs, seeded G(n, p), dense matrices
 * :mod:`sqlab.adversary` -- budgeted deletion and lower-bound constructions
 * :mod:`sqlab.squarewalk` -- square paths/cycles, exact and greedy search
 * :mod:`sqlab.regularity` -- density and sampled regularity testing
@@ -12,7 +12,7 @@ Library layers:
 
 __version__ = "0.1.0"
 
-from .graph import Graph, complete, empty, from_edges, gnp, read_text, write_text
+from .graph import Graph, complete, empty, from_edges, gnp
 
 __all__ = [
     "Graph",
@@ -20,7 +20,5 @@ __all__ = [
     "empty",
     "from_edges",
     "gnp",
-    "read_text",
-    "write_text",
     "__version__",
 ]

@@ -1,15 +1,20 @@
 """Bitset helpers shared by the graph and chain machinery.
 
-Vertex sets are represented two ways throughout the package:
+Vertex sets are represented three ways throughout the package:
 
 * as arbitrary-precision Python ints (bit ``v`` set means vertex ``v`` is in
-  the set) -- the Graph adjacency rows, and
+  the set) -- the Graph adjacency rows,
 * as packed little-endian ``uint8`` numpy arrays (``np.packbits`` layout with
   ``bitorder="little"``) -- the per-pair matrices of chain partitions, where
-  whole-matrix operations need to be vectorised.
+  whole-matrix operations need to be vectorised, and
+* as dense boolean numpy matrices, one ``bool`` per entry -- the adjacency
+  matrix of ``graph.to_matrix``, the blocks of ``blowup.ChainLayers`` (its
+  first pair as is, the blocks of its GEMMs cast to float32) and the
+  regularity tester's pair matrix.
 
-Both encodings agree bit-for-bit, so rows can be moved between them with
-``int.from_bytes`` / ``int.to_bytes``.
+The first two agree bit-for-bit, so rows can be moved between them with
+``int.from_bytes`` / ``int.to_bytes``; the packed and dense forms convert
+with :func:`pack_bool_matrix` and :func:`unpack_packed_matrix`.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -327,17 +327,6 @@ def _triangle_blocks(chain: ChainPartition, i: int):
         yield lo, unpack_packed_matrix(B[lo : lo + rows], n0).astype(np.float32) @ CT
 
 
-def triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tuple[int, int], int]:
-    """Per-edge triangle counts of pair (i, i+1) into class i+2 (local ids)."""
-    A = _dense(chain, i, i + 1)
-    out: dict[tuple[int, int], int] = {}
-    for lo, tri in _triangle_blocks(chain, i):
-        us, vs = np.nonzero(A[lo : lo + len(tri)])
-        counts = tri[us, vs].astype(np.int64).tolist()
-        out.update(zip(zip((us + lo).tolist(), vs.tolist()), counts))
-    return out
-
-
 def prune_to_gtilde(
     chain: ChainPartition,
     epsilon: float,
@@ -428,69 +417,6 @@ def check_gtilde_ii(
 
 # ---------------------------------------------------------------------------
 # expansion
-
-
-@dataclass(frozen=True)
-class TriangleExpansion:
-    edges: tuple[tuple[int, int], ...]  # global (v, w) pairs in E(V_{i+1}, V_{i+2})
-    middle_vertices: tuple[int, ...]  # global incident vertices of the input set
-    s_min: int  # min over middle vertices of their degree into the input set
-
-
-def triangle_expand(
-    chain: ChainPartition, i: int, edge_set: Iterable[tuple[int, int]]
-) -> TriangleExpansion:
-    """Edges of E(V_{i+1}, V_{i+2}) forming a triangle with some input edge.
-
-    The input must be a nonempty subset of E(V_i, V_{i+1}) given as global
-    (u, v) pairs.  Monotone in the input set by construction.
-    """
-    edge_list = list(edge_set)
-    if not edge_list:
-        raise ValueError("edge set must be nonempty")
-    n0 = chain.n0
-    by_v: dict[int, int] = {}
-    for u, v in edge_list:
-        ci, cj, li, lj = chain.locate_edge(u, v)  # li in the lower class
-        if (ci, cj) != (i, i + 1):
-            raise ValueError(f"edge ({u}, {v}) is not in pair ({i}, {i + 1})")
-        by_v[lj] = by_v.get(lj, 0) | (1 << li)
-    B = chain.pair(i, i + 2)
-    A2 = chain.pair(i + 1, i + 2)
-    out: list[tuple[int, int]] = []
-    s_min = None
-    for v, umask in sorted(by_v.items()):
-        deg = umask.bit_count()
-        s_min = deg if s_min is None else min(s_min, deg)
-        reach = 0
-        for u in bits(umask):
-            reach |= packed_to_int(B[u])
-        hits = packed_to_int(A2[v]) & reach
-        gv = chain.to_global(i + 1, v)
-        for w in bits(hits):
-            out.append((gv, chain.to_global(i + 2, w)))
-    middles = tuple(chain.to_global(i + 1, v) for v in sorted(by_v))
-    return TriangleExpansion(tuple(sorted(out)), middles, int(s_min))
-
-
-@dataclass(frozen=True)
-class ExpansionParams:
-    """Thresholds of the two triangle-expansion regimes, recomputed on access."""
-
-    n: int
-    n0: int
-    p: float
-    p0: float
-    epsilon: float
-    gamma: float
-
-    @property
-    def s(self) -> float:
-        return math.log(self.n) ** 2 * self.n0 * self.p / self.n**self.gamma
-
-    @property
-    def s_prime(self) -> float:
-        return 2 * self.epsilon * self.n0 * self.p0
 
 
 @dataclass(frozen=True)

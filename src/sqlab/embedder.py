@@ -62,13 +62,16 @@ class PipelineParams:
     surrogate regime treats gamma as a free knob (larger gamma means shorter
     windows), since the asymptotic density relation p = n^(gamma-1)/2 is not
     meaningful at desk scale.
+
+    The partition always has ``r_min`` classes; ``r_max`` only has to be at
+    least ``r_min``.  A window's search needs at least k0 - 2 expansions to
+    reach its target edge, so ``window_node_budget`` must be at least k0 - 2.
     """
 
     gamma: float = 3.0
     nu: float = 0.1
     alpha: float = 0.1
     epsilon: float = 0.075
-    epsilon_prime: float = 0.01
     mu: float = 2.0 / 3.0
     r_min: int = 0  # 0 -> 3 k0
     r_max: int = 0  # 0 -> r_min
@@ -79,17 +82,19 @@ class PipelineParams:
     backtrack_budget: int = 60
 
     def __post_init__(self):
-        if not 0 < self.epsilon_prime < self.epsilon < self.nu:
-            raise ValueError("need 0 < epsilon' < epsilon < nu")
+        if not 0 < self.epsilon < self.nu:
+            raise ValueError("need 0 < epsilon < nu")
         if self.gamma <= 0:
             raise ValueError("gamma must be positive")
         if self.good_sample_limit < 1:
             raise ValueError(f"good_sample_limit must be >= 1, got {self.good_sample_limit}")
-        if self.window_node_budget < 0:
-            raise ValueError(f"window_node_budget must be >= 0, got {self.window_node_budget}")
         if self.backtrack_budget < 0:
             raise ValueError(f"backtrack_budget must be >= 0, got {self.backtrack_budget}")
         k0 = self.k0
+        if self.window_node_budget < k0 - 2:
+            raise ValueError(
+                f"window_node_budget must be >= k0 - 2 = {k0 - 2}, got {self.window_node_budget}"
+            )
         rmin = self.r_min or 3 * k0
         if rmin < 3 * k0:
             raise ValueError(f"r_min {rmin} below 3 k0 = {3 * k0}")
@@ -110,7 +115,6 @@ class PipelineParams:
             "nu": self.nu,
             "alpha": self.alpha,
             "epsilon": self.epsilon,
-            "epsilon_prime": self.epsilon_prime,
             "mu": self.mu,
             "k0": self.k0,
             "r_min": self.r_min,
@@ -203,8 +207,7 @@ def square_cycle_in_reduced(
     res = has_square_hamilton_cycle(r_graph, node_budget)
     if res.status == "found":
         return res
-    fallback = longest_square_cycle_exact(r_graph, node_budget)
-    return fallback
+    return longest_square_cycle_exact(r_graph, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +358,6 @@ def embed_square_cycle(
     st.consume(1, x2)
     trace.start_edge = (x1, x2)
 
-    windows = 0
     backtracks = 0
     # stack of (vertices_consumed_in_window, banned target edges) for undo
     history: list[tuple[int, set[tuple[int, int]]]] = []
@@ -363,76 +365,64 @@ def embed_square_cycle(
     def min_pool_ahead() -> int:
         return min(st.pool_size(c) for c in range(r))
 
+    def lap_remaining() -> int:
+        return (r - 1 - ((len(st.path) - 1) % r)) % r
+
+    def advance(banned: set[tuple[int, int]]) -> bool:
+        """Grow one window of the shortest length in [k0, 2 k0] that reaches a
+        good target edge outside ``banned``."""
+        for t in range(k0, 2 * k0 + 1):
+            rec = _advance_window(st, t, params, banned, rng, len(trace.windows))
+            if rec is not None:
+                trace.windows.append(rec)
+                history.append((t - 2, banned))
+                assert _is_square_path_dense(st.a, st.path), "window broke square-path validity"
+                return True
+        return False
+
+    def joined() -> bool:
+        """Close the cycle across the rest of the lap, when that is short
+        enough for one join."""
+        lap = lap_remaining()
+        if lap == 0:
+            return _closes(adj, (x1, x2), st.path[-2], st.path[-1])
+        return lap <= 2 * k0 - 2 and _attempt_join(st, x1, x2, lap, params)
+
     def backtrack_and_retry() -> bool:
         """Undo the last window, ban its target, re-advance differently."""
-        nonlocal windows, backtracks
+        nonlocal backtracks
         if not history or backtracks >= params.backtrack_budget:
             return False
         consumed, prev_banned = history.pop()
         prev_banned.add((st.path[-2], st.path[-1]))
         st.restore(consumed)
         backtracks += 1
-        for t in range(k0, 2 * k0 + 1):
-            rec = _advance_window(st, t, params, prev_banned, rng, windows)
-            if rec is not None:
-                trace.windows.append(rec)
-                history.append((t - 2, prev_banned))
-                windows += 1
-                assert _is_square_path_dense(st.a, st.path), "window broke validity"
-                return True
-        return bool(history)  # deeper unwinding may still help
+        return advance(prev_banned) or bool(history)  # deeper unwinding may still help
 
     while True:
         if not st.closing and min_pool_ahead() < stop_floor:
             st.closing = True
 
-        end_pos = len(st.path) - 1
-        lap_remaining = (r - 1 - (end_pos % r)) % r
-
         # join only when further winding would thin the pools below window
         # viability; while pools are healthy, keep consuming laps
-        if st.closing and lap_remaining <= 2 * k0 - 2 and not _can_wind_generously(st):
-            if lap_remaining == 0:
-                if _closes(adj, (x1, x2), st.path[-2], st.path[-1]):
-                    trace.closing_status = "closed"
-                    break
-            else:
-                if _attempt_join(st, x1, x2, lap_remaining, params):
-                    trace.closing_status = "closed"
-                    break
+        if st.closing and lap_remaining() <= 2 * k0 - 2 and not _can_wind_generously(st):
+            if joined():
+                trace.closing_status = "closed"
+                break
             # the boundary join failed: re-route the last window so the next
             # attempt starts from a different end edge
             if backtrack_and_retry():
                 continue
 
-        banned: set[tuple[int, int]] = set()
-        advanced = False
-        for t in range(k0, 2 * k0 + 1):
-            rec = _advance_window(st, t, params, banned, rng, windows)
-            if rec is not None:
-                trace.windows.append(rec)
-                history.append((t - 2, banned))
-                windows += 1
-                advanced = True
-                break
-        if advanced:
-            assert _is_square_path_dense(st.a, st.path), "window broke square-path validity"
-            continue
-
-        if backtrack_and_retry():
+        if advance(set()) or backtrack_and_retry():
             continue
         if not st.closing:
             st.closing = True
             continue
         # no way forward: one last join attempt from where we stand
-        lap_remaining = (r - 1 - ((len(st.path) - 1) % r)) % r
-        if lap_remaining == 0 and _closes(adj, (x1, x2), st.path[-2], st.path[-1]):
+        if joined():
             trace.closing_status = "closed"
             break
-        if 1 <= lap_remaining <= 2 * k0 - 2:
-            if _attempt_join(st, x1, x2, lap_remaining, params):
-                trace.closing_status = "closed"
-                break
         trace.closing_status = "open-path"
         trace.flags.append("stuck-while-closing")
         break

@@ -4,7 +4,7 @@ Adjacency has two encodings that agree bit for bit:
 
 * one Python-int bitset per vertex (``Graph.adjacency``), which makes the
   intersection-heavy queries of this package (common neighbourhoods,
-  per-edge triangles, degrees into subsets) single ``&`` + popcount
+  square-path candidates, degrees into subsets) single ``&`` + popcount
   operations, and
 * a dense boolean matrix, for whole-graph passes that numpy vectorises.
 
@@ -17,9 +17,6 @@ back into a ``Graph``.  All three use the little-endian packed layout of
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
 stream, so identical ``(n, p, seed)`` reproduce the same graph byte for byte.
-
-Text format: first line ``n m``, then ``m`` lines ``u v`` with ``u < v``,
-sorted lexicographically.  ``read_text``/``write_text`` round-trip exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitops import bits, mask_of, pack_bool_matrix, packed_to_int, unpack_packed_matrix
+from .bitops import bits, pack_bool_matrix, packed_to_int, unpack_packed_matrix
 
 
 class Graph:
@@ -80,24 +77,6 @@ class Graph:
         self.check_vertex(v)
         return bits(self.adjacency[v])
 
-    def degree_into(self, v: int, s: Iterable[int] | int) -> int:
-        """Number of neighbours of ``v`` inside the vertex set ``s``.
-
-        ``s`` may be an iterable of vertex ids or a precomputed bitset mask.
-        """
-        self.check_vertex(v)
-        m = s if isinstance(s, int) else mask_of(self._checked(s))
-        return (self.adjacency[v] & m).bit_count()
-
-    def triangles_of_edge(self, u: int, v: int) -> tuple[int, ...]:
-        """Common neighbourhood N(u) & N(v) of an existing edge, sorted.
-
-        Rejects non-edges: the triangle neighbourhood is only defined on edges.
-        """
-        if not self.has_edge(u, v):
-            raise ValueError(f"({u}, {v}) is not an edge")
-        return tuple(bits(self.adjacency[u] & self.adjacency[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
         for u in range(self.n):
@@ -109,11 +88,6 @@ class Graph:
         if self.n == 0:
             return 0
         return min(row.bit_count() for row in self.adjacency)
-
-    def _checked(self, vertices: Iterable[int]) -> Iterator[int]:
-        for v in vertices:
-            self.check_vertex(v)
-            yield v
 
     # -- derived graphs ----------------------------------------------------
 
@@ -241,35 +215,3 @@ def from_matrix(m: np.ndarray) -> Graph:
     """Graph of a symmetric boolean adjacency matrix with an empty diagonal."""
     adj = [packed_to_int(row) for row in pack_bool_matrix(m)]
     return Graph(m.shape[0], adj, int(np.count_nonzero(m)) // 2)
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def write_text(g: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{g.n} {g.edge_count}\n")
-        for u, v in g.edges():
-            fh.write(f"{u} {v}\n")
-
-
-def read_text(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("bad graph header, expected 'n m'")
-        n, m = int(header[0]), int(header[1])
-        edges = []
-        for line in fh:
-            if not line.strip():
-                continue
-            u, v = map(int, line.split())
-            if not u < v:
-                raise ValueError(f"edge line '{u} {v}' violates u < v")
-            edges.append((u, v))
-    if len(edges) != m:
-        raise ValueError(f"header promised {m} edges, file has {len(edges)}")
-    if edges != sorted(edges):
-        raise ValueError("edge lines are not sorted lexicographically")
-    return from_edges(n, edges)

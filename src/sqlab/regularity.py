@@ -379,74 +379,6 @@ def lower_regular_verdict(
 
 
 # ---------------------------------------------------------------------------
-# degree exceptions (the one-lemma-per-line workhorse of the embedding proof)
-
-
-def degree_exception_count(
-    g: Graph,
-    pair: BipartitePairView,
-    w_prime: Sequence[int],
-    reference_p: float,
-    epsilon: float,
-    two_sided: bool = False,
-) -> int:
-    """Left vertices with fewer than (1 - eps)|W'| p neighbours in W' (and,
-    two-sided, more than (1 + eps)|W'| p)."""
-    w_prime = tuple(w_prime)
-    if len(w_prime) < epsilon * len(pair.right):
-        raise ValueError("W' is smaller than the epsilon floor")
-    right_set = set(pair.right)
-    for v in w_prime:
-        if v not in right_set:
-            raise ValueError(f"{v} is not in the right side")
-    mask = mask_of(w_prime)
-    lo = (1 - epsilon) * len(w_prime) * reference_p
-    hi = (1 + epsilon) * len(w_prime) * reference_p
-    bad = 0
-    for u in pair.left:
-        d = (g.adjacency[u] & mask).bit_count()
-        if d < lo or (two_sided and d > hi):
-            bad += 1
-    return bad
-
-
-# ---------------------------------------------------------------------------
-# exact-count regular subgraph extraction
-
-
-def extract_exact_count_subgraph(
-    g: Graph,
-    pair: BipartitePairView,
-    target_m: int,
-    seed: int,
-    epsilon: float = 0.25,
-    reference_p: float | None = None,
-    sample_count: int = 100,
-) -> tuple[Graph, RegularityReport]:
-    """Remove seeded random pair edges until exactly target_m remain, then
-    re-test regularity of what is left."""
-    right_mask = mask_of(pair.right)
-    edges = [
-        (u, v)
-        for u in pair.left
-        for v in (
-            w for w in pair.graph.neighbors(u) if (right_mask >> w) & 1
-        )
-    ]
-    current = len(edges)
-    if target_m > current:
-        raise ValueError(f"target {target_m} exceeds the pair's {current} edges")
-    rng = rng_from(seed)
-    drop_idx = rng.choice(current, size=current - target_m, replace=False)
-    out = g.without_edges([edges[int(i)] for i in drop_idx])
-    new_pair = BipartitePairView(out, pair.left, pair.right)
-    if reference_p is None:
-        reference_p = float(new_pair.density()) if target_m else 0.0
-    report = test_regular(out, new_pair, reference_p, epsilon, sample_count, seed)
-    return out, report
-
-
-# ---------------------------------------------------------------------------
 # equitable partitions and the heuristic partitioner
 
 
@@ -502,6 +434,9 @@ def partition_heuristic(
     """Seeded random equitable partition plus pairwise density/regularity
     testing; realises the reduced-structure contract of the regular-partition
     step heuristically (no refinement guarantee is claimed).
+
+    The partition always has ``r_min`` classes; ``r_max`` is checked to be
+    at least ``r_min`` and is otherwise unused.
 
     A pair enters the reduced adjacency when its density is at least
     alpha * reference_p and the sampled test finds no violation.  With

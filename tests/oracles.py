@@ -99,10 +99,6 @@ def oracle_common_neighbors(g: Graph, u: int, v: int) -> set[int]:
     return {w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)}
 
 
-def oracle_degree_into(g: Graph, v: int, s) -> int:
-    return sum(1 for w in s if g.has_edge(v, w))
-
-
 # ---------------------------------------------------------------------------
 # bitset reference implementations (rng call order is part of the contract)
 

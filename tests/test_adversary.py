@@ -6,7 +6,7 @@ from sqlab import adversary as adv
 from sqlab import graph
 from sqlab import squarewalk as sw
 from sqlab.util import rng_from
-from oracles import oracle_longest_square_path
+from oracles import oracle_common_neighbors, oracle_longest_square_path
 
 
 def test_per_vertex_zero_budget():
@@ -42,7 +42,7 @@ def test_wipe_k4():
     assert h.edge_count == 3
     assert all(h.has_edge(0, w) for w in (1, 2, 3))
     for w in (1, 2, 3):
-        assert h.triangles_of_edge(0, w) == ()
+        assert oracle_common_neighbors(h, 0, w) == set()
 
 
 def test_wipe_edgeless_noop():

@@ -7,6 +7,7 @@ import pytest
 from sqlab import blowup as bl
 from sqlab import graph
 from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
+from oracles import reference_triangle_counts_of_pair
 
 
 def complete_chain(k, n0, reference_p=1.0):
@@ -239,7 +240,7 @@ def test_prune_random_chain_moderate_regime():
     assert sum(again.removed.values()) == 0
     tau = res.threshold
     for i in range(3):
-        counts = bl.triangle_counts_of_pair(res.chain, i)
+        counts = reference_triangle_counts_of_pair(res.chain, i)
         assert all(c >= tau for c in counts.values())
 
 
@@ -279,66 +280,6 @@ def test_check_ii_random_chain_within_budget():
     out = bl.check_gtilde_ii(ch, 0.1, 0.6, sample_count=10, seed=1)
     for middle, count in out.items():
         assert count <= 0.1 * 800
-
-
-# -- triangle expansion -----------------------------------------------------------
-
-
-def test_triangle_expand_complete_single_edge():
-    ch = complete_chain(3, 5)
-    e = (ch.to_global(0, 0), ch.to_global(1, 2))
-    res = bl.triangle_expand(ch, 0, [e])
-    assert len(res.edges) == 5
-    assert all(a == ch.to_global(1, 2) for a, _ in res.edges)
-    assert res.s_min == 1
-    assert res.middle_vertices == (ch.to_global(1, 2),)
-
-
-def test_triangle_expand_rejects_empty_and_misplaced():
-    ch = complete_chain(4, 5)
-    with pytest.raises(ValueError):
-        bl.triangle_expand(ch, 0, [])
-    e_wrong = (ch.to_global(1, 0), ch.to_global(2, 0))
-    with pytest.raises(ValueError):
-        bl.triangle_expand(ch, 0, [e_wrong])
-
-
-def test_triangle_expand_matches_bruteforce():
-    ch = bl.build_chain_random(4, 40, 0.3, seed=11)
-    edges = [
-        (ch.to_global(0, a), ch.to_global(1, b))
-        for a, b in ch.pair_edges_local(0, 1)[:25]
-    ]
-    res = bl.triangle_expand(ch, 0, edges)
-    A2 = chain_pair_bool(ch, 1, 2)
-    B = chain_pair_bool(ch, 0, 2)
-    expected = set()
-    for u, v in edges:
-        lu, lv = ch.to_local(u)[1], ch.to_local(v)[1]
-        for w in range(40):
-            if A2[lv, w] and B[lu, w]:
-                expected.add((ch.to_global(1, lv), ch.to_global(2, w)))
-    assert set(res.edges) == expected
-
-
-def test_triangle_expand_monotone():
-    ch = bl.build_chain_random(4, 30, 0.4, seed=13)
-    pairs = ch.pair_edges_local(0, 1)
-    small = [
-        (ch.to_global(0, a), ch.to_global(1, b)) for a, b in pairs[:10]
-    ]
-    big = [
-        (ch.to_global(0, a), ch.to_global(1, b)) for a, b in pairs[:30]
-    ]
-    out_small = set(bl.triangle_expand(ch, 0, small).edges)
-    out_big = set(bl.triangle_expand(ch, 0, big).edges)
-    assert out_small <= out_big
-
-
-def test_expansion_params_thresholds():
-    params = bl.ExpansionParams(n=10000, n0=1000, p=0.1, p0=0.05, epsilon=0.1, gamma=0.5)
-    assert params.s == pytest.approx(math.log(10000) ** 2 * 1000 * 0.1 / 100)
-    assert params.s_prime == pytest.approx(2 * 0.1 * 1000 * 0.05)
 
 
 # -- edge expansion ----------------------------------------------------------------

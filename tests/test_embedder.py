@@ -179,9 +179,12 @@ def test_pipeline_1200_closes():
     assert tr.closing_status == "closed"
 
 
+K0 = embedder.PipelineParams().k0
+
+
 @pytest.mark.parametrize(
     "bad",
-    [{"good_sample_limit": 0}, {"window_node_budget": -1}, {"backtrack_budget": -1}],
+    [{"good_sample_limit": 0}, {"window_node_budget": K0 - 3}, {"backtrack_budget": -1}],
     ids=["good_sample_limit", "window_node_budget", "backtrack_budget"],
 )
 def test_params_reject_invalid_limits(bad):
@@ -193,7 +196,24 @@ def test_params_reject_invalid_limits(bad):
 
 
 def test_embed_without_reduced_cycle_raises_value_error():
+    # an edgeless reduced graph (every pair flagged, as the sampled test does
+    # at the default PipelineParams) has no square cycle, and embed refuses it
+    res = embedder.square_cycle_in_reduced(graph.empty(4))
+    assert res.cycle is None
     g = graph.complete(12)
     part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(4)))
     with pytest.raises(ValueError, match=r"no square cycle in the reduced graph \(r = 4, class size 3\)"):
-        embedder.embed_square_cycle(g, part, None, embedder.PipelineParams(), seed=0)
+        embedder.embed_square_cycle(g, part, res.cycle, embedder.PipelineParams(), seed=0)
+
+
+# -- the reduced-cycle search -------------------------------------------------------
+
+
+def test_reduced_cycle_falls_back_to_longest_square_cycle():
+    # C6 squared on 0..5 plus four isolated vertices: a square cycle, but no
+    # spanning one
+    rg = graph.from_edges(10, [(i, (i + d) % 6) for i in range(6) for d in (1, 2)])
+    res = embedder.square_cycle_in_reduced(rg)
+    assert res.status == "found"
+    assert sorted(res.cycle.vertices) == list(range(6))
+    assert is_square_cycle(rg, res.cycle.vertices)

@@ -6,6 +6,7 @@ import pytest
 
 from sqlab import graph
 from sqlab import regularity as reg
+from sqlab.util import rng_from
 
 
 def bipartite_random(nl, nr, p, seed):
@@ -146,75 +147,17 @@ def test_regular_pass_implies_lower_pass_same_seed():
             assert one.verdict == "no-violation-found"
 
 
-# -- degree exceptions ----------------------------------------------------------
-
-
-def test_degree_exceptions_complete():
-    g, pair = complete_bipartite(20, 20)
-    assert reg.degree_exception_count(g, pair, pair.right, 1.0, 0.1) == 0
-
-
-def test_degree_exceptions_edgeless():
-    g = graph.empty(20)
-    pair = reg.BipartitePairView(g, tuple(range(10)), tuple(range(10, 20)))
-    assert reg.degree_exception_count(g, pair, pair.right, 0.5, 0.1) == 10
-
-
-def test_degree_exceptions_gnp_bound():
-    # frozen Monte Carlo over seeds 0..19: 17/20 runs meet the 2 eps |U|
-    # bound and none exceeds it by more than a few sigma (max observed 64);
-    # at these parameters the bound sits at 0.94 sampling sigmas, so a
-    # 100%-per-seed assertion would be dishonest
-    counts = []
-    for seed in range(20):
-        g, pair = bipartite_random(300, 300, 0.2, seed=seed)
-        counts.append(reg.degree_exception_count(g, pair, pair.right, 0.2, 0.1))
-    within = sum(c <= 2 * 0.1 * 300 for c in counts)
-    assert within >= 17
-    assert max(counts) <= 70
-
-
-def test_degree_exceptions_rejects_undersized():
-    g, pair = complete_bipartite(20, 20)
-    with pytest.raises(ValueError):
-        reg.degree_exception_count(g, pair, pair.right[:1], 1.0, 0.5)
-
-
-# -- exact-count extraction ------------------------------------------------------
-
-
-def test_extract_identity():
-    g, pair = complete_bipartite(10, 10)
-    out, rep = reg.extract_exact_count_subgraph(g, pair, 100, seed=1)
-    assert out == g
-
-
-def test_extract_exact_count():
-    g, pair = complete_bipartite(10, 10)
-    out, rep = reg.extract_exact_count_subgraph(g, pair, 50, seed=2)
-    new_pair = reg.BipartitePairView(out, pair.left, pair.right)
-    assert new_pair.edge_count() == 50
-    for u, v in out.edges():
-        assert g.has_edge(u, v)
-
-
-def test_extract_rejects_overshoot():
-    g, pair = complete_bipartite(5, 5)
-    with pytest.raises(ValueError):
-        reg.extract_exact_count_subgraph(g, pair, 26, seed=0)
-
-
 def test_small_deletion_keeps_regularity():
     # deleting <= eps^4 of the edges of a dense regular pair never produces a
     # violated verdict at 2 eps (frozen over 10 seeded pairs)
     eps = 0.25
     for seed in range(10):
         g, pair = bipartite_random(120, 120, 0.5, seed=100 + seed)
-        m = pair.edge_count()
-        target = m - int(eps**4 * m)
-        out, rep = reg.extract_exact_count_subgraph(
-            g, pair, target, seed=seed, epsilon=2 * eps, sample_count=100
-        )
+        edges = [(u, v) for u in pair.left for v in pair.right if g.has_edge(u, v)]
+        drop = rng_from(seed).choice(len(edges), size=int(eps**4 * len(edges)), replace=False)
+        out = g.without_edges([edges[i] for i in drop])
+        kept = reg.BipartitePairView(out, pair.left, pair.right)
+        rep = reg.test_regular(out, kept, float(kept.density()), 2 * eps, 100, seed)
         assert rep.verdict == "no-violation-found"
 
 
