@@ -9,10 +9,8 @@ pair the adjacency is a packed bit matrix (numpy uint8, little-endian rows).
 The chain kernels unpack pairs to dense matrices and work by matrix
 products: pruning counts triangles with one float32 GEMM per step (in row
 blocks), good-edge classification advances many sources at once through
-:func:`expansion_fractions`, and the exact path counters advance integer
-state matrices by one product per layer.  Only the per-edge walks that
-recover concrete, certified paths (:func:`edge_expansion`,
-:func:`recover_square_path`) still go through Python-int bitset rows.
+:meth:`ChainLayers.expansion_fractions`, and the exact path counters advance
+integer state matrices by one product per layer.
 
 The good-edge kernel reads a chain in its dense-layer form,
 :class:`ChainLayers`: the boolean first pair and one float32 (B, A2) block
@@ -35,13 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitops import (
-    bits,
-    pack_bool_matrix,
-    packed_to_int,
-    popcount_rows,
-    unpack_packed_matrix,
-)
+from .bitops import pack_bool_matrix, popcount_rows, unpack_packed_matrix
 from .graph import Graph, to_matrix
 from .util import rng_from
 
@@ -76,7 +68,6 @@ class ChainPartition:
         classes: Sequence[Sequence[int]],
         reference_p: float,
         pairs: dict[tuple[int, int], np.ndarray],
-        source: Optional[Graph] = None,
     ):
         classes = tuple(tuple(c) for c in classes)
         _class_index(classes)
@@ -84,13 +75,9 @@ class ChainPartition:
         self.n0 = len(classes[0])
         self.reference_p = reference_p
         self._pairs = pairs
-        self._pairs_T: dict[tuple[int, int], np.ndarray] = {}
-        self._source = source
         self._local: dict[int, tuple[int, int]] = {
             v: (ci, li) for ci, cls in enumerate(classes) for li, v in enumerate(cls)
         }
-
-    # -- structure ---------------------------------------------------------
 
     @property
     def k(self) -> int:
@@ -104,17 +91,6 @@ class ChainPartition:
         if (i, j) not in self._pairs:
             raise ValueError(f"classes ({i}, {j}) are not a chain pair")
         return self._pairs[(i, j)]
-
-    def pair_T(self, i: int, j: int) -> np.ndarray:
-        """Transposed packed adjacency (rows indexed by class j)."""
-        key = (i, j)
-        if key not in self._pairs_T:
-            m = unpack_packed_matrix(self._pairs[key], self.n0)
-            self._pairs_T[key] = pack_bool_matrix(m.T.copy())
-        return self._pairs_T[key]
-
-    def _invalidate(self, i: int, j: int) -> None:
-        self._pairs_T.pop((i, j), None)
 
     def pair_edge_count(self, i: int, j: int) -> int:
         return int(popcount_rows(self.pair(i, j)).sum())
@@ -152,30 +128,7 @@ class ChainPartition:
             self.classes,
             self.reference_p,
             {k: v.copy() for k, v in self._pairs.items()},
-            self._source,
         )
-
-    # -- materialisation -----------------------------------------------------
-
-    def graph(self) -> Graph:
-        """The chain as an immutable Graph on the union of its classes spans;
-        for views this is the (unmasked) source graph."""
-        if self._source is None:
-            self._source = self._materialise()
-        return self._source
-
-    def _materialise(self) -> Graph:
-        n = max(v for cls in self.classes for v in cls) + 1
-        adj = [0] * n
-        for (i, j), packed in sorted(self._pairs.items()):
-            ci, cj = self.classes[i], self.classes[j]
-            m = unpack_packed_matrix(packed, self.n0)
-            rows, cols = np.nonzero(m)
-            for r, c in zip(rows.tolist(), cols.tolist()):
-                u, v = ci[r], cj[c]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return Graph(n, adj)
 
 
 def build_chain_random(k: int, n0: int, p0: float, seed: int) -> ChainPartition:
@@ -220,7 +173,7 @@ def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
         density_sum += popcount_rows(packed).sum() / float(n0 * n0)
         npairs += 1
     reference_p = density_sum / npairs if npairs else 0.0
-    return ChainPartition(classes, reference_p, pairs, source=g)
+    return ChainPartition(classes, reference_p, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +312,6 @@ def prune_to_gtilde(
             A[lo : lo + len(tri)] &= tri >= np.float64(tau)
         dropped = before - int(np.count_nonzero(A))
         out._pairs[(i, i + 1)] = pack_bool_matrix(A)
-        out._invalidate(i, i + 1)
         key = (i, i + 1)
         removed[key] = dropped
         fractions[key] = dropped / before if before else 0.0
@@ -417,111 +369,6 @@ def check_gtilde_ii(
 
 # ---------------------------------------------------------------------------
 # expansion
-
-
-@dataclass(frozen=True)
-class ExpansionResult:
-    reachable: tuple[tuple[int, int], ...]  # global (a, b) edges in the last pair
-    fraction: float
-    certified: int
-    discarded: int
-
-
-def edge_expansion(chain: ChainPartition, e: tuple[int, int]) -> ExpansionResult:
-    """Breadth-first closure over edge states restricted to forward chain
-    moves: (u, v) in pair i steps to (v, w) in pair i+1 with w a common
-    neighbour.  Reachability is computed on the layered state DAG; each
-    reachable last-pair edge is then certified by recovering one concrete
-    square path by backtracking (classes are disjoint, so a recovered walk is
-    automatically vertex-distinct).
-
-    Returns the reachable last-pair edges and their fraction of that pair's
-    surviving edges.
-    """
-    ci, cj, li, lj = chain.locate_edge(*e)
-    if (ci, cj) != (0, 1):
-        raise ValueError("expansion starts from a first-pair edge")
-    k = chain.k
-    layers = _frontier_layers(chain, li, lj)
-    frontier = layers[-1]
-    total = chain.pair_edge_count(k - 2, k - 1)
-    reachable: list[tuple[int, int]] = []
-    certified = 0
-    discarded = 0
-    if frontier:  # empty when a frontier died before the last pair
-        bt = [chain.pair_T(i, i + 2) for i in range(k - 2)]
-        for w in sorted(frontier):
-            for v in bits(frontier[w]):
-                if _recover_backwards(chain, layers, bt, v, w) is not None:
-                    reachable.append(
-                        (chain.to_global(k - 2, v), chain.to_global(k - 1, w))
-                    )
-                    certified += 1
-                else:
-                    discarded += 1
-    fraction = len(reachable) / total if total else 0.0
-    return ExpansionResult(tuple(sorted(reachable)), fraction, certified, discarded)
-
-
-def _frontier_layers(chain: ChainPartition, li: int, lj: int) -> list[dict[int, int]]:
-    """Forward frontiers from the local first-pair edge (li, lj): layers[i]
-    maps v to the bitset of u whose state (u, v) at pair (i, i+1) is
-    reachable.  Stops after the first empty layer."""
-    frontier: dict[int, int] = {lj: 1 << li}
-    layers = [frontier]
-    for i in range(chain.k - 2):
-        B = chain.pair(i, i + 2)
-        A2 = chain.pair(i + 1, i + 2)
-        nxt: dict[int, int] = {}
-        for v, umask in frontier.items():
-            reach = 0
-            for u in bits(umask):
-                reach |= packed_to_int(B[u])
-            hits = packed_to_int(A2[v]) & reach
-            for w in bits(hits):
-                nxt[w] = nxt.get(w, 0) | (1 << v)
-        frontier = nxt
-        layers.append(frontier)
-        if not frontier:
-            break
-    return layers
-
-
-def _recover_backwards(chain, layers, bt, v, w) -> Optional[list[int]]:
-    """One concrete square path from the start edge to local state (v, w) at
-    the last pair; None only if backtracking fails (impossible for disjoint
-    classes, kept for interface honesty)."""
-    k = chain.k
-    seq_local = [w, v]  # built backwards
-    b, c = v, w  # state (b, c) at pair (layer, layer+1)
-    for layer in range(k - 2, 0, -1):
-        # predecessor states (a, b) live one layer down, keyed by b
-        umask = layers[layer - 1].get(b, 0)
-        cand = umask & packed_to_int(bt[layer - 1][c])
-        if not cand:
-            return None
-        a = (cand & -cand).bit_length() - 1
-        seq_local.append(a)
-        b, c = a, b
-    seq_local.reverse()
-    return [chain.to_global(idx, loc) for idx, loc in enumerate(seq_local)]
-
-
-def recover_square_path(chain: ChainPartition, e: tuple[int, int], target: tuple[int, int]):
-    """Concrete vertex-distinct square path from first-pair edge e to the
-    given last-pair target edge, or None when the target is unreachable."""
-    ci, cj, li, lj = chain.locate_edge(*e)
-    if (ci, cj) != (0, 1):
-        raise ValueError("expansion starts from a first-pair edge")
-    tci, tcj, tli, tlj = chain.locate_edge(*target)
-    if (tci, tcj) != (chain.k - 2, chain.k - 1):
-        raise ValueError("target must be a last-pair edge")
-    k = chain.k
-    layers = _frontier_layers(chain, li, lj)
-    if not (layers[-1].get(tlj, 0) >> tli) & 1:  # also when a frontier died
-        return None
-    bt = [chain.pair_T(i, i + 2) for i in range(k - 2)]
-    return _recover_backwards(chain, layers, bt, tli, tlj)
 
 
 # The float32 kernels work in blocks of at most this many entries (4 MB):
@@ -591,7 +438,25 @@ class ChainLayers:
         return list(zip(rows.tolist(), cols.tolist()))
 
     def expansion_fractions(self, sources: Sequence[tuple[int, int]]) -> list[float]:
-        """The good-edge kernel; see :func:`expansion_fractions`."""
+        """For each first-pair edge (a, b), in local ids, the fraction of
+        last-pair edges it reaches by forward square-walk moves: (u, v) in
+        pair (i, i+1) steps to (v, w) in pair (i+1, i+2) with w a common
+        neighbour.  Classes are disjoint, so every such walk is a square path.
+
+        A multi-source traversal in dense linear algebra.  The states of a
+        block of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in
+        V_i, v in V_{i+1}), and one layer is
+
+            R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
+
+        with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
+        (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
+        GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is
+        exact.  The first layer needs no product: a source (a, b) has one
+        state, so it reaches exactly the states (b, w) with w in N(a) & N(b),
+        and the kernel starts its GEMMs at the second layer (the multi-source
+        frontier start of Then et al., "The More the Merrier", PVLDB 2014).
+        """
         n0 = self.n0
         src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
         if src.size:
@@ -624,31 +489,6 @@ class ChainLayers:
                 state[...] = step.transpose(0, 2, 1)
             reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
         return [c / total for c in reached]
-
-
-def expansion_fractions(
-    chain: ChainPartition, sources: Sequence[tuple[int, int]]
-) -> list[float]:
-    """For each first-pair edge (a, b), in local ids, the fraction of
-    last-pair edges it reaches by forward square-walk moves: the value
-    ``edge_expansion`` reports, for many sources at once.
-
-    A multi-source traversal in dense linear algebra, run on the chain's
-    :class:`ChainLayers`.  The states of a block of S sources at pair
-    (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i, v in V_{i+1}), and one
-    layer is
-
-        R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
-
-    with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
-    (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
-    GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is exact.
-    The first layer needs no product: a source (a, b) has one state, so it
-    reaches exactly the states (b, w) with w in N(a) & N(b), and the kernel
-    starts its GEMMs at the second layer (the multi-source frontier start of
-    Then et al., "The More the Merrier", PVLDB 2014).
-    """
-    return ChainLayers.from_chain(chain).expansion_fractions(sources)
 
 
 def _dense(chain: ChainPartition, i: int, j: int) -> np.ndarray:

@@ -66,6 +66,8 @@ class PipelineParams:
     The partition always has ``r_min`` classes; ``r_max`` only has to be at
     least ``r_min``.  A window's search needs at least k0 - 2 expansions to
     reach its target edge, so ``window_node_budget`` must be at least k0 - 2.
+    ``good_threshold`` is a fraction in (0, 1], and ``reserve_fraction`` a
+    share of each class in [0, 1) (0 reserves ``epsilon``).
     """
 
     gamma: float = 3.0
@@ -90,6 +92,10 @@ class PipelineParams:
             raise ValueError(f"good_sample_limit must be >= 1, got {self.good_sample_limit}")
         if self.backtrack_budget < 0:
             raise ValueError(f"backtrack_budget must be >= 0, got {self.backtrack_budget}")
+        if not 0 <= self.reserve_fraction < 1:
+            raise ValueError(f"reserve_fraction must lie in [0, 1), got {self.reserve_fraction}")
+        if not 0 < self.good_threshold <= 1:
+            raise ValueError(f"good_threshold must lie in (0, 1], got {self.good_threshold}")
         k0 = self.k0
         if self.window_node_budget < k0 - 2:
             raise ValueError(

@@ -257,12 +257,12 @@ def _run_pair_test(
     reference_p: float,
     epsilon: float,
     sample_count: int,
-    seed_or_rng,
+    seed: int,
     one_sided: bool,
 ) -> RegularityReport:
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else rng_from(seed_or_rng)
+    rng = rng_from(seed)
     hit, samples = _sampled_test(
         counter,
         len(left_ids),

@@ -2,6 +2,9 @@
 
 The oracles deliberately share no code with the search implementations they
 check: plain prefix enumeration and triple loops, pruned only on adjacency.
+``oracle_expansion_fraction`` holds the good-edge kernel to the same
+standard: a walk over a Python set of edge states that reads the dense pairs
+entry by entry.
 
 The reference implementations at the end are the earlier Python-int bitset
 versions of ``gnp``, ``per_vertex_deletion``, the regularity tester's
@@ -16,7 +19,8 @@ density, is added on top of the bitset ``count``.
 The chain kernels after them -- triangle pruning, the two exact
 square-path counters and the property-(ii) check with its packed-matrix
 counter -- are the earlier per-row and per-state versions, kept verbatim
-for the same purpose against the dense matrix-product kernels.
+for the same purpose against the dense matrix-product kernels.  The
+transposed pairs they read come from a local ``_pair_T``.
 
 The embedder's window route at the very end -- each window a ``chain_view``
 of the pools, classified through the packed pairs of a ``ChainPartition``
@@ -41,7 +45,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from sqlab.bitops import bits, mask_of, packed_to_int, popcount_rows, unpack_packed_matrix
+from sqlab.bitops import (
+    bits,
+    mask_of,
+    pack_bool_matrix,
+    packed_to_int,
+    popcount_rows,
+    unpack_packed_matrix,
+)
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
 from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph
@@ -97,6 +108,20 @@ def oracle_triangle_total(g: Graph) -> int:
 
 def oracle_common_neighbors(g: Graph, u: int, v: int) -> set[int]:
     return {w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)}
+
+
+def oracle_expansion_fraction(chain: ChainPartition, a: int, b: int) -> float:
+    """Fraction of last-pair edges that the local first-pair edge (a, b)
+    reaches by forward square-walk moves, walking a Python set of edge states
+    over the dense pairs entry by entry."""
+    n0, k = chain.n0, chain.k
+    dense = {ij: unpack_packed_matrix(chain.pair(*ij), n0) for ij in chain.pair_indices()}
+    states = {(a, b)}
+    for i in range(k - 2):
+        B, A2 = dense[(i, i + 2)], dense[(i + 1, i + 2)]
+        states = {(v, w) for u, v in states for w in range(n0) if B[u, w] and A2[v, w]}
+    total = int(dense[(k - 2, k - 1)].sum())
+    return len(states) / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +335,11 @@ def reference_longest_square_path_exact(g: Graph, node_budget: int | None = None
 # per-row chain kernels
 
 
+def _pair_T(chain: ChainPartition, i: int, j: int) -> np.ndarray:
+    """Transposed packed adjacency of pair (i, j): rows indexed by class j."""
+    return pack_bool_matrix(unpack_packed_matrix(chain.pair(i, j), chain.n0).T)
+
+
 class ReferencePackedCounter:
     """Counter over a packed pair matrix restricted to row/col index lists."""
 
@@ -433,7 +463,6 @@ def reference_prune_to_gtilde(
                 row_bool[bad] = False
                 A[u] = np.packbits(row_bool, bitorder="little")
                 dropped += int(bad.size)
-        out._invalidate(i, i + 1)
         key = (i, i + 1)
         removed[key] = dropped
         fractions[key] = dropped / before if before else 0.0
@@ -464,7 +493,7 @@ def reference_check_gtilde_ii(
     out: dict[int, int] = {}
     for i in range(chain.k - 2):
         middle = i + 1
-        AT = chain.pair_T(i, middle)  # rows: middle locals, bits over class i
+        AT = _pair_T(chain, i, middle)  # rows: middle locals, bits over class i
         Bm = chain.pair(middle, i + 2)
         flank = chain.pair(i, i + 2)
         exceptions = 0
@@ -525,8 +554,8 @@ def reference_count_square_paths_between(
     for j in range(k - 2, t_f + 1, -1):
         # states (b, c) at pair (j, j+1) -> predecessors (a, b) at (j-1, j):
         # a adjacent to b (consecutive) and to c (distance 2)
-        AT = chain.pair_T(j - 1, j)
-        BT = chain.pair_T(j - 1, j + 1)
+        AT = _pair_T(chain, j - 1, j)
+        BT = _pair_T(chain, j - 1, j + 1)
         nxt: dict[tuple[int, int], int] = {}
         for (b, c), cnt in bwd.items():
             hits = packed_to_int(AT[b]) & packed_to_int(BT[c])
@@ -606,7 +635,7 @@ def reference_expansion_fractions(
 ) -> list[float]:
     """For each first-pair edge (a, b), in local ids, the fraction of
     last-pair edges it reaches by forward square-walk moves: the value
-    ``edge_expansion`` reports, for many sources at once.
+    ``oracle_expansion_fraction`` computes, for many sources at once.
 
     A multi-source traversal in dense linear algebra.  The states of a block
     of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in V_i,

@@ -7,6 +7,7 @@ import pytest
 from sqlab import blowup as bl
 from sqlab import graph
 from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
+from sqlab.squarewalk import is_square_path
 from oracles import reference_triangle_counts_of_pair
 
 
@@ -268,7 +269,6 @@ def test_check_ii_isolated_middle_vertex():
     B[5, :] = False
     ch._pairs[(0, 1)] = pack_bool_matrix(A)
     ch._pairs[(1, 2)] = pack_bool_matrix(B)
-    ch._pairs_T.clear()
     out = bl.check_gtilde_ii(ch, 0.2, 1.0, sample_count=10, seed=0)
     assert out[1] == 1
 
@@ -285,13 +285,12 @@ def test_check_ii_random_chain_within_budget():
 # -- edge expansion ----------------------------------------------------------------
 
 
+def kernel_fraction(chain, a, b):
+    return bl.ChainLayers.from_chain(chain).expansion_fractions([(a, b)])[0]
+
+
 def test_edge_expansion_complete_chain_full():
-    ch = complete_chain(6, 6)
-    e = (ch.to_global(0, 0), ch.to_global(1, 0))
-    res = bl.edge_expansion(ch, e)
-    assert res.fraction == 1.0
-    assert res.certified == len(res.reachable) == 36
-    assert res.discarded == 0
+    assert kernel_fraction(complete_chain(6, 6), 0, 0) == 1.0
 
 
 def test_edge_expansion_isolated_first_edge():
@@ -304,45 +303,34 @@ def test_edge_expansion_isolated_first_edge():
     C[0, 4:] = True
     ch._pairs[(0, 2)] = pack_bool_matrix(B)
     ch._pairs[(1, 2)] = pack_bool_matrix(C)
-    e = (ch.to_global(0, 0), ch.to_global(1, 0))
-    res = bl.edge_expansion(ch, e)
-    assert res.fraction == 0.0 and not res.reachable
+    assert kernel_fraction(ch, 0, 0) == 0.0
 
 
-def test_edge_expansion_shrinks_under_deletion():
-    ch = bl.build_chain_random(5, 60, 0.25, seed=17)
-    first = ch.pair_edges_local(0, 1)
-    if not first:
-        pytest.skip("no first-pair edge at this seed")
-    e = (ch.to_global(0, first[0][0]), ch.to_global(1, first[0][1]))
-    before = set(bl.edge_expansion(ch, e).reachable)
-    smaller = ch.copy()
-    last = unpack_packed_matrix(smaller.pair(3, 4), 60)
-    rows, cols = np.nonzero(last)
-    for idx in range(0, len(rows), 3):
-        last[rows[idx], cols[idx]] = False
-    smaller._pairs[(3, 4)] = pack_bool_matrix(last)
-    smaller._pairs_T.clear()
-    after = set(bl.edge_expansion(smaller, e).reachable)
-    assert after <= before
-
-
-def test_recover_square_path_is_valid():
-    ch = bl.build_chain_random(5, 30, 0.4, seed=19)
-    first = ch.pair_edges_local(0, 1)
-    e = (ch.to_global(0, first[0][0]), ch.to_global(1, first[0][1]))
-    res = bl.edge_expansion(ch, e)
-    if not res.reachable:
-        pytest.skip("edge does not expand at this seed")
-    target = res.reachable[0]
-    path = bl.recover_square_path(ch, e, target)
-    assert path is not None
-    assert path[0] == e[0] and path[1] == e[1]
-    assert (path[-2], path[-1]) == target
-    g = ch.graph()
-    from sqlab.squarewalk import is_square_path
-
-    assert is_square_path(g, path)
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("n0", [3, 4])
+@pytest.mark.parametrize("p0", [0.4, 0.7, 1.0])
+def test_expansion_counts_real_square_paths(k, n0, p0):
+    """A reached last-pair edge ends a real square path: brute force over
+    every one-vertex-per-class sequence, checked by is_square_path on the
+    chain as a graph."""
+    for seed in (1, 2, 3):
+        ch = bl.build_chain_random(k, n0, p0, seed)
+        g = graph.from_edges(
+            k * n0,
+            [
+                (ch.to_global(i, u), ch.to_global(j, v))
+                for i, j in ch.pair_indices()
+                for u, v in ch.pair_edges_local(i, j)
+            ],
+        )
+        total = ch.pair_edge_count(k - 2, k - 1)
+        for a, b in ch.pair_edges_local(0, 1):
+            ends = set()
+            for rest in itertools.product(range(n0), repeat=k - 2):
+                seq = (a, b, *rest)
+                if is_square_path(g, [ch.to_global(c, x) for c, x in enumerate(seq)]):
+                    ends.add(seq[-2:])
+            assert kernel_fraction(ch, a, b) == (len(ends) / total if total else 0.0)
 
 
 # -- path counting -----------------------------------------------------------------

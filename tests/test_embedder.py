@@ -9,6 +9,7 @@ from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
 from sqlab.regularity import EquitablePartition
 from sqlab.squarewalk import is_square_cycle
 from sqlab.util import rng_from
+from oracles import oracle_expansion_fraction
 
 # sha256 of EmbeddingTrace.to_json() for G(600, 0.7), graph seed 1, at
 # PipelineParams(epsilon=0.2, nu=0.3), as produced by the per-edge
@@ -21,13 +22,13 @@ PIPELINE_1200_TRACE_SHA256 = "49ae1d62abbbcd76bfe140aaea6e56246d2f08dccad8f2e128
 
 
 def reference_fractions(chain):
-    """Per-edge edge_expansion over every first-pair edge, row-major."""
+    """The set-walk oracle over every first-pair edge, row-major."""
     pairs = chain.pair_edges_local(0, 1)
-    fracs = [
-        bl.edge_expansion(chain, (chain.to_global(0, a), chain.to_global(1, b))).fraction
-        for a, b in pairs
-    ]
-    return pairs, fracs
+    return pairs, [oracle_expansion_fraction(chain, a, b) for a, b in pairs]
+
+
+def kernel_fractions(chain, sources):
+    return bl.ChainLayers.from_chain(chain).expansion_fractions(sources)
 
 
 # -- the batched kernel ---------------------------------------------------------
@@ -42,7 +43,7 @@ def test_kernel_matches_edge_expansion(k, n0, p0, seed):
     chain = bl.build_chain_random(k, n0, p0, seed)
     pairs, ref = reference_fractions(chain)
     assert pairs
-    assert bl.expansion_fractions(chain, pairs) == ref
+    assert kernel_fractions(chain, pairs) == ref
     if p0 < 0.3:
         assert 0.0 in ref and any(f > 0 for f in ref)  # some frontiers die
 
@@ -52,21 +53,19 @@ def test_kernel_spans_several_source_blocks(monkeypatch):
     pairs, ref = reference_fractions(chain)
     monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * 9 * 9)  # 4 sources per block
     assert len(pairs) > 4 and len(pairs) % 4
-    assert bl.expansion_fractions(chain, pairs) == ref
+    assert kernel_fractions(chain, pairs) == ref
 
 
 def test_kernel_edge_cases():
     chain = bl.build_chain_random(4, 6, 0.5, 5)
-    assert bl.expansion_fractions(chain, []) == []
+    assert kernel_fractions(chain, []) == []
     a, b = chain.pair_edges_local(0, 1)[0]
-    assert bl.expansion_fractions(chain, [(a, b), (a, b)]) == [
-        bl.edge_expansion(chain, (chain.to_global(0, a), chain.to_global(1, b))).fraction
-    ] * 2
+    assert kernel_fractions(chain, [(a, b), (a, b)]) == [oracle_expansion_fraction(chain, a, b)] * 2
     dense = unpack_packed_matrix(chain.pair(0, 1), 6)
     non_edge = tuple(int(x) for x in np.argwhere(~dense)[0])
     for bad in (non_edge, (6, 0), (-1, 0)):
         with pytest.raises(ValueError):
-            bl.expansion_fractions(chain, [bad])
+            kernel_fractions(chain, [bad])
 
 
 def test_classify_good_edges_matches_per_edge_reference():
@@ -76,11 +75,11 @@ def test_classify_good_edges_matches_per_edge_reference():
     assert len(pairs) > limit
     idx = rng_from(seed).choice(len(pairs), size=limit, replace=False)
     sampled = [pairs[int(i)] for i in sorted(idx)]
-    good = []
-    for a, b in sampled:
-        e = (window.to_global(0, a), window.to_global(1, b))
-        if bl.edge_expansion(window, e).fraction >= threshold:
-            good.append(e)
+    good = [
+        (window.to_global(0, a), window.to_global(1, b))
+        for a, b in sampled
+        if oracle_expansion_fraction(window, a, b) >= threshold
+    ]
     expected = embedder.GoodEdgeReport(tuple(good), len(good) / limit, limit)
     got = embedder.classify_good_edges(window, threshold, k0=5, sample_limit=limit, seed=seed)
     assert got == expected
@@ -193,6 +192,23 @@ def test_params_reject_invalid_limits(bad):
         embedder.PipelineParams(**bad)
     # the smallest valid value constructs
     assert getattr(embedder.PipelineParams(**{name: value + 1}), name) == value + 1
+
+
+@pytest.mark.parametrize(
+    "name, bad, ok",
+    [
+        ("reserve_fraction", 1.0, 0.99),
+        ("reserve_fraction", 1.5, 0.5),
+        ("reserve_fraction", -0.5, 0.0),
+        ("good_threshold", 0.0, 0.01),
+        ("good_threshold", -1.0, 1.0),
+        ("good_threshold", 1.5, 0.51),
+    ],
+)
+def test_params_reject_fractions_out_of_range(name, bad, ok):
+    with pytest.raises(ValueError, match=name):
+        embedder.PipelineParams(**{name: bad})
+    embedder.PipelineParams(**{name: ok})
 
 
 def test_embed_without_reduced_cycle_raises_value_error():

@@ -689,7 +689,7 @@ def test_layers_from_matrix_match_chain_view(k, n0, p):
     pairs = view.pair_edges_local(0, 1)
     want = reference_expansion_fractions(view, pairs)
     assert layers.expansion_fractions(pairs) == want
-    assert bl.expansion_fractions(view, pairs) == want
+    assert bl.ChainLayers.from_chain(view).expansion_fractions(pairs) == want
     for ci, cls in enumerate(classes):
         for li, v in enumerate(cls):
             assert layers.to_global(ci, li) == view.to_global(ci, li) == v
