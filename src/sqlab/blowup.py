@@ -35,6 +35,7 @@ import numpy as np
 
 from .bitops import pack_bool_matrix, popcount_rows, unpack_packed_matrix
 from .graph import Graph, to_matrix
+from .regularity import lower_regular_verdict
 from .util import rng_from
 
 
@@ -184,18 +185,18 @@ def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
 class PruneSchedule:
     """Named constants of the pruning analysis.
 
-    beta = (alpha/(4e))^3; delta_i = (eps_{i-1}/4)^4 / 2 and
-    eps_i = min(delta_i/4, eps_cor(beta, delta_i)) for i >= 1, with
-    eps_cor defaulting to delta/4 (the exact correlation threshold is not
-    constructive; the default is flagged in reports that use it).
+    beta = (alpha/(4e))^3; delta_i = (eps_{i-1}/4)^4 / 2 and eps_i =
+    delta_i / 4 for i >= 1.  The analysis takes eps_i = min(delta_i / 4,
+    eps_cor(beta, delta_i)) with eps_cor a correlation threshold that the
+    proof does not construct; delta_i / 4 stands in for it.
     m_i = ceil((1 - eps_i) n0^2 p0) is the per-pair edge yardstick, and a
     step is flagged when it removes more than 2 delta_i m_i edges.
 
     The values fall doubly exponentially: at epsilon_0 = 0.2, delta_3 is
-    about 2e-114 and delta_4 underflows to 0.0 (``underflows``).  The
-    default's strict decrease holds by construction then (eps_i = delta_i / 4,
-    and delta_{i+1} < eps_i whenever eps_i < 1), so ``build`` checks it on the
-    floats only where they carry it: a custom eps_cor, or no underflow.
+    about 2e-114 and delta_4 underflows to 0.0 (``underflows``).  Strict
+    decrease holds by construction then (delta_{i+1} < eps_i whenever
+    eps_i < 1), so ``build`` checks it on the floats only where they carry
+    it: when nothing underflows.
     """
 
     alpha: float
@@ -203,7 +204,6 @@ class PruneSchedule:
     delta: tuple[float, ...]  # delta[i-1] holds delta_i, i = 1..steps
     epsilon: tuple[float, ...]  # epsilon[i-1] holds eps_i
     m: tuple[int, ...]
-    eps_cor_is_default: bool = True
 
     @property
     def beta(self) -> float:
@@ -217,30 +217,19 @@ class PruneSchedule:
 
     @classmethod
     def build(
-        cls,
-        alpha: float,
-        epsilon_0: float,
-        steps: int,
-        n0: int,
-        p0: float,
-        eps_cor=None,
+        cls, alpha: float, epsilon_0: float, steps: int, n0: int, p0: float
     ) -> "PruneSchedule":
-        beta = (alpha / (4 * math.e)) ** 3
-        default = eps_cor is None
-        if eps_cor is None:
-            eps_cor = lambda beta_, delta_: delta_ / 4  # noqa: E731
         deltas, epsilons, ms = [], [], []
         prev_eps = epsilon_0
         for _ in range(steps):
             d = (prev_eps / 4) ** 4 / 2
-            e = min(d / 4, eps_cor(beta, d))
+            e = d / 4
             deltas.append(d)
             epsilons.append(e)
             ms.append(math.ceil((1 - e) * n0 * n0 * p0))
             prev_eps = e
-        sched = cls(alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms), default)
-        # a custom eps_cor that underflows is refused (0.0 > 0.0 is false)
-        if not default or not sched.underflows:
+        sched = cls(alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms))
+        if not sched.underflows:
             sched.check_decreasing()
         return sched
 
@@ -339,8 +328,6 @@ def check_gtilde_ii(
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
     either a hard size violation or a replayable density witness.
     """
-    from .regularity import lower_regular_verdict
-
     rng = rng_from(seed)
     n0 = chain.n0
     lo = (1 - epsilon) * n0 * reference_p

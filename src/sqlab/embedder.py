@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -50,70 +50,51 @@ if TYPE_CHECKING:
     from .blowup import ChainPartition
 
 
-def k0_from_gamma(gamma: float) -> int:
-    return math.ceil(3.0 / gamma) + 4
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class PipelineParams:
-    """Named constants of the embedding pipeline.
+    """Configuration of the embedding pipeline: two settable values and a set
+    of class constants.
 
-    k0 is derived from gamma; window lengths stay in [k0, 2k0].  The dense
-    surrogate regime treats gamma as a free knob (larger gamma means shorter
-    windows), since the asymptotic density relation p = n^(gamma-1)/2 is not
-    meaningful at desk scale.
+    The settable values are the slacks the paper's statement depends on: the
+    regularity ``epsilon`` and ``nu``, how far the minimum degree sits above
+    ``mu`` n p.  ``epsilon`` must lie in (0, 1) and below ``nu``; it is also
+    the share of each class held in reserve for the closing phase
+    (``reserve_fraction``).  Arguments are keyword-only.
 
-    The partition always has ``r_min`` classes; ``r_max`` only has to be at
-    least ``r_min``.  A window's search needs at least k0 - 2 expansions to
-    reach its target edge, so ``window_node_budget`` must be at least k0 - 2.
-    ``good_threshold`` is a fraction in (0, 1], and ``reserve_fraction`` a
-    share of each class in [0, 1) (0 reserves ``epsilon``).
+    Everything else is a class constant.  Window lengths stay in [k0, 2 k0],
+    with k0 derived from ``gamma``: the dense surrogate regime treats gamma
+    as fixed (larger gamma means shorter windows), since the asymptotic
+    density relation p = n^(gamma-1)/2 is not meaningful at desk scale.  The
+    partition has ``r_min`` = ``r_max`` = 3 k0 classes.  An experiment varies
+    a constant by patching the class attribute (pytest's
+    ``monkeypatch.setattr(PipelineParams, "window_node_budget", ...)``); k0,
+    r_min and r_max are computed once, so patching gamma moves none of them.
     """
 
-    gamma: float = 3.0
+    gamma: ClassVar[float] = 3.0
+    k0: ClassVar[int] = math.ceil(3.0 / gamma) + 4
+    alpha: ClassVar[float] = 0.1
+    mu: ClassVar[float] = 2.0 / 3.0
+    r_min: ClassVar[int] = 3 * k0
+    r_max: ClassVar[int] = r_min
+    good_threshold: ClassVar[float] = 0.51
+    good_sample_limit: ClassVar[int] = 64
+    # a window's search needs at least k0 - 2 expansions to reach its target
+    window_node_budget: ClassVar[int] = 4000
+    backtrack_budget: ClassVar[int] = 60
+
     nu: float = 0.1
-    alpha: float = 0.1
     epsilon: float = 0.075
-    mu: float = 2.0 / 3.0
-    r_min: int = 0  # 0 -> 3 k0
-    r_max: int = 0  # 0 -> r_min
-    good_threshold: float = 0.51
-    reserve_fraction: float = 0.0  # 0 -> epsilon
-    good_sample_limit: int = 64
-    window_node_budget: int = 4000
-    backtrack_budget: int = 60
 
     def __post_init__(self):
-        if not 0 < self.epsilon < self.nu:
-            raise ValueError("need 0 < epsilon < nu")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.good_sample_limit < 1:
-            raise ValueError(f"good_sample_limit must be >= 1, got {self.good_sample_limit}")
-        if self.backtrack_budget < 0:
-            raise ValueError(f"backtrack_budget must be >= 0, got {self.backtrack_budget}")
-        if not 0 <= self.reserve_fraction < 1:
-            raise ValueError(f"reserve_fraction must lie in [0, 1), got {self.reserve_fraction}")
-        if not 0 < self.good_threshold <= 1:
-            raise ValueError(f"good_threshold must lie in (0, 1], got {self.good_threshold}")
-        k0 = self.k0
-        if self.window_node_budget < k0 - 2:
+        if not 0 < self.epsilon < min(1.0, self.nu):
             raise ValueError(
-                f"window_node_budget must be >= k0 - 2 = {k0 - 2}, got {self.window_node_budget}"
+                f"need 0 < epsilon < min(1, nu), got epsilon={self.epsilon}, nu={self.nu}"
             )
-        rmin = self.r_min or 3 * k0
-        if rmin < 3 * k0:
-            raise ValueError(f"r_min {rmin} below 3 k0 = {3 * k0}")
-        object.__setattr__(self, "r_min", rmin)
-        object.__setattr__(self, "r_max", self.r_max or rmin)
-        if self.r_min > self.r_max:
-            raise ValueError("r_min exceeds r_max")
-        if self.reserve_fraction == 0.0:
-            object.__setattr__(self, "reserve_fraction", self.epsilon)
 
     @property
-    def k0(self) -> int:
-        return k0_from_gamma(self.gamma)
+    def reserve_fraction(self) -> float:
+        return self.epsilon
 
     def to_json_dict(self) -> dict:
         return {
@@ -167,18 +148,7 @@ class EmbeddingTrace:
                 "start_edge": list(self.start_edge) if self.start_edge else None,
                 "start_certified": self.start_certified,
                 "flags": self.flags,
-                "windows": [
-                    {
-                        "index": w.index,
-                        "start_class": w.start_class,
-                        "length": w.length,
-                        "good_fraction": w.good_fraction,
-                        "chosen_edge": list(w.chosen_edge) if w.chosen_edge else None,
-                        "path_length": w.path_length,
-                        "closing": w.closing,
-                    }
-                    for w in self.windows
-                ],
+                "windows": [asdict(w) for w in self.windows],
                 "vertices": list(
                     self.cycle.vertices
                     if self.cycle is not None
@@ -230,7 +200,6 @@ class GoodEdgeReport:
 def classify_good_edges(
     window: ChainPartition,
     threshold: float,
-    k0: int | None = None,
     sample_limit: int = 200,
     seed: int = 0,
 ) -> GoodEdgeReport:
@@ -240,8 +209,6 @@ def classify_good_edges(
     At most ``sample_limit`` first-pair edges are classified (seeded sample);
     the good fraction reported is over the sampled edges.
     """
-    if k0 is not None and not k0 <= window.k <= 2 * k0:
-        raise ValueError(f"window length {window.k} outside [{k0}, {2 * k0}]")
     return _classify(ChainLayers.from_chain(window), threshold, sample_limit, rng_from(seed))
 
 
@@ -291,10 +258,7 @@ class _EmbedState:
         self.closing = False
 
     def pool_size(self, pos: int) -> int:
-        m = self.pool_mask[pos % self.r]
-        if self.closing:
-            m |= self.reserve_mask[pos % self.r]
-        return m.bit_count()
+        return self.available_mask(pos).bit_count()
 
     def available_mask(self, pos: int) -> int:
         m = self.pool_mask[pos % self.r]

@@ -318,7 +318,7 @@ def test_regular(
         counter,
         pair.left,
         pair.right,
-        pair.density() if pair.graph is g else density(g, pair.left, pair.right),
+        Fraction(counter.edge_count(), len(pair.left) * len(pair.right)),
         reference_p,
         epsilon,
         sample_count,
@@ -341,7 +341,7 @@ def test_lower_regular(
         counter,
         pair.left,
         pair.right,
-        pair.density() if pair.graph is g else density(g, pair.left, pair.right),
+        Fraction(counter.edge_count(), len(pair.left) * len(pair.right)),
         reference_p,
         epsilon,
         sample_count,

@@ -143,14 +143,6 @@ def test_prune_schedule_formulas():
     assert all(a > b for a, b in zip(seq, seq[1:]))
 
 
-def test_prune_schedule_custom_eps_cor():
-    sched = bl.PruneSchedule.build(
-        0.4, 0.2, 2, 100, 0.5, eps_cor=lambda beta, d: d / 8
-    )
-    assert not sched.eps_cor_is_default
-    assert sched.epsilon[0] == pytest.approx(sched.delta[0] / 8)
-
-
 def direct_schedule(epsilon_0, steps, n0, p0):
     """(delta, epsilon, m) by the plain float recursion with eps_i = delta_i / 4."""
     deltas, epsilons, ms = [], [], []
@@ -191,11 +183,6 @@ def test_prune_default_schedule_still_refuses_a_rising_one():
     # for epsilon_0 >= 8, delta_1 = (epsilon_0 / 4)^4 / 2 is not below it
     with pytest.raises(ValueError, match="strictly decreasing"):
         bl.PruneSchedule.build(0.1, 10.0, 2, 100, 0.5)
-
-
-def test_prune_schedule_custom_eps_cor_refused_once_it_underflows():
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        bl.PruneSchedule.build(0.4, 0.2, 5, 100, 0.5, eps_cor=lambda beta, d: d / 8)
 
 
 # -- pruning -------------------------------------------------------------------

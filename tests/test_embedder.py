@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -39,7 +40,7 @@ def kernel_fractions(chain, sources):
     [(3, 12, 0.5, 1), (8, 10, 0.6, 2), (6, 12, 0.25, 3)],
     ids=["k3", "k8", "sparse"],
 )
-def test_kernel_matches_edge_expansion(k, n0, p0, seed):
+def test_kernel_matches_set_walk_oracle(k, n0, p0, seed):
     chain = bl.build_chain_random(k, n0, p0, seed)
     pairs, ref = reference_fractions(chain)
     assert pairs
@@ -81,7 +82,7 @@ def test_classify_good_edges_matches_per_edge_reference():
         if oracle_expansion_fraction(window, a, b) >= threshold
     ]
     expected = embedder.GoodEdgeReport(tuple(good), len(good) / limit, limit)
-    got = embedder.classify_good_edges(window, threshold, k0=5, sample_limit=limit, seed=seed)
+    got = embedder.classify_good_edges(window, threshold, sample_limit=limit, seed=seed)
     assert got == expected
     assert 0 < len(good) < limit
 
@@ -178,37 +179,60 @@ def test_pipeline_1200_closes():
     assert tr.closing_status == "closed"
 
 
-K0 = embedder.PipelineParams().k0
+REMOVED_PARAMS = [
+    "gamma", "alpha", "mu", "r_min", "r_max", "good_threshold", "reserve_fraction",
+    "good_sample_limit", "window_node_budget", "backtrack_budget",
+]
+
+
+def test_params_settable_values_are_epsilon_and_nu():
+    assert [f.name for f in dataclasses.fields(embedder.PipelineParams)] == ["nu", "epsilon"]
+
+
+@pytest.mark.parametrize("name", REMOVED_PARAMS)
+def test_params_refuse_removed_fields(name):
+    with pytest.raises(TypeError, match=name):
+        embedder.PipelineParams(**{name: getattr(embedder.PipelineParams, name)})
+
+
+def test_params_refuse_positional_arguments():
+    # keyword-only, so a positional value cannot land in the wrong field
+    with pytest.raises(TypeError):
+        embedder.PipelineParams(3.0)
+    with pytest.raises(TypeError):
+        embedder.PipelineParams(0.3, 0.2)
+
+
+def test_params_constants_within_limits():
+    P = embedder.PipelineParams
+    assert P.k0 == 5
+    assert P.window_node_budget >= P.k0 - 2
+    assert 0 < P.good_threshold <= 1
+    assert P.good_sample_limit >= 1
+    assert P.backtrack_budget >= 0
+    assert P.r_max == P.r_min == 3 * P.k0
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [{"good_sample_limit": 0}, {"window_node_budget": K0 - 3}, {"backtrack_budget": -1}],
-    ids=["good_sample_limit", "window_node_budget", "backtrack_budget"],
+    "epsilon, nu", [(0, 0.3), (0.3, 0.3), (1.0, 2.0), (1.5, 2.0)],
+    ids=["zero", "equals-nu", "one", "above-one"],
 )
-def test_params_reject_invalid_limits(bad):
-    (name, value), = bad.items()
-    with pytest.raises(ValueError, match=name):
-        embedder.PipelineParams(**bad)
-    # the smallest valid value constructs
-    assert getattr(embedder.PipelineParams(**{name: value + 1}), name) == value + 1
+def test_params_reject_epsilon_out_of_range(epsilon, nu):
+    # epsilon is also the reserve share of each class, so it must stay below 1
+    # even when nu allows more
+    with pytest.raises(ValueError, match="epsilon"):
+        embedder.PipelineParams(epsilon=epsilon, nu=nu)
 
 
-@pytest.mark.parametrize(
-    "name, bad, ok",
-    [
-        ("reserve_fraction", 1.0, 0.99),
-        ("reserve_fraction", 1.5, 0.5),
-        ("reserve_fraction", -0.5, 0.0),
-        ("good_threshold", 0.0, 0.01),
-        ("good_threshold", -1.0, 1.0),
-        ("good_threshold", 1.5, 0.51),
-    ],
-)
-def test_params_reject_fractions_out_of_range(name, bad, ok):
-    with pytest.raises(ValueError, match=name):
-        embedder.PipelineParams(**{name: bad})
-    embedder.PipelineParams(**{name: ok})
+def test_params_to_json_dict_unchanged():
+    default = {
+        "gamma": 3.0, "nu": 0.1, "alpha": 0.1, "epsilon": 0.075, "mu": 2.0 / 3.0, "k0": 5,
+        "r_min": 15, "r_max": 15, "good_threshold": 0.51, "reserve_fraction": 0.075,
+    }
+    assert embedder.PipelineParams().to_json_dict() == default
+    assert embedder.PipelineParams(epsilon=0.2, nu=0.3).to_json_dict() == {
+        **default, "nu": 0.3, "epsilon": 0.2, "reserve_fraction": 0.2,
+    }
 
 
 def test_embed_without_reduced_cycle_raises_value_error():

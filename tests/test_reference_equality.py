@@ -10,7 +10,6 @@ the same results in the same node counts, and the embedder's window and
 join searches call by call inside whole pipeline runs."""
 
 import copy
-import dataclasses
 import math
 
 import numpy as np
@@ -387,8 +386,9 @@ def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
         h, pr, cyc, tr = run_pipeline(600, 0.7, seed)
         params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
         for budget in (3, 4):
-            tight = dataclasses.replace(params, window_node_budget=budget)
-            embedder.embed_square_cycle(h, pr.partition, cyc, tight, seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(embedder.PipelineParams, "window_node_budget", budget)
+                embedder.embed_square_cycle(h, pr.partition, cyc, params, seed)
     assert calls["dfs"] and calls["join"]
     assert any(exhausted) and not all(exhausted)
 
