@@ -179,17 +179,17 @@ def test_pipeline_1200_closes():
     assert tr.closing_status == "closed"
 
 
-REMOVED_PARAMS = [
-    "gamma", "alpha", "mu", "r_min", "r_max", "good_threshold", "reserve_fraction",
-    "good_sample_limit", "window_node_budget", "backtrack_budget",
-]
-
-
 def test_params_settable_values_are_epsilon_and_nu():
     assert [f.name for f in dataclasses.fields(embedder.PipelineParams)] == ["nu", "epsilon"]
 
 
-@pytest.mark.parametrize("name", REMOVED_PARAMS)
+@pytest.mark.parametrize(
+    "name",
+    [
+        "gamma", "alpha", "mu", "r_min", "r_max", "good_threshold", "reserve_fraction",
+        "good_sample_limit", "window_node_budget", "backtrack_budget",
+    ],
+)
 def test_params_refuse_removed_fields(name):
     with pytest.raises(TypeError, match=name):
         embedder.PipelineParams(**{name: getattr(embedder.PipelineParams, name)})
