@@ -1,11 +1,11 @@
 """Density and sampled regularity testing for bipartite pairs.
 
 Exact epsilon-regularity quantifies over all large subset pairs and is out
-of computational reach, so the testers here are one-sided randomised checks:
-
-* a "violated" verdict is a proof -- it carries a witness subset pair whose
-  density deviation is recomputed exactly and can be replayed;
-* "no-violation-found" is statistical evidence only.
+of computational reach, so the tests here are randomised: "violated" is a
+proof, "no-violation-found" statistical evidence only.  The two-sided
+``test_regular`` returns a report whose "violated" carries a witness subset
+pair that ``replay_witness`` recomputes exactly; the one-sided
+``lower_regular_verdict`` returns the verdict string alone, with no witness.
 
 Each test draws seeded subset pairs of the exact floor sizes.  Two proposal
 families alternate: plain uniform subsets, and pivot proposals that sample
@@ -66,13 +66,6 @@ class BipartitePairView:
         for v in self.left + self.right:
             self.graph.check_vertex(v)
 
-    def edge_count(self) -> int:
-        right_mask = mask_of(self.right)
-        return sum((self.graph.adjacency[u] & right_mask).bit_count() for u in self.left)
-
-    def density(self) -> Fraction:
-        return Fraction(self.edge_count(), len(self.left) * len(self.right))
-
 
 def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
     """Edge density e(A, B) / (|A| |B|) of two disjoint nonempty sets."""
@@ -81,6 +74,8 @@ def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
         raise ValueError("density needs nonempty sets")
     if set(a) & set(b):
         raise ValueError("density sets must be disjoint")
+    for v in a + b:
+        g.check_vertex(v)
     mask_b = mask_of(b)
     e = sum((g.adjacency[u] & mask_b).bit_count() for u in a)
     return Fraction(e, len(a) * len(b))
@@ -106,7 +101,6 @@ class RegularityReport:
     verdict: str  # "violated" | "no-violation-found"
     witness: Optional[Witness]
     samples: int
-    one_sided: bool = False
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -116,7 +110,6 @@ class RegularityReport:
             "epsilon": self.epsilon,
             "verdict": self.verdict,
             "samples": self.samples,
-            "one_sided": self.one_sided,
         }
         if self.witness is not None:
             doc["witness"] = {
@@ -138,10 +131,7 @@ def replay_witness(g: Graph, report: RegularityReport) -> bool:
     w = report.witness
     if w is None:
         return False
-    observed = density(g, w.left, w.right)
-    if report.one_sided:
-        return float(observed) < (1 - report.epsilon) * report.reference_p
-    dev = abs(float(observed - report.density))
+    dev = abs(float(density(g, w.left, w.right) - report.density))
     return dev > report.epsilon * report.reference_p
 
 
@@ -189,13 +179,15 @@ def _sampled_test(
     rng,
     one_sided: bool,
 ):
-    """Shared loop; returns (witness-or-None, samples-run).
+    """Shared loop; returns (hit-or-None, samples-run).
 
-    The violation rule is  dev > FLAG_SLACK * eps * reference_p  (two-sided,
-    against the pair density) or  observed < (1 - FLAG_SLACK*eps) * p
+    A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
+    (two-sided, d the pair density) or  observed < (1 - FLAG_SLACK*eps) * p
     (one-sided).  The first violating sample wins, so reports are
     order-deterministic.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     su = max(1, int(np.ceil(epsilon * nl)))
     sw = max(1, int(np.ceil(epsilon * nr)))
     su = min(su, nl)
@@ -240,67 +232,59 @@ def _sampled_test(
         observed = e / denom
         if one_sided:
             bad = observed < (1 - FLAG_SLACK * epsilon) * reference_p
-            dev = (1 - epsilon) * reference_p - observed
         else:
-            dev = abs(observed - pair_density)
-            bad = dev > FLAG_SLACK * epsilon * reference_p
+            bad = abs(observed - pair_density) > FLAG_SLACK * epsilon * reference_p
         if bad:
-            return (li, ri, Fraction(e, denom), dev, pivot, idx), idx + 1
+            return (li, ri, Fraction(e, denom), pivot, idx), idx + 1
     return None, sample_count
 
 
-def _run_pair_test(
+def _pair_report(
     counter,
-    left_ids: Sequence[int],
-    right_ids: Sequence[int],
+    left: Sequence[int],
+    right: Sequence[int],
     pair_density: Fraction,
     reference_p: float,
     epsilon: float,
     sample_count: int,
     seed: int,
-    one_sided: bool,
 ) -> RegularityReport:
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = rng_from(seed)
+    """Two-sided test of one pair; the witness names graph vertex ids."""
     hit, samples = _sampled_test(
         counter,
-        len(left_ids),
-        len(right_ids),
+        len(left),
+        len(right),
         float(pair_density),
         reference_p,
         epsilon,
         sample_count,
-        rng,
-        one_sided,
+        rng_from(seed),
+        one_sided=False,
     )
     witness = None
-    verdict = "no-violation-found"
     if hit is not None:
-        li, ri, observed, dev, pivot, idx = hit
+        li, ri, observed, pivot, idx = hit
         pivot_id = None
         if pivot is not None:
             side, pos = pivot
-            pivot_id = right_ids[pos] if side == "right" else left_ids[pos]
+            pivot_id = right[pos] if side == "right" else left[pos]
         witness = Witness(
-            tuple(sorted(left_ids[i] for i in li)),
-            tuple(sorted(right_ids[j] for j in ri)),
+            tuple(sorted(left[i] for i in li)),
+            tuple(sorted(right[j] for j in ri)),
             observed,
-            dev,
+            abs(float(observed) - float(pair_density)),
             pivot_id,
             idx,
         )
-        verdict = "violated"
     return RegularityReport(
-        tuple(left_ids),
-        tuple(right_ids),
+        tuple(left),
+        tuple(right),
         pair_density,
         reference_p,
         epsilon,
-        verdict,
+        "violated" if witness is not None else "no-violation-found",
         witness,
         samples,
-        one_sided,
     )
 
 
@@ -314,7 +298,7 @@ def test_regular(
 ) -> RegularityReport:
     """Sampled two-sided regularity test at subset floor ceil(eps * side)."""
     counter = _GraphCounter(g, pair.left, pair.right)
-    return _run_pair_test(
+    return _pair_report(
         counter,
         pair.left,
         pair.right,
@@ -323,30 +307,6 @@ def test_regular(
         epsilon,
         sample_count,
         seed,
-        one_sided=False,
-    )
-
-
-def test_lower_regular(
-    g: Graph,
-    pair: BipartitePairView,
-    reference_p: float,
-    epsilon: float,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> RegularityReport:
-    """One-sided variant: violation = sampled density below (1 - eps) p."""
-    counter = _GraphCounter(g, pair.left, pair.right)
-    return _run_pair_test(
-        counter,
-        pair.left,
-        pair.right,
-        Fraction(counter.edge_count(), len(pair.left) * len(pair.right)),
-        reference_p,
-        epsilon,
-        sample_count,
-        seed,
-        one_sided=True,
     )
 
 
@@ -358,9 +318,9 @@ def lower_regular_verdict(
     rng,
 ) -> str:
     """Lower-regularity verdict for a dense boolean pair matrix, such as the
-    sub-pair of a chain pair induced by two neighbourhoods.  Returns the
-    verdict string only; used by the per-vertex neighbourhood checks where
-    full reports would be wasteful."""
+    sub-pair of a chain pair induced by two neighbourhoods: the one-sided
+    test's only entry point.  Returns the verdict string alone; it carries
+    no witness, so it cannot be replayed."""
     if not m.size:
         return "violated" if reference_p > 0 else "no-violation-found"
     counter = _MatrixCounter(m)
@@ -487,7 +447,7 @@ def partition_heuristic(
                 d = Fraction(counter.edge_count(), ntilde * ntilde)
                 if float(d) < alpha * reference_p:
                     continue
-                rep = _run_pair_test(
+                rep = _pair_report(
                     counter,
                     classes[i],
                     classes[j],
@@ -496,7 +456,6 @@ def partition_heuristic(
                     epsilon,
                     sample_count,
                     trial_seed(seed, i * r + j),
-                    one_sided=False,
                 )
                 reports[(i, j)] = rep
                 if rep.verdict == "no-violation-found":

@@ -20,6 +20,9 @@ PIPELINE_600_TRACE_SHA256 = "e25f4558593cde3590aa52aa372b876d50a4f693cd2cb0a71f2
 # produced by windows built as chain views: at the benchmark's size the
 # windows subsample unequal pools, which the 600-vertex run never does
 PIPELINE_1200_TRACE_SHA256 = "49ae1d62abbbcd76bfe140aaea6e56246d2f08dccad8f2e12809860131a34dca"
+# the same for G(240, 0.95), graph seed 1, which closes at 195/240 through the
+# early join: the pools thin below 4 at path length 188, inside a short lap
+PIPELINE_240_TRACE_SHA256 = "637ffcf83d40ae5bd21dd51d5419d58774e91b6b7dbeab4c8b8558704a28d018"
 
 
 def reference_fractions(chain):
@@ -171,12 +174,30 @@ def test_pipeline_1200_trace_unchanged():
     strict=True,
     raises=AssertionError,
     reason="closing re-grows the same window until backtrack_budget runs out "
-    "and ends open-path at 1120/1200 (ROADMAP item 3)",
+    "and ends open-path at 1120/1200 (ROADMAP item 5)",
 )
 def test_pipeline_1200_closes():
     # the benchmark's resilience op pipeline-2: G(1200, 0.6), graph seed 2
     *_, tr = run_pipeline(1200, 0.6, 2)
     assert tr.closing_status == "closed"
+
+
+def test_pipeline_240_closes_through_the_early_join(monkeypatch):
+    # the only run known to reach the join taken while closing, inside a short
+    # lap, once some pool holds fewer than 4 vertices
+    seen = []
+    wind = embedder._can_wind_generously
+
+    def spy(st):
+        seen.append((len(st.path), wind(st)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(embedder, "_can_wind_generously", spy)
+    h, _, _, tr = run_pipeline(240, 0.95, 1)
+    assert [length for length, ok in seen if not ok] == [188]
+    assert (tr.closing_status, tr.final_length) == ("closed", 195)
+    assert is_square_cycle(h, tr.cycle.vertices)
+    assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_240_TRACE_SHA256
 
 
 def test_params_settable_values_are_epsilon_and_nu():

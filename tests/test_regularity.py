@@ -30,6 +30,11 @@ def complete_bipartite(nl, nr):
     return g, reg.BipartitePairView(g, tuple(range(nl)), tuple(range(nl, nl + nr)))
 
 
+def pair_matrix(g, pair):
+    """The dense |L| x |R| boolean matrix of a pair."""
+    return graph.to_matrix(g, pair.left)[:, list(pair.right)]
+
+
 # -- density -----------------------------------------------------------------
 
 
@@ -55,10 +60,10 @@ def test_density_gnp_concentrates():
 
 def test_density_rejects_bad_sets():
     g = graph.complete(6)
-    with pytest.raises(ValueError):
-        reg.density(g, [], [1, 2])
-    with pytest.raises(ValueError):
-        reg.density(g, [1, 2], [2, 3])
+    # a negative id would index adjacency rows from the end: [-1] is vertex 5
+    for a, b in [([], [1, 2]), ([1, 2], [2, 3]), ([-1], [0]), ([0], [-2, 1]), ([6], [0]), ([0], [1, 6])]:
+        with pytest.raises(ValueError):
+            reg.density(g, a, b)
 
 
 def test_pair_view_rejects_overlap():
@@ -118,6 +123,7 @@ def test_report_json_fractions():
     doc = rep.to_json_dict()
     assert doc["density"] == [1, 2]
     assert doc["witness"]["observed"][1] > 0
+    assert "one_sided" not in doc
 
 
 # -- one-sided tester ----------------------------------------------------------
@@ -125,26 +131,41 @@ def test_report_json_fractions():
 
 def test_lower_regular_complete():
     g, pair = complete_bipartite(30, 30)
-    rep = reg.test_lower_regular(g, pair, 1.0, 0.2, 100, seed=3)
-    assert rep.verdict == "no-violation-found"
+    verdict = reg.lower_regular_verdict(pair_matrix(g, pair), 1.0, 0.2, 100, rng_from(3))
+    assert verdict == "no-violation-found"
 
 
 def test_lower_regular_edgeless_first_sample():
     g = graph.empty(20)
     pair = reg.BipartitePairView(g, tuple(range(10)), tuple(range(10, 20)))
-    rep = reg.test_lower_regular(g, pair, 0.5, 0.3, 50, seed=1)
-    assert rep.verdict == "violated"
-    assert rep.witness.sample_index == 0
+    rng = rng_from(1)
+    assert reg.lower_regular_verdict(pair_matrix(g, pair), 0.5, 0.3, 50, rng) == "violated"
+    # the first sample is a uniform one, drawn as two choices of ceil(0.3 * 10)
+    # positions; the verdict must stop right after it
+    twin = rng_from(1)
+    twin.choice(10, size=3, replace=False)
+    twin.choice(10, size=3, replace=False)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_regular_pass_implies_lower_pass_same_seed():
     g, pair = bipartite_random(150, 150, 0.4, seed=11)
-    d = float(pair.density())
+    d = float(reg.density(g, pair.left, pair.right))
     for seed in range(5):
         two = reg.test_regular(g, pair, d, 0.15, 120, seed=seed)
-        one = reg.test_lower_regular(g, pair, d, 0.15, 120, seed=seed)
+        one = reg.lower_regular_verdict(pair_matrix(g, pair), d, 0.15, 120, rng_from(seed))
         if two.verdict == "no-violation-found":
-            assert one.verdict == "no-violation-found"
+            assert one == "no-violation-found"
+
+
+def test_sample_count_zero_refused():
+    # with no sample drawn nothing is checked, and an edgeless pair would
+    # pass as "no-violation-found"
+    with pytest.raises(ValueError):
+        reg.lower_regular_verdict(np.zeros((5, 5), dtype=bool), 0.5, 0.2, 0, rng_from(0))
+    g, pair = complete_bipartite(10, 10)
+    with pytest.raises(ValueError):
+        reg.test_regular(g, pair, 1.0, 0.2, 0)
 
 
 def test_small_deletion_keeps_regularity():
@@ -157,7 +178,8 @@ def test_small_deletion_keeps_regularity():
         drop = rng_from(seed).choice(len(edges), size=int(eps**4 * len(edges)), replace=False)
         out = g.without_edges([edges[i] for i in drop])
         kept = reg.BipartitePairView(out, pair.left, pair.right)
-        rep = reg.test_regular(out, kept, float(kept.density()), 2 * eps, 100, seed)
+        d = float(reg.density(out, kept.left, kept.right))
+        rep = reg.test_regular(out, kept, d, 2 * eps, 100, seed)
         assert rep.verdict == "no-violation-found"
 
 
