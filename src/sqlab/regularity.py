@@ -26,11 +26,19 @@ sample_count = 200, true random pairs of density 0.7 are flagged in 20 of
 400.  The false-violation rate falls below the percent level only once
 classes hold several hundred vertices.
 
-Graph pairs are tested on their dense |L| x |R| boolean matrix, sliced once
-per test: a sample's edge count is one fancy-indexed sum and a pivot's
-neighbourhood is the nonzero positions of one row or column.
-``partition_heuristic`` takes each pair's density from the same matrix
-before testing it.
+One sampling loop tests any number of pairs of vertex classes at once.  At
+each sample index the uniform subsets are drawn once per class, and a pivot
+proposal draws one pivot per class; each pair then draws its own subset of
+its pivot's neighbourhood, and each pivot class one uniform subset that
+excludes the pivot.  Each pair's samples keep the distribution of a test of
+that pair alone; only pairs that share a class are correlated, through that
+class's subsets and pivot.  A single pair, as ``test_regular`` and
+``lower_regular_verdict`` test it, is read from its dense |L| x |R| boolean
+matrix and gets exactly the rng calls of a test of that pair alone.
+``partition_heuristic`` tests all its dense pairs in one run from the packed
+adjacency rows of the class vertices (n^2 / 8 bytes): every pair's density
+comes from them, and the samples of all pairs at one index are counted with
+one ``np.bitwise_count``.
 """
 
 from __future__ import annotations
@@ -43,8 +51,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bitops import mask_of
-from .graph import Graph, to_matrix
-from .util import rng_from, trial_seed
+from .graph import Graph, to_matrix, to_packed
+from .util import rng_from
 
 FLAG_SLACK = 1.4
 
@@ -139,128 +147,177 @@ def replay_witness(g: Graph, report: RegularityReport) -> bool:
 # the shared sampling core
 #
 # An edge counter abstracts the adjacency source so the same tester runs on
-# Graph pairs and on dense sub-pairs of chain pair matrices.
+# one dense pair matrix (a Graph pair or a sub-pair of a chain pair matrix)
+# and on all the pairs of an equitable partition at once.
 
 
 class _MatrixCounter:
-    """Counter over a dense boolean pair matrix (rows left, columns right)."""
+    """Counter over a dense boolean pair matrix: class 0 is its rows, class 1
+    its columns, and (0, 1) the one pair."""
 
     def __init__(self, m: np.ndarray):
-        self.m = m
+        # a column-sliced matrix comes out in Fortran order, where take on
+        # rows is many times slower
+        self.m = np.ascontiguousarray(m)
 
-    def edge_count(self) -> int:
-        return int(np.count_nonzero(self.m))
+    def neighbourhood(self, c: int, pos: int):
+        """Adjacency of position ``pos`` of class ``c``, indexed by class."""
+        return (self.m[:, pos], None) if c else (None, self.m[pos])
 
-    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
-        return int(np.count_nonzero(self.m[li[:, None], ri]))
-
-    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
-        return self.m[:, right_pos].nonzero()[0]
-
-    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
-        return self.m[left_pos].nonzero()[0]
+    def counts(self, pairs, subsets) -> list[int]:
+        # two takes are about twice as fast as one broadcast fancy index
+        return [
+            int(np.count_nonzero(self.m.take(li, axis=0).take(ri, axis=1)))
+            for li, ri in subsets
+        ]
 
 
-class _GraphCounter(_MatrixCounter):
-    """Counter over the dense |L| x |R| boolean matrix of a Graph pair."""
+class _GraphCounter:
+    """Counter over the equal-size classes of a Graph, read from the packed
+    adjacency rows of their vertices (n^2 / 8 bytes, never a dense matrix)."""
 
-    def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
-        super().__init__(to_matrix(g, left)[:, np.asarray(right, dtype=np.int64)])
+    def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
+        self.ids = np.array(classes, dtype=np.int64)
+        self.size = self.ids.shape[1]
+        # rows padded to 64-bit words: AND and popcount over words take about
+        # two thirds of the time they take over bytes
+        words = (g.n + 63) // 64
+        packed = to_packed(g, self.ids.ravel().tolist())
+        rows = np.zeros((packed.shape[0], 8 * words), dtype=np.uint8)
+        rows[:, : packed.shape[1]] = packed
+        self.rows = rows.view(np.uint64)
+
+    def _masks(self, subsets: np.ndarray) -> np.ndarray:
+        """Packed vertex masks, one per row of a (masks, k) array of ids."""
+        sel = np.zeros((subsets.shape[0], 64 * self.rows.shape[1]), dtype=bool)
+        sel[np.arange(subsets.shape[0])[:, None], subsets] = True
+        return np.packbits(sel, axis=1, bitorder="little").view(np.uint64)
+
+    def edge_counts(self) -> np.ndarray:
+        """r x r matrix of the edge counts between classes."""
+        r, s = self.ids.shape
+        masks = self._masks(self.ids)
+        out = np.empty((r, r), dtype=np.int64)
+        for a in range(r):
+            block = self.rows[a * s : (a + 1) * s, None, :] & masks[None, :, :]
+            out[a] = np.bitwise_count(block).sum(axis=(0, 2), dtype=np.int64)
+        return out
+
+    def neighbourhood(self, c: int, pos: int) -> np.ndarray:
+        """Adjacency of position ``pos`` of class ``c``, one row per class."""
+        row = self.rows[c * self.size + pos].view(np.uint8)
+        return np.unpackbits(row, bitorder="little")[self.ids]
+
+    def counts(self, pairs, subsets) -> list[int]:
+        a, b = np.array(pairs, dtype=np.int64).T
+        left = np.array([li for li, _ in subsets]) + (a * self.size)[:, None]
+        right = self.ids[b[:, None], np.array([ri for _, ri in subsets])]
+        block = self.rows[left] & self._masks(right)[:, None, :]
+        return np.bitwise_count(block).sum(axis=(1, 2), dtype=np.int64).tolist()
 
 
 def _sampled_test(
     counter,
-    nl: int,
-    nr: int,
-    pair_density: float,
+    sizes: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    densities: Sequence[float],
     reference_p: float,
     epsilon: float,
     sample_count: int,
     rng,
     one_sided: bool,
-):
-    """Shared loop; returns (hit-or-None, samples-run).
+) -> list:
+    """Test every pair (a, b) of classes of the given sizes, a its left and
+    b its right side, in one run; returns (hit-or-None, samples-run) per pair.
 
     A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
-    (two-sided, d the pair density) or  observed < (1 - FLAG_SLACK*eps) * p
-    (one-sided).  The first violating sample wins, so reports are
+    (two-sided, d the pair's density) or  observed < (1 - FLAG_SLACK*eps) * p
+    (one-sided).  A pair stops at its first violating sample, so reports are
     order-deterministic.
+
+    Sample idx is drawn for all pairs still running, with the shared
+    per-class draws of the module docstring; pivot proposals sit at
+    idx % 3 == 1 (pivots in the right classes) and 2 (in the left).  Each
+    per-class draw is made when the first pair in order needs it, so a
+    single pair makes the rng calls of a test of that pair alone, in the
+    same order.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    su = max(1, int(np.ceil(epsilon * nl)))
-    sw = max(1, int(np.ceil(epsilon * nr)))
-    su = min(su, nl)
-    sw = min(sw, nr)
-    denom = su * sw
+    k = [min(n, max(1, int(np.ceil(epsilon * n)))) for n in sizes]
+    lower = (1 - FLAG_SLACK * epsilon) * reference_p
+    spread = FLAG_SLACK * epsilon * reference_p
 
-    def uniform(n, size, exclude=None):
+    def uniform(c, exclude=None):
         # the pivot must not land in the opposite subset: its all-ones (or
         # all-zeros) column against a neighbourhood sample would bias the
         # observed density on perfectly regular pairs
-        if exclude is None or n <= size:
-            return rng.choice(n, size=size, replace=False)
-        pick = rng.choice(n - 1, size=size, replace=False)
-        return np.where(pick >= exclude, pick + 1, pick)
+        if exclude is None or sizes[c] <= k[c]:
+            return rng.choice(sizes[c], size=k[c], replace=False)
+        pick = rng.choice(sizes[c] - 1, size=k[c], replace=False)
+        return pick + (pick >= exclude)
 
+    out = [(None, sample_count)] * len(pairs)
+    live = list(range(len(pairs)))
     for idx in range(sample_count):
+        if not live:
+            break
         kind = idx % 3
-        li = ri = None
-        pivot = None
-        if kind == 1 and nr > 0:
-            rpos = int(rng.integers(nr))
-            cand = counter.left_indices_adjacent_to(rpos)
-            if cand.size >= su:
-                pick = rng.choice(cand.size, size=su, replace=False)
-                li = cand[pick]
-                pivot = ("right", rpos)
-                ri = uniform(nr, sw, exclude=rpos)
-        elif kind == 2 and nl > 0:
-            lpos = int(rng.integers(nl))
-            cand = counter.right_indices_adjacent_to(lpos)
-            if cand.size >= sw:
-                pick = rng.choice(cand.size, size=sw, replace=False)
-                ri = cand[pick]
-                pivot = ("left", lpos)
-                li = uniform(nl, su, exclude=lpos)
-        if li is None:
-            li = uniform(nl, su)
-        if ri is None:
-            ri = uniform(nr, sw)
-        e = counter.count(li, ri)
-        # int / int rounds correctly, so this equals float(Fraction(e, denom))
-        observed = e / denom
-        if one_sided:
-            bad = observed < (1 - FLAG_SLACK * epsilon) * reference_p
-        else:
-            bad = abs(observed - pair_density) > FLAG_SLACK * epsilon * reference_p
-        if bad:
-            return (li, ri, Fraction(e, denom), pivot, idx), idx + 1
-    return None, sample_count
+        end = 2 - kind  # for a pivot proposal, the pivots' side of every pair
+        # each class's pivot, its adjacency, the uniform subset excluding it,
+        # and the plain uniform subset; each drawn once, when a pair needs it
+        pivot, hood, rest, drawn = {}, {}, {}, {}
+        subsets, via = [], []
+        for i in live:
+            pair = pairs[i]
+            where = None
+            if kind:
+                c, o = pair[end], pair[1 - end]
+                if c not in pivot:
+                    pivot[c] = int(rng.integers(sizes[c]))
+                    hood[c] = counter.neighbourhood(c, pivot[c])
+                cand = hood[c][o].nonzero()[0]
+                if cand.size >= k[o]:
+                    near = cand[rng.choice(cand.size, size=k[o], replace=False)]
+                    if c not in rest:
+                        rest[c] = uniform(c, exclude=pivot[c])
+                    subsets.append((near, rest[c]) if end else (rest[c], near))
+                    where = (("left", "right")[end], pivot[c])
+            if where is None:
+                for c in pair:
+                    if c not in drawn:
+                        drawn[c] = uniform(c)
+                subsets.append((drawn[pair[0]], drawn[pair[1]]))
+            via.append(where)
+        counts = counter.counts([pairs[i] for i in live], subsets)
+        flagged = False
+        for i, (li, ri), where, e in zip(live, subsets, via, counts):
+            denom = li.size * ri.size
+            # int / int rounds correctly, so this equals float(Fraction(e, denom))
+            observed = e / denom
+            if one_sided:
+                bad = observed < lower
+            else:
+                bad = abs(observed - densities[i]) > spread
+            if bad:
+                out[i] = ((li, ri, Fraction(e, denom), where, idx), idx + 1)
+                flagged = True
+        if flagged:
+            live = [i for i in live if out[i][0] is None]
+    return out
 
 
 def _pair_report(
-    counter,
     left: Sequence[int],
     right: Sequence[int],
     pair_density: Fraction,
     reference_p: float,
     epsilon: float,
-    sample_count: int,
-    seed: int,
+    result,
 ) -> RegularityReport:
-    """Two-sided test of one pair; the witness names graph vertex ids."""
-    hit, samples = _sampled_test(
-        counter,
-        len(left),
-        len(right),
-        float(pair_density),
-        reference_p,
-        epsilon,
-        sample_count,
-        rng_from(seed),
-        one_sided=False,
-    )
+    """Two-sided report of one pair from its ``_sampled_test`` result; the
+    witness names graph vertex ids."""
+    hit, samples = result
     witness = None
     if hit is not None:
         li, ri, observed, pivot, idx = hit
@@ -297,17 +354,20 @@ def test_regular(
     seed: int = 0,
 ) -> RegularityReport:
     """Sampled two-sided regularity test at subset floor ceil(eps * side)."""
-    counter = _GraphCounter(g, pair.left, pair.right)
-    return _pair_report(
-        counter,
-        pair.left,
-        pair.right,
-        Fraction(counter.edge_count(), len(pair.left) * len(pair.right)),
+    m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]
+    d = Fraction(int(np.count_nonzero(m)), m.size)
+    result = _sampled_test(
+        _MatrixCounter(m),
+        m.shape,
+        [(0, 1)],
+        [float(d)],
         reference_p,
         epsilon,
         sample_count,
-        seed,
+        rng_from(seed),
+        one_sided=False,
     )
+    return _pair_report(pair.left, pair.right, d, reference_p, epsilon, result[0])
 
 
 def lower_regular_verdict(
@@ -321,14 +381,15 @@ def lower_regular_verdict(
     sub-pair of a chain pair induced by two neighbourhoods: the one-sided
     test's only entry point.  Returns the verdict string alone; it carries
     no witness, so it cannot be replayed."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     if not m.size:
         return "violated" if reference_p > 0 else "no-violation-found"
-    counter = _MatrixCounter(m)
-    hit, _ = _sampled_test(
-        counter,
-        m.shape[0],
-        m.shape[1],
-        counter.edge_count() / m.size,
+    [(hit, _)] = _sampled_test(
+        _MatrixCounter(m),
+        m.shape,
+        [(0, 1)],
+        [int(np.count_nonzero(m)) / m.size],
         reference_p,
         epsilon,
         sample_count,
@@ -399,7 +460,11 @@ def partition_heuristic(
     at least ``r_min`` and is otherwise unused.
 
     A pair enters the reduced adjacency when its density is at least
-    alpha * reference_p and the sampled test finds no violation.  With
+    alpha * reference_p and the sampled test finds no violation.  All pairs
+    that dense are tested in one run, from the generator that shuffled the
+    vertices, with the shared per-class draws of the module docstring: each
+    pair's verdict has the distribution of its own test, while verdicts of
+    pairs sharing a class are correlated.  With
     ``refine_rounds`` > 0, violated pairs contribute their pivot
     neighbourhoods as splitters and the partition is rebuilt from the
     refined atoms (at most 5 rounds), which recovers block structure on
@@ -436,34 +501,38 @@ def partition_heuristic(
         exceptional = tuple(flat[r * ntilde :])
         partition = EquitablePartition(exceptional, classes)
 
+        counter = _GraphCounter(g, classes)
+        edges = counter.edge_counts()
+        density_of = {
+            (i, j): Fraction(int(edges[i, j]), ntilde * ntilde)
+            for i in range(r)
+            for j in range(i + 1, r)
+        }
+        dense = [ij for ij, d in density_of.items() if float(d) >= alpha * reference_p]
+        results = _sampled_test(
+            counter,
+            [ntilde] * r,
+            dense,
+            [float(density_of[ij]) for ij in dense],
+            reference_p,
+            epsilon,
+            sample_count,
+            rng,
+            one_sided=False,
+        )
         reduced: dict[int, set[int]] = {i: set() for i in range(r)}
         reports: dict[tuple[int, int], RegularityReport] = {}
         splitters: list[set[int]] = []
-        for i in range(r):
-            for j in range(i + 1, r):
-                # the density comes from the counter's block, so the pair's
-                # rows are read once
-                counter = _GraphCounter(g, classes[i], classes[j])
-                d = Fraction(counter.edge_count(), ntilde * ntilde)
-                if float(d) < alpha * reference_p:
-                    continue
-                rep = _pair_report(
-                    counter,
-                    classes[i],
-                    classes[j],
-                    d,
-                    reference_p,
-                    epsilon,
-                    sample_count,
-                    trial_seed(seed, i * r + j),
-                )
-                reports[(i, j)] = rep
-                if rep.verdict == "no-violation-found":
-                    reduced[i].add(j)
-                    reduced[j].add(i)
-                elif rep.witness is not None and rep.witness.pivot is not None:
-                    nb = set(g.neighbors(rep.witness.pivot))
-                    splitters.append(nb)
+        for (i, j), result in zip(dense, results):
+            rep = _pair_report(
+                classes[i], classes[j], density_of[i, j], reference_p, epsilon, result
+            )
+            reports[(i, j)] = rep
+            if rep.verdict == "no-violation-found":
+                reduced[i].add(j)
+                reduced[j].add(i)
+            elif rep.witness.pivot is not None:
+                splitters.append(set(g.neighbors(rep.witness.pivot)))
         rounds += 1
         if not splitters or rounds > refine_rounds:
             degrees = {i: len(reduced[i]) for i in range(r)}

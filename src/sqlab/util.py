@@ -1,23 +1,8 @@
-"""Seed derivation and small shared helpers."""
+"""The package-wide random generator."""
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
-
-MASK63 = (1 << 63) - 1
-
-
-def trial_seed(master_seed: int, index: int) -> int:
-    """Per-trial seed derived with a fixed hash.
-
-    SHA-256 over the decimal rendering of ``master_seed:index``, truncated to
-    63 bits, so trial i's stream is independent of execution order and of the
-    number of trials.
-    """
-    digest = hashlib.sha256(f"{master_seed}:{index}".encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big") & MASK63
 
 
 def rng_from(seed: int) -> np.random.Generator:

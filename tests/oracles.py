@@ -7,14 +7,19 @@ standard: a walk over a Python set of edge states that reads the dense pairs
 entry by entry.
 
 The reference implementations at the end are the earlier Python-int bitset
-versions of ``gnp``, ``per_vertex_deletion``, the regularity tester's
-``_GraphCounter`` and ``greedy_square_path``, kept verbatim so the
-matrix-backed code can be held to bit-identical outputs.  The exact longest
+versions of ``gnp``, ``per_vertex_deletion`` and ``greedy_square_path``,
+kept verbatim so the matrix-backed code can be held to bit-identical
+outputs, and ``ReferenceGraphCounter``, the regularity tester's class
+counter read from Python-int rows instead of packed ones.  The exact longest
 square path search with the reach bound alone follows them, kept verbatim so
 the search with the independent-set bound can be held to the same paths in
-no more nodes.  The counter's
-``edge_count``, which ``partition_heuristic`` now reads for each pair's
-density, is added on top of the bitset ``count``.
+no more nodes.
+
+``reference_sampled_test`` is the single-pair sampling loop that the
+shared-draw ``_sampled_test`` replaced, kept verbatim;
+``reference_test_regular`` and ``reference_sampled_lower_regular_packed``
+run it on a packed counter, so single-pair reports, verdicts and rng draws
+can be held to it bit for bit.
 
 The chain kernels after them -- triangle pruning, the two exact
 square-path counters and the property-(ii) check with its packed-matrix
@@ -56,7 +61,12 @@ from sqlab.bitops import (
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
 from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph
-from sqlab.regularity import _sampled_test
+from sqlab.regularity import (
+    FLAG_SLACK,
+    BipartitePairView,
+    RegularityReport,
+    _pair_report,
+)
 from sqlab.squarewalk import (
     CycleSearchResult,
     PathSearchResult,
@@ -191,28 +201,31 @@ def reference_per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
 
 
 class ReferenceGraphCounter:
-    def __init__(self, g: Graph, left: Sequence[int], right: Sequence[int]):
+    """``regularity._GraphCounter``'s interface over equal-size classes,
+    read from the Python-int adjacency rows."""
+
+    def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
         self.g = g
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
+        self.classes = [tuple(int(v) for v in c) for c in classes]
 
-    def edge_count(self) -> int:
-        return self.count(np.arange(self.left.size), np.arange(self.right.size))
-
-    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
-        mask = mask_of(int(self.right[j]) for j in ri)
+    def edge_counts(self) -> np.ndarray:
         adj = self.g.adjacency
-        return sum((adj[int(self.left[i])] & mask).bit_count() for i in li)
+        masks = [mask_of(c) for c in self.classes]
+        return np.array(
+            [[sum((adj[u] & mb).bit_count() for u in ca) for mb in masks] for ca in self.classes]
+        )
 
-    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
-        v = int(self.right[right_pos])
-        row = self.g.adjacency[v]
-        return np.nonzero([(row >> int(u)) & 1 for u in self.left])[0]
+    def neighbourhood(self, c: int, pos: int) -> list[np.ndarray]:
+        row = self.g.adjacency[self.classes[c][pos]]
+        return [np.array([(row >> v) & 1 for v in cls], dtype=bool) for cls in self.classes]
 
-    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
-        u = int(self.left[left_pos])
-        row = self.g.adjacency[u]
-        return np.nonzero([(row >> int(v)) & 1 for v in self.right])[0]
+    def counts(self, pairs, subsets) -> list[int]:
+        adj = self.g.adjacency
+        out = []
+        for (a, b), (li, ri) in zip(pairs, subsets):
+            mask = mask_of(self.classes[b][j] for j in ri)
+            out.append(sum((adj[self.classes[a][i]] & mask).bit_count() for i in li))
+        return out
 
 
 def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
@@ -371,6 +384,99 @@ class ReferencePackedCounter:
         return np.nonzero(full[self.cols])[0]
 
 
+def reference_sampled_test(
+    counter,
+    nl: int,
+    nr: int,
+    pair_density: float,
+    reference_p: float,
+    epsilon: float,
+    sample_count: int,
+    rng,
+    one_sided: bool,
+):
+    """Shared loop; returns (hit-or-None, samples-run).
+
+    A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
+    (two-sided, d the pair density) or  observed < (1 - FLAG_SLACK*eps) * p
+    (one-sided).  The first violating sample wins, so reports are
+    order-deterministic.
+    """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    su = max(1, int(np.ceil(epsilon * nl)))
+    sw = max(1, int(np.ceil(epsilon * nr)))
+    su = min(su, nl)
+    sw = min(sw, nr)
+    denom = su * sw
+
+    def uniform(n, size, exclude=None):
+        # the pivot must not land in the opposite subset: its all-ones (or
+        # all-zeros) column against a neighbourhood sample would bias the
+        # observed density on perfectly regular pairs
+        if exclude is None or n <= size:
+            return rng.choice(n, size=size, replace=False)
+        pick = rng.choice(n - 1, size=size, replace=False)
+        return np.where(pick >= exclude, pick + 1, pick)
+
+    for idx in range(sample_count):
+        kind = idx % 3
+        li = ri = None
+        pivot = None
+        if kind == 1 and nr > 0:
+            rpos = int(rng.integers(nr))
+            cand = counter.left_indices_adjacent_to(rpos)
+            if cand.size >= su:
+                pick = rng.choice(cand.size, size=su, replace=False)
+                li = cand[pick]
+                pivot = ("right", rpos)
+                ri = uniform(nr, sw, exclude=rpos)
+        elif kind == 2 and nl > 0:
+            lpos = int(rng.integers(nl))
+            cand = counter.right_indices_adjacent_to(lpos)
+            if cand.size >= sw:
+                pick = rng.choice(cand.size, size=sw, replace=False)
+                ri = cand[pick]
+                pivot = ("left", lpos)
+                li = uniform(nl, su, exclude=lpos)
+        if li is None:
+            li = uniform(nl, su)
+        if ri is None:
+            ri = uniform(nr, sw)
+        e = counter.count(li, ri)
+        # int / int rounds correctly, so this equals float(Fraction(e, denom))
+        observed = e / denom
+        if one_sided:
+            bad = observed < (1 - FLAG_SLACK * epsilon) * reference_p
+        else:
+            bad = abs(observed - pair_density) > FLAG_SLACK * epsilon * reference_p
+        if bad:
+            return (li, ri, Fraction(e, denom), pivot, idx), idx + 1
+    return None, sample_count
+
+
+def reference_test_regular(
+    g: Graph,
+    pair: BipartitePairView,
+    reference_p: float,
+    epsilon: float,
+    sample_count: int = 200,
+    seed: int = 0,
+) -> RegularityReport:
+    """``test_regular`` through the single-pair ``reference_sampled_test``,
+    on a packed counter over the left vertices' adjacency rows."""
+    nbytes = (g.n + 7) // 8
+    raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in pair.left)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(pair.left), nbytes)
+    nl, nr = len(pair.left), len(pair.right)
+    counter = ReferencePackedCounter(packed, np.arange(nl), np.asarray(pair.right), 8 * nbytes)
+    d = Fraction(counter.count(np.arange(nl), np.arange(nr)), nl * nr)
+    result = reference_sampled_test(
+        counter, nl, nr, float(d), reference_p, epsilon, sample_count, rng_from(seed), one_sided=False
+    )
+    return _pair_report(pair.left, pair.right, d, reference_p, epsilon, result)
+
+
 def reference_sampled_lower_regular_packed(
     packed: np.ndarray,
     rows: np.ndarray,
@@ -390,7 +496,7 @@ def reference_sampled_lower_regular_packed(
     counter = ReferencePackedCounter(packed, rows, cols, n0)
     e = counter.count(np.arange(rows.size), np.arange(cols.size))
     d = Fraction(e, rows.size * cols.size)
-    hit, _ = _sampled_test(
+    hit, _ = reference_sampled_test(
         counter,
         rows.size,
         cols.size,

