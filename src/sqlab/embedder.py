@@ -40,7 +40,6 @@ from .squarewalk import (
     SquarePath,
     _closes,
     has_square_hamilton_cycle,
-    is_square_path,
     longest_square_cycle_exact,
     search_square_paths,
 )
@@ -209,6 +208,8 @@ def classify_good_edges(
     At most ``sample_limit`` first-pair edges are classified (seeded sample);
     the good fraction reported is over the sampled edges.
     """
+    if sample_limit < 1:
+        raise ValueError(f"sample_limit must be >= 1, got {sample_limit}")
     return _classify(ChainLayers.from_chain(window), threshold, sample_limit, rng_from(seed))
 
 
@@ -235,25 +236,21 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
 
 
 class _EmbedState:
-    """Mutable growth state: the path, per-class pools as bitsets, the
-    boolean adjacency matrix that windows are sliced from, bookkeeping."""
+    """Mutable growth state: the path, per class the unused vertices and the
+    fixed reserve as bitsets, the boolean adjacency matrix that windows are
+    sliced from."""
 
     def __init__(self, g, classes, reserve_count, rng):
-        self.g = g
         self.adj = g.adjacency
         self.a = to_matrix(g)
         self.r = len(classes)
-        self.classes = classes
-        self.reserved: list[set[int]] = []
-        self.pool_mask: list[int] = []  # unreserved unused, per class
-        self.reserve_mask: list[int] = []  # reserved unused, per class
+        self.unused: list[int] = []  # per class, reserved or not
+        self.reserved: list[int] = []  # per class, fixed at reserve_count vertices
         for cls in classes:
             members = list(cls)
             picks = rng.choice(len(members), size=reserve_count, replace=False)
-            res = {members[int(i)] for i in picks}
-            self.reserved.append(res)
-            self.reserve_mask.append(mask_of(res))
-            self.pool_mask.append(mask_of(v for v in members if v not in res))
+            self.reserved.append(mask_of(members[int(i)] for i in picks))
+            self.unused.append(mask_of(members))
         self.path: list[int] = []
         self.closing = False
 
@@ -261,31 +258,20 @@ class _EmbedState:
         return self.available_mask(pos).bit_count()
 
     def available_mask(self, pos: int) -> int:
-        m = self.pool_mask[pos % self.r]
-        if self.closing:
-            m |= self.reserve_mask[pos % self.r]
-        return m
+        c = pos % self.r
+        return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
 
     def consume(self, pos: int, v: int) -> None:
         c = pos % self.r
-        bit = 1 << v
-        if self.pool_mask[c] & bit:
-            self.pool_mask[c] &= ~bit
-        elif self.reserve_mask[c] & bit:
-            self.reserve_mask[c] &= ~bit
-        else:
+        if not (self.unused[c] >> v) & 1:
             raise AssertionError(f"vertex {v} not available in class {c}")
+        self.unused[c] ^= 1 << v
         self.path.append(v)
 
     def restore(self, count: int) -> None:
         for _ in range(count):
             v = self.path.pop()
-            pos = len(self.path)
-            c = pos % self.r
-            if v in self.reserved[c]:
-                self.reserve_mask[c] |= 1 << v
-            else:
-                self.pool_mask[c] |= 1 << v
+            self.unused[len(self.path) % self.r] |= 1 << v
 
 
 def embed_square_cycle(
@@ -402,8 +388,7 @@ def embed_square_cycle(
         _assert_class_alignment(st.path, classes, r)
         trace.cycle = cyc
     else:
-        if len(st.path) >= 2 and is_square_path(g, st.path):
-            trace.path = SquarePath.checked(g, st.path)
+        trace.path = SquarePath.checked(g, st.path)
     return trace
 
 
@@ -412,27 +397,25 @@ def _pick_start_edge(st, params, rng, trace):
     expand backwards through the reserved chain when that window is buildable;
     falls back to any viable reserved edge (flagged) and then to pool edges."""
     adj = st.adj
-    r = st.r
-    k0 = params.k0
-    res0 = sorted(st.reserved[0])
-    res1 = sorted(st.reserved[1])
-    candidates = [
-        (u, v) for u in res0 for v in res1 if (adj[u] >> v) & 1
-    ]
-    rng.shuffle(candidates)
-    viable = [(u, v) for u, v in candidates if adj[u] & adj[v] & st.pool_mask[2]]
-    if not all(len(st.reserved[(1 - i) % r]) >= 3 for i in range(k0 + 2)):
+    pool2 = st.unused[2] & ~st.reserved[2]
+
+    def shuffled_viable(m0, m1):
+        """Edges between the sets m0, m1 in shuffled order, kept when their
+        ends have a common neighbour in the pool of class 2."""
+        edges = [(u, v) for u in bits(m0) for v in bits(m1) if (adj[u] >> v) & 1]
+        rng.shuffle(edges)
+        return [(u, v) for u, v in edges if adj[u] & adj[v] & pool2]
+
+    viable = shuffled_viable(st.reserved[0], st.reserved[1])
+    if st.reserved[0].bit_count() < 3:  # every class holds reserve_count
         best_fallback = viable[0] if viable else None
     else:
-        view = ChainLayers.from_matrix(
-            st.a, [sorted(st.reserved[(1 - i) % r]) for i in range(k0 + 2)]
-        )
-        # the backward chain starts at class 1 (ids res1) and goes on to
-        # class 0 (ids res0), so (u, v) enters it as (v, u), in local ids
-        at0 = {u: i for i, u in enumerate(res0)}
-        at1 = {v: i for i, v in enumerate(res1)}
-        sources = [(at1[v], at0[u]) for u, v in viable]
-        fractions = view.expansion_fractions(sources)
+        cols = [list(bits(st.reserved[(1 - i) % st.r])) for i in range(params.k0 + 2)]
+        view = ChainLayers.from_matrix(st.a, cols)
+        # the backward chain starts at class 1 (cols[0]) and goes on to
+        # class 0 (cols[1]), so (u, v) enters it as (v, u), in local ids
+        at1, at0 = ({w: i for i, w in enumerate(col)} for col in cols[:2])
+        fractions = view.expansion_fractions([(at1[v], at0[u]) for u, v in viable])
         for e, frac in zip(viable, fractions):
             if frac >= params.good_threshold:
                 trace.start_certified = True
@@ -443,16 +426,8 @@ def _pick_start_edge(st, params, rng, trace):
         return best_fallback
     # no reserved edge at all: fall back to pool edges of classes 0, 1
     trace.flags.append("start-from-pool")
-    pool0 = sorted(bits(st.pool_mask[0]))
-    pool1 = sorted(bits(st.pool_mask[1]))
-    pool_candidates = [
-        (u, v) for u in pool0 for v in pool1 if (adj[u] >> v) & 1
-    ]
-    rng.shuffle(pool_candidates)
-    for u, v in pool_candidates:
-        if adj[u] & adj[v] & st.pool_mask[2]:
-            return (u, v)
-    return None
+    viable = shuffled_viable(st.unused[0] & ~st.reserved[0], st.unused[1] & ~st.reserved[1])
+    return viable[0] if viable else None
 
 
 def _window(st, start_pos: int, t: int, rng) -> Optional[ChainLayers]:
@@ -460,13 +435,12 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[ChainLayers]:
     sliced from the embed's adjacency matrix; pools are truncated to the
     smallest pool size by seeded subsampling.  Rebuilt per window because
     pools shrink as the path consumes vertices."""
-    sizes = [st.pool_size(start_pos + i) for i in range(t)]
-    m = min(sizes)
+    pools = [list(bits(st.available_mask(start_pos + i))) for i in range(t)]
+    m = min(map(len, pools))
     if m < 3:
         return None
     cols = []
-    for i in range(t):
-        avail = sorted(bits(st.available_mask(start_pos + i)))
+    for avail in pools:
         if len(avail) > m:
             picks = rng.choice(len(avail), size=m, replace=False)
             avail = [avail[int(j)] for j in sorted(picks)]

@@ -216,6 +216,17 @@ class _GraphCounter:
         return np.bitwise_count(block).sum(axis=(1, 2), dtype=np.int64).tolist()
 
 
+def _check_sampling(reference_p: float, epsilon: float, sample_count: int) -> None:
+    """Refuse arguments under which a sampled verdict proves nothing: no
+    sample, a flag window of width zero or less, or a negative density."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be > 0, got {epsilon}")
+    if not reference_p >= 0:
+        raise ValueError(f"reference_p must be >= 0, got {reference_p}")
+
+
 def _sampled_test(
     counter,
     sizes: Sequence[int],
@@ -242,8 +253,7 @@ def _sampled_test(
     single pair makes the rng calls of a test of that pair alone, in the
     same order.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    _check_sampling(reference_p, epsilon, sample_count)
     k = [min(n, max(1, int(np.ceil(epsilon * n)))) for n in sizes]
     lower = (1 - FLAG_SLACK * epsilon) * reference_p
     spread = FLAG_SLACK * epsilon * reference_p
@@ -354,6 +364,8 @@ def test_regular(
     seed: int = 0,
 ) -> RegularityReport:
     """Sampled two-sided regularity test at subset floor ceil(eps * side)."""
+    if not pair.left or not pair.right:
+        raise ValueError("test_regular needs nonempty pair sides")
     m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]
     d = Fraction(int(np.count_nonzero(m)), m.size)
     result = _sampled_test(
@@ -381,8 +393,7 @@ def lower_regular_verdict(
     sub-pair of a chain pair induced by two neighbourhoods: the one-sided
     test's only entry point.  Returns the verdict string alone; it carries
     no witness, so it cannot be replayed."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    _check_sampling(reference_p, epsilon, sample_count)
     if not m.size:
         return "violated" if reference_p > 0 else "no-violation-found"
     [(hit, _)] = _sampled_test(
@@ -471,6 +482,8 @@ def partition_heuristic(
     blow-up style inputs; for genuinely random inputs the first random
     partition is already the fixed point in practice.
     """
+    if r_min < 1:
+        raise ValueError(f"r_min must be >= 1, got {r_min}")
     if r_min > r_max:
         raise ValueError("r_min exceeds r_max")
     if refine_rounds > 5:

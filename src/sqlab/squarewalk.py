@@ -457,6 +457,8 @@ def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquareP
     |F| + sum over x in F of |N(x) & N(w) & free|, F = N(cv) & N(w) & free.
     Working memory is the n x ceil(n/8) packed rows plus O(n) per step.
     """
+    if lookahead_depth < 1:
+        raise ValueError(f"lookahead_depth must be >= 1, got {lookahead_depth}")
     if g.edge_count == 0:
         if g.n == 0:
             raise ValueError("empty graph has no square path")

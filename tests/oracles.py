@@ -32,7 +32,9 @@ of the pools, classified through the packed pairs of a ``ChainPartition``
 by the good-edge kernel with a GEMM for every layer, and the start pick's
 backward view -- is the earlier version of the one that slices
 ``ChainLayers`` out of one adjacency matrix, kept verbatim so windows,
-fractions, picks and rng draws can be held to it.
+fractions, picks and rng draws can be held to it.  Both read the embed state
+through ``ReferenceStateView``, the earlier state's shape: the reserved
+vertices as sets and the unused ones split into a pool and a reserve mask.
 
 The edge-state searches at the end -- the longest path search with both
 bounds, the Hamilton, through-v and longest cycle searches and the
@@ -802,6 +804,30 @@ def reference_classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
         if frac >= threshold
     )
     return GoodEdgeReport(good, len(good) / len(pairs), len(pairs))
+
+
+class ReferenceStateView:
+    """A snapshot of an embed state in its earlier shape: the graph, the
+    reserved vertices as sets, the unused vertices as a pool mask (not
+    reserved) and a reserve mask, and the earlier ``available_mask``."""
+
+    def __init__(self, st, g):
+        self.g = g
+        self.adj = st.adj
+        self.r = st.r
+        self.closing = st.closing
+        self.reserved = [set(bits(m)) for m in st.reserved]
+        self.pool_mask = [u & ~m for u, m in zip(st.unused, st.reserved)]
+        self.reserve_mask = [u & m for u, m in zip(st.unused, st.reserved)]
+
+    def pool_size(self, pos: int) -> int:
+        return self.available_mask(pos).bit_count()
+
+    def available_mask(self, pos: int) -> int:
+        m = self.pool_mask[pos % self.r]
+        if self.closing:
+            m |= self.reserve_mask[pos % self.r]
+        return m
 
 
 def reference_window(st, start_pos: int, t: int, rng) -> Optional[ChainPartition]:

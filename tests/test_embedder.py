@@ -6,7 +6,7 @@ import pytest
 
 from sqlab import adversary, embedder, graph, regularity
 from sqlab import blowup as bl
-from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
+from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
 from sqlab.regularity import EquitablePartition
 from sqlab.squarewalk import is_square_cycle, is_square_path
 from sqlab.util import rng_from
@@ -90,6 +90,40 @@ def test_classify_good_edges_matches_per_edge_reference():
     got = embedder.classify_good_edges(window, threshold, sample_limit=limit, seed=seed)
     assert got == expected
     assert 0 < len(good) < limit
+
+
+def test_classify_good_edges_refuses_empty_sample():
+    window = bl.build_chain_random(6, 14, 0.55, 6)
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match="sample_limit"):
+            embedder.classify_good_edges(window, 0.5, sample_limit=limit)
+
+
+# -- the embed state ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("closing", [False, True], ids=["growing", "closing"])
+def test_consume_then_restore_keeps_available_masks(closing):
+    r = 6
+    g = graph.gnp(60, 0.5, 1)
+    classes = [tuple(range(10 * c, 10 * c + 10)) for c in range(r)]
+    st = embedder._EmbedState(g, classes, 3, rng_from(1))
+    st.closing = closing
+    before = [st.available_mask(c) for c in range(r)]
+    # one lap of pool vertices, then one of reserved vertices
+    for pos in range(2 * r):
+        c = pos % r
+        reserved = pos >= r
+        v = min(bits(st.reserved[c] if reserved else st.unused[c] & ~st.reserved[c]))
+        prev = st.available_mask(c)
+        # a reserved vertex is available only while closing
+        assert (prev >> v) & 1 == (closing or not reserved)
+        st.consume(pos, v)
+        assert st.available_mask(c) == prev & ~(1 << v)
+    st.restore(2 * r)
+    assert st.path == []
+    assert [st.available_mask(c) for c in range(r)] == before
+    assert st.unused == [mask_of(cls) for cls in classes]
 
 
 # -- chain_view -------------------------------------------------------------------

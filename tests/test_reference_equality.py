@@ -26,6 +26,7 @@ from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
 from sqlab.util import rng_from
 from oracles import (
     ReferenceGraphCounter,
+    ReferenceStateView,
     reference_attempt_join,
     reference_check_gtilde_ii,
     reference_classify,
@@ -459,9 +460,9 @@ def test_ported_searches_match_hand_rolled_loops(n):
 
 
 def copy_state(st):
-    """A deep copy of an embed state that shares its immutable graph and its
-    read-only adjacency rows and matrix."""
-    return copy.deepcopy(st, {id(st.g): st.g, id(st.adj): st.adj, id(st.a): st.a})
+    """A deep copy of an embed state that shares its read-only adjacency rows
+    and matrix."""
+    return copy.deepcopy(st, {id(st.adj): st.adj, id(st.a): st.a})
 
 
 def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
@@ -488,7 +489,7 @@ def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
         want, _ = reference_attempt_join(ref, *args)
         got = join(st, *args)
         assert got == want
-        assert (st.path, st.pool_mask, st.reserve_mask) == (ref.path, ref.pool_mask, ref.reserve_mask)
+        assert (st.path, st.unused) == (ref.path, ref.unused)
         calls["join"] += 1
         return got
 
@@ -721,8 +722,9 @@ def test_empty_neighbourhood_is_a_violation():
 
 
 def embed_state(n, p, r, reserve, seed, closing=False):
-    """An embedder state over r seeded classes of G(n, p) whose pools have
-    lost a seeded, class-dependent number of vertices, so their sizes differ."""
+    """G(n, p) and an embedder state over r seeded classes of it whose pools
+    have lost a seeded, class-dependent number of vertices, so their sizes
+    differ."""
     g = graph.gnp(n, p, seed)
     gen = np.random.default_rng(seed)
     order = [int(v) for v in gen.permutation(n)]
@@ -730,11 +732,11 @@ def embed_state(n, p, r, reserve, seed, closing=False):
     classes = [tuple(order[i * size : (i + 1) * size]) for i in range(r)]
     state = embedder._EmbedState(g, classes, reserve, rng_from(seed))
     for c in range(r):
-        pool = list(bits(state.pool_mask[c]))
+        pool = list(bits(state.unused[c] & ~state.reserved[c]))
         drop = gen.choice(len(pool), size=int(gen.integers(0, len(pool) // 2)), replace=False)
-        state.pool_mask[c] &= ~mask_of(pool[int(i)] for i in drop)
+        state.unused[c] &= ~mask_of(pool[int(i)] for i in drop)
     state.closing = closing
-    return state
+    return g, state
 
 
 def assert_same_layers(layers, view):
@@ -761,7 +763,7 @@ WINDOW_STATES = [
 @pytest.mark.parametrize("make", [m for _, m in WINDOW_STATES], ids=[i for i, _ in WINDOW_STATES])
 @pytest.mark.parametrize("closing", [False, True], ids=["growing", "closing"])
 def test_window_route_matches_chain_view(make, closing):
-    state = make(closing)
+    g, state = make(closing)
     sizes = [state.pool_size(c) for c in range(state.r)]
     assert len(set(sizes)) > 1  # the subsampling rng.choice runs
     for start in (0, 5, 9):
@@ -769,7 +771,7 @@ def test_window_route_matches_chain_view(make, closing):
             seed = 100 * start + t
             rng, ref_rng = rng_from(seed), rng_from(seed)
             win = embedder._window(state, start, t, rng)
-            ref = reference_window(state, start, t, ref_rng)
+            ref = reference_window(ReferenceStateView(state, g), start, t, ref_rng)
             assert (win is None) == (ref is None)
             if win is not None:
                 assert_same_layers(win, ref)
@@ -783,7 +785,7 @@ def test_window_route_matches_chain_view(make, closing):
 def test_window_route_reaches_dead_frontiers_and_subsamples():
     # the grid above must see frontiers that die, frontiers that survive, and
     # first pairs larger than the classification sample
-    state = embed_state(240, 0.35, 12, 2, 2)
+    _, state = embed_state(240, 0.35, 12, 2, 2)
     win = embedder._window(state, 0, 10, rng_from(10))
     fractions = win.expansion_fractions(win.first_edges())
     assert 0.0 in fractions and max(fractions) > 0
@@ -862,12 +864,13 @@ def assert_same_start_pick(n, p, reserve, seed):
     params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
     outcomes = []
     for closing in (False, True):
-        state = embed_state(n, p, 3 * params.k0, reserve, seed, closing)
+        g, state = embed_state(n, p, 3 * params.k0, reserve, seed, closing)
         got_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
         want_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
         rng, ref_rng = rng_from(seed), rng_from(seed)
         got = embedder._pick_start_edge(state, params, rng, got_trace)
-        assert got == reference_pick_start_edge(state, params, ref_rng, want_trace)
+        want = reference_pick_start_edge(ReferenceStateView(state, g), params, ref_rng, want_trace)
+        assert got == want
         assert got_trace.flags == want_trace.flags
         assert got_trace.start_certified == want_trace.start_certified
         assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -173,6 +173,29 @@ def test_sample_count_zero_refused():
         reg.test_regular(g, pair, 1.0, 0.2, 0)
 
 
+@pytest.mark.parametrize(
+    "reference_p, epsilon", [(0.7, 0.0), (0.7, -0.3), (-0.7, 0.2), (0.7, float("nan"))]
+)
+def test_sampling_refuses_empty_flag_window_and_negative_density(reference_p, epsilon):
+    # at epsilon <= 0 every sample violates, and a negative reference density
+    # flags even a complete pair, so "violated" would prove nothing
+    g, pair = bipartite_random(20, 20, 0.7, seed=1)
+    with pytest.raises(ValueError):
+        reg.test_regular(g, pair, reference_p, epsilon, 50, seed=1)
+    for m in (np.ones((5, 5), dtype=bool), np.zeros((0, 3), dtype=bool)):
+        with pytest.raises(ValueError):
+            reg.lower_regular_verdict(m, reference_p, epsilon, 5, rng_from(0))
+    with pytest.raises(ValueError):
+        reg.partition_heuristic(g, reference_p, epsilon, 0.1, 0.1, 4, 4, seed=1)
+
+
+def test_regular_refuses_an_empty_side():
+    g = graph.complete(6)
+    for left, right in (((), (0, 1, 2)), ((0, 1, 2), ())):
+        with pytest.raises(ValueError, match="pair"):
+            reg.test_regular(g, reg.BipartitePairView(g, left, right), 1.0, 0.2, 10)
+
+
 def test_small_deletion_keeps_regularity():
     # deleting <= eps^4 of the edges of a dense regular pair never produces a
     # violated verdict at 2 eps (frozen over 10 seeded pairs)
@@ -218,6 +241,8 @@ def test_partition_rejects_bad_r():
         reg.partition_heuristic(
             graph.complete(10), 1.0, 0.3, 0.5, 0.1, r_min=5, r_max=4, seed=0
         )
+    with pytest.raises(ValueError, match="r_min"):
+        reg.partition_heuristic(graph.gnp(60, 0.7, 1), 0.7, 0.2, 0.6, 0.3, 0, 0, 1)
 
 
 def squared_cycle_blowup(r=9, n0=20):

@@ -271,6 +271,14 @@ def test_greedy_deterministic_and_valid():
     assert sw.is_square_path(g, c.vertices)
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_greedy_refuses_lookahead_below_one(depth):
+    # depth 1 is the least lookahead; lower depths are refused, not rounded up
+    g = graph.gnp(60, 0.7, 1)
+    with pytest.raises(ValueError, match="lookahead_depth"):
+        sw.greedy_square_path(g, 1, lookahead_depth=depth)
+
+
 @given(st.integers(5, 30), st.floats(0.2, 0.9), st.integers(0, 10**6))
 def test_path_reversal_property(n, p, seed):
     g = graph.gnp(n, p, seed)
