@@ -17,17 +17,20 @@ from .bitops import bits, mask_of
 from .graph import Graph
 from .util import rng_from
 
-ADVERSARY_KINDS = (
-    "per-vertex-fraction",
-    "neighborhood-wipe",
-    "independent-blocker",
-    "tripartite-template",
-)
+# each deletion kind and the one parameter field it takes; the tripartite
+# template is a construction, not a deletion, so it has no spec
+_KIND_FIELD = {
+    "per-vertex-fraction": "r",
+    "neighborhood-wipe": "target",
+    "independent-blocker": "c",
+}
+ADVERSARY_KINDS = tuple(_KIND_FIELD)
 
 
 @dataclass(frozen=True)
 class AdversarySpec:
-    """One configured deletion strategy; only the fields of ``kind`` are set."""
+    """One configured deletion: ``kind`` with its own field set (``r``,
+    ``target`` or ``c``) and the other two left None."""
 
     kind: str
     r: float | None = None
@@ -36,22 +39,17 @@ class AdversarySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ADVERSARY_KINDS:
+        own = _KIND_FIELD.get(self.kind)
+        if own is None:
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        required = {
-            "per-vertex-fraction": ("r",),
-            "neighborhood-wipe": (),
-            "independent-blocker": ("c",),
-            "tripartite-template": (),
-        }[self.kind]
-        for field in required:
-            if getattr(self, field) is None:
-                raise ValueError(f"adversary kind {self.kind!r} requires {field!r}")
+        for field in _KIND_FIELD.values():
+            if (getattr(self, field) is None) == (field == own):
+                verb = "requires" if field == own else "takes no"
+                raise ValueError(f"adversary kind {self.kind!r} {verb} {field!r}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "AdversarySpec":
-        known = {"kind", "r", "c", "target", "seed"}
-        extra = set(obj) - known
+        extra = set(obj) - {"kind", "seed", *_KIND_FIELD.values()}
         if extra:
             raise ValueError(f"unknown adversary config keys: {sorted(extra)}")
         return cls(**obj)
@@ -151,23 +149,16 @@ def apply_adversary(g: Graph, spec: AdversarySpec):
     """Dispatch a spec; returns (graph, info-dict)."""
     before = g.min_degree()
     if spec.kind == "per-vertex-fraction":
-        out = per_vertex_deletion(g, spec.r, spec.seed)
-        info = {}
+        out, info = per_vertex_deletion(g, spec.r, spec.seed), {}
     elif spec.kind == "neighborhood-wipe":
-        target = spec.target if spec.target is not None else 0
-        out = neighborhood_wipe(g, target)
-        info = {"target": target}
-    elif spec.kind == "independent-blocker":
+        out, info = neighborhood_wipe(g, spec.target), {"target": spec.target}
+    else:
         out, blocked = independent_blocker(g, spec.c, spec.seed)
         info = {"blocked": list(blocked)}
-    else:
-        raise ValueError(f"{spec.kind} does not apply to an existing graph")
-    info.update(
-        {
-            "kind": spec.kind,
-            "min_degree_before": before,
-            "min_degree_after": out.min_degree(),
-            "edges_removed": g.edge_count - out.edge_count,
-        }
-    )
-    return out, info
+    return out, {
+        **info,
+        "kind": spec.kind,
+        "min_degree_before": before,
+        "min_degree_after": out.min_degree(),
+        "edges_removed": g.edge_count - out.edge_count,
+    }

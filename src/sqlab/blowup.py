@@ -280,15 +280,18 @@ def prune_to_gtilde(
     edges.  Counts at step i depend only on the pairs (i, i+2) and
     (i+1, i+2), so removal within a step is order-independent; steps run
     strictly from the top index down.  The final pair is never touched.
+    ``epsilon`` must lie in (0, 1).
 
     Returns a pruned copy; the input chain is unchanged.
     """
+    if not 0 < epsilon < 1:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     out = chain.copy()
     n0, p0 = out.n0, out.reference_p
     tau = (1 - epsilon) * n0 * p0 * p0
     steps = out.k - 2
     if schedule is None:
-        schedule = PruneSchedule.build(0.1, max(epsilon, 1e-9), steps, n0, p0)
+        schedule = PruneSchedule.build(0.1, epsilon, steps, n0, p0)
     removed: dict[tuple[int, int], int] = {}
     fractions: dict[tuple[int, int], float] = {}
     flagged: dict[tuple[int, int], bool] = {}
@@ -326,7 +329,9 @@ def check_gtilde_ii(
     sampled lower-regularity test on the induced flank pair.
 
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
-    either a hard size violation or a replayable density witness.
+    either a hard size violation or a "violated" verdict of
+    ``lower_regular_verdict``, which carries no witness and cannot be
+    replayed.
     """
     rng = rng_from(seed)
     n0 = chain.n0

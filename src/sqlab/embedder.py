@@ -40,7 +40,6 @@ from .squarewalk import (
     SquarePath,
     _closes,
     has_square_hamilton_cycle,
-    longest_square_cycle_exact,
     search_square_paths,
 )
 from .util import rng_from
@@ -174,15 +173,10 @@ def reduced_graph(
     return Graph(r, adj)
 
 
-def square_cycle_in_reduced(
-    r_graph: Graph, node_budget: int | None = None
-) -> CycleSearchResult:
-    """Spanning square cycle of the reduced graph by exact search, falling
-    back to the longest square cycle found when no spanning one exists."""
-    res = has_square_hamilton_cycle(r_graph, node_budget)
-    if res.status == "found":
-        return res
-    return longest_square_cycle_exact(r_graph, node_budget)
+def square_cycle_in_reduced(r_graph: Graph) -> CycleSearchResult:
+    """Square Hamilton cycle of the reduced graph by exact search: the
+    embedder lays every class out along it, so no shorter cycle is sought."""
+    return has_square_hamilton_cycle(r_graph)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +278,13 @@ def embed_square_cycle(
     """Grow a long square cycle through the partition classes in reduced-cycle
     order.  See the module docstring for the phase structure.  Closing failure
     returns the longest grown path flagged "open-path"; it is not an error.
-    A missing reduced cycle (the reduced graph has none, e.g. because every
-    pair was flagged) raises ValueError.
+    A missing reduced cycle (the reduced graph has no square Hamilton cycle,
+    e.g. because too many pairs were flagged) raises ValueError.
     """
     if reduced_cycle is None:
-        size = len(partition.classes[0]) if partition.classes else 0
         raise ValueError(
-            f"no square cycle in the reduced graph (r = {partition.r}, class size {size})"
+            "no square Hamilton cycle in the reduced graph "
+            f"(r = {partition.r}, class size {partition.class_size()})"
         )
     r = len(reduced_cycle.vertices)
     k0 = params.k0

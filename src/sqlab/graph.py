@@ -103,14 +103,6 @@ class Graph:
             dropped += 1
         return Graph(self.n, adj, self.edge_count - dropped)
 
-    def subgraph_mask(self, keep: int) -> "Graph":
-        """Spanning subgraph keeping only edges with both endpoints in ``keep``."""
-        adj = [
-            (row & keep) if (keep >> v) & 1 else 0
-            for v, row in enumerate(self.adjacency)
-        ]
-        return Graph(self.n, adj)
-
     def validate(self) -> None:
         """Full-scan check of the structural invariants (test support)."""
         total = 0

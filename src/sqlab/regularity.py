@@ -218,7 +218,8 @@ class _GraphCounter:
 
 def _check_sampling(reference_p: float, epsilon: float, sample_count: int) -> None:
     """Refuse arguments under which a sampled verdict proves nothing: no
-    sample, a flag window of width zero or less, or a negative density."""
+    sample, a flag window of width zero or less, or a negative density.
+    Each public entry point runs it before any other work."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     if not epsilon > 0:
@@ -253,7 +254,6 @@ def _sampled_test(
     single pair makes the rng calls of a test of that pair alone, in the
     same order.
     """
-    _check_sampling(reference_p, epsilon, sample_count)
     k = [min(n, max(1, int(np.ceil(epsilon * n)))) for n in sizes]
     lower = (1 - FLAG_SLACK * epsilon) * reference_p
     spread = FLAG_SLACK * epsilon * reference_p
@@ -364,6 +364,7 @@ def test_regular(
     seed: int = 0,
 ) -> RegularityReport:
     """Sampled two-sided regularity test at subset floor ceil(eps * side)."""
+    _check_sampling(reference_p, epsilon, sample_count)
     if not pair.left or not pair.right:
         raise ValueError("test_regular needs nonempty pair sides")
     m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]
@@ -482,12 +483,13 @@ def partition_heuristic(
     blow-up style inputs; for genuinely random inputs the first random
     partition is already the fixed point in practice.
     """
+    _check_sampling(reference_p, epsilon, sample_count)
     if r_min < 1:
         raise ValueError(f"r_min must be >= 1, got {r_min}")
     if r_min > r_max:
         raise ValueError("r_min exceeds r_max")
-    if refine_rounds > 5:
-        raise ValueError("refinement is capped at 5 rounds")
+    if not 0 <= refine_rounds <= 5:
+        raise ValueError(f"refine_rounds must lie in [0, 5], got {refine_rounds}")
     n = g.n
     r = r_min
     ntilde = n // r

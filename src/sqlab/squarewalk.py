@@ -330,8 +330,8 @@ def _closes(adj: list[int], seq: Sequence[int], cu: int, cv: int) -> bool:
 
 
 def _cycle_result(g: Graph, seq, nodes: int, exhausted: bool) -> CycleSearchResult:
-    """"unknown" if the budget ran out, else "found" or "none"; the best
-    cycle found, if any, is attached either way."""
+    """"unknown" if the budget ran out, else "found" (cycle attached) or
+    "none"."""
     status = "unknown" if exhausted else "none" if seq is None else "found"
     return CycleSearchResult(status, None if seq is None else SquareCycle.checked(g, seq), nodes)
 
@@ -373,22 +373,20 @@ def has_square_hamilton_cycle(g: Graph, node_budget: int | None = None) -> Cycle
 
 
 def has_square_cycle_through(
-    g: Graph, v: int, min_length: int = 5, node_budget: int | None = None
+    g: Graph, v: int, node_budget: int | None = None
 ) -> CycleSearchResult:
-    """Exact search for any square cycle (length >= min_length) through v.
+    """Exact search for any square cycle (length >= 5) through v.
 
     Used to certify wipe-style adversaries: after all edges inside N(v) are
     deleted, v lies in no triangle and this search must report "none".
     """
     g.check_vertex(v)
-    if min_length < 5:
-        raise ValueError("square cycles need length >= 5")
     adj = g.adjacency
     found = None
 
     def expand(cu, cv, visited, seq):
         nonlocal found
-        if len(seq) >= min_length and _closes(adj, seq, cu, cv):
+        if len(seq) >= 5 and _closes(adj, seq, cu, cv):
             found = seq
             return None
         return adj[cu] & adj[cv] & ~visited
@@ -402,42 +400,6 @@ def has_square_cycle_through(
     )
     nodes, exhausted = search_square_paths(roots, expand, node_budget)
     return _cycle_result(g, found, nodes, exhausted)
-
-
-def longest_square_cycle_exact(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
-    """Longest square cycle by exhaustive anchored DFS (small graphs only).
-
-    Cycles are enumerated anchored at their minimum vertex id (all other
-    vertices restricted to larger ids), which kills rotational duplicates;
-    reversal symmetry is left alone, harmless for maximisation.
-    """
-    adj = g.adjacency
-    best: list[int] | None = None
-
-    def roots():
-        for a in range(g.n):
-            # read after the previous anchor's subtrees are done
-            if g.n - a <= (len(best) if best else 4):
-                return
-            # marking every id up to a visited keeps the rest of the cycle above a
-            below = (2 << a) - 1
-            for b in bits(adj[a] & ~below):
-                yield a, b, below | (1 << b), [a, b]
-
-    def expand(cu, cv, visited, seq):
-        nonlocal best
-        if (
-            len(seq) >= 5
-            and (best is None or len(seq) > len(best))
-            and _closes(adj, seq, cu, cv)
-        ):
-            best = seq
-            if len(best) == g.n:
-                return None
-        return adj[cu] & adj[cv] & ~visited
-
-    nodes, exhausted = search_square_paths(roots(), expand, node_budget)
-    return _cycle_result(g, best, nodes, exhausted)
 
 
 def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:

@@ -37,12 +37,12 @@ through ``ReferenceStateView``, the earlier state's shape: the reserved
 vertices as sets and the unused ones split into a pool and a reserve mask.
 
 The edge-state searches at the end -- the longest path search with both
-bounds, the Hamilton, through-v and longest cycle searches and the
-embedder's window and join searches -- are the
-hand-rolled loops, each with its own stack, node counter and budget check,
-that ``squarewalk.search_square_paths`` replaced, with the embedder's
-``_seam_ok`` that ``squarewalk._closes`` replaced; kept verbatim so the
-ported searches can be held to identical results and node counts.
+bounds, the Hamilton and through-v cycle searches and the embedder's
+window and join searches -- are the hand-rolled loops, each with its own
+stack, node counter and budget check, that ``squarewalk.search_square_paths``
+replaced, with the embedder's ``_seam_ok`` that ``squarewalk._closes``
+replaced; kept verbatim so the ported searches can be held to identical
+results and node counts.
 """
 
 from __future__ import annotations
@@ -1071,56 +1071,6 @@ def reference_has_square_cycle_through(
                 for w in bits(cand):
                     stack.append((cv, w, visited | (1 << w), seq + [w]))
     return CycleSearchResult("none", None, nodes)
-
-
-def reference_longest_square_cycle_exact(g: Graph, node_budget: int | None = None) -> CycleSearchResult:
-    """Longest square cycle by exhaustive anchored DFS (small graphs only).
-
-    Cycles are enumerated anchored at their minimum vertex id (all other
-    vertices restricted to larger ids), which kills rotational duplicates;
-    reversal symmetry is left alone, harmless for maximisation.
-    """
-    adj = g.adjacency
-    best: list[int] | None = None
-    nodes = 0
-    budget = node_budget if node_budget is not None else -1
-    exhausted = False
-    for a in range(g.n):
-        if exhausted or g.n - a <= (len(best) if best else 4):
-            break
-        higher = -1 << (a + 1)
-        for b in bits(adj[a] & higher):
-            stack = [(a, b, (1 << a) | (1 << b), [a, b])]
-            while stack:
-                if budget >= 0 and nodes >= budget:
-                    exhausted = True
-                    break
-                cu, cv, visited, seq = stack.pop()
-                nodes += 1
-                if (
-                    len(seq) >= 5
-                    and (best is None or len(seq) > len(best))
-                    and (adj[cv] >> a) & 1
-                    and (adj[cu] >> a) & 1
-                    and (adj[cv] >> b) & 1
-                ):
-                    best = list(seq)
-                    if len(best) == g.n:
-                        return CycleSearchResult(
-                            "found", SquareCycle.checked(g, best), nodes
-                        )
-                cand = adj[cu] & adj[cv] & ~visited & higher
-                for w in bits(cand):
-                    stack.append((cv, w, visited | (1 << w), seq + [w]))
-            if exhausted:
-                break
-    if best is not None:
-        return CycleSearchResult(
-            "found" if not exhausted else "unknown",
-            SquareCycle.checked(g, best),
-            nodes,
-        )
-    return CycleSearchResult("unknown" if exhausted else "none", None, nodes)
 
 
 def reference_dfs_to_targets(st, u, v, c0, t, targets, budget):

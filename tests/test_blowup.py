@@ -239,6 +239,15 @@ def test_prune_flags_fire_on_heavy_removal():
     assert sum(res.removed.values()) > 0
 
 
+def test_prune_refuses_epsilon_outside_unit_interval():
+    # above 1 the triangle threshold tau is negative and nothing is pruned;
+    # below 0 more is pruned than at epsilon 0
+    ch = bl.build_chain_random(5, 12, 0.5, seed=1)
+    for epsilon in (-0.5, 0.0, 1.0, 3.0, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            bl.prune_to_gtilde(ch, epsilon)
+
+
 # -- property (ii) --------------------------------------------------------------
 
 

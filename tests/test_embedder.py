@@ -238,9 +238,12 @@ def test_pipeline_240_closes_through_the_early_join(monkeypatch):
 
 def test_pipeline_240_seed_1_reduced_cycle_too_short():
     # at class size 16 the sampled tester falsely flags 55 of the 105 pairs,
-    # and the reduced graph's square cycle is shorter than the 3 k0 classes
-    # the embedder needs
-    with pytest.raises(ValueError, match="reduced cycle length 12 below 3 k0 = 15"):
+    # and the reduced graph has no square Hamilton cycle (its longest square
+    # cycle has 12 of the 15 classes)
+    with pytest.raises(
+        ValueError,
+        match=r"no square Hamilton cycle in the reduced graph \(r = 15, class size 16\)",
+    ):
         run_pipeline(240, 0.95, 1)
 
 
@@ -307,18 +310,8 @@ def test_embed_without_reduced_cycle_raises_value_error():
     assert res.cycle is None
     g = graph.complete(12)
     part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(4)))
-    with pytest.raises(ValueError, match=r"no square cycle in the reduced graph \(r = 4, class size 3\)"):
+    with pytest.raises(
+        ValueError, match=r"no square Hamilton cycle in the reduced graph \(r = 4, class size 3\)"
+    ):
         embedder.embed_square_cycle(g, part, res.cycle, embedder.PipelineParams(), seed=0)
 
-
-# -- the reduced-cycle search -------------------------------------------------------
-
-
-def test_reduced_cycle_falls_back_to_longest_square_cycle():
-    # C6 squared on 0..5 plus four isolated vertices: a square cycle, but no
-    # spanning one
-    rg = graph.from_edges(10, [(i, (i + d) % 6) for i in range(6) for d in (1, 2)])
-    res = embedder.square_cycle_in_reduced(rg)
-    assert res.status == "found"
-    assert sorted(res.cycle.vertices) == list(range(6))
-    assert is_square_cycle(rg, res.cycle.vertices)

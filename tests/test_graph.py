@@ -77,5 +77,3 @@ def test_without_edges_and_subgraph_mask():
     assert h.edge_count == 5 and not h.has_edge(0, 1)
     with pytest.raises(ValueError):
         h.without_edges([(0, 1)])
-    masked = g.subgraph_mask((1 << 0) | (1 << 1) | (1 << 2))
-    assert masked.edge_count == 3

@@ -37,7 +37,6 @@ from oracles import (
     reference_greedy_square_path,
     reference_has_square_cycle_through,
     reference_has_square_hamilton_cycle,
-    reference_longest_square_cycle_exact,
     reference_longest_square_path_exact,
     reference_longest_square_path_pruned,
     reference_per_vertex_deletion,
@@ -430,16 +429,10 @@ PORTED_SEARCHES = [
     ),
     (sw.has_square_hamilton_cycle, reference_has_square_hamilton_cycle, cycle_outcome),
     (
-        lambda g, budget: sw.has_square_cycle_through(g, g.n // 2, 5, budget),
+        lambda g, budget: sw.has_square_cycle_through(g, g.n // 2, budget),
         lambda g, budget: reference_has_square_cycle_through(g, g.n // 2, 5, budget),
         cycle_outcome,
     ),
-    (
-        lambda g, budget: sw.has_square_cycle_through(g, 0, 6, budget),
-        lambda g, budget: reference_has_square_cycle_through(g, 0, 6, budget),
-        cycle_outcome,
-    ),
-    (sw.longest_square_cycle_exact, reference_longest_square_cycle_exact, cycle_outcome),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,25 @@ def test_partition_rejects_bad_r():
         )
     with pytest.raises(ValueError, match="r_min"):
         reg.partition_heuristic(graph.gnp(60, 0.7, 1), 0.7, 0.2, 0.6, 0.3, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"epsilon": 0.0}, {"sample_count": 0}, {"refine_rounds": -3}, {"refine_rounds": 6}],
+    ids=["epsilon", "sample_count", "negative-rounds", "rounds-above-cap"],
+)
+def test_partition_refuses_bad_arguments_before_any_work(bad):
+    # the minimum degree of this graph sits below (mu + nu) n p, so a check
+    # made after the degree test would warn before it raised
+    g, _ = bipartite_random(20, 20, 0.7, seed=1)
+    args = dict(epsilon=0.2, mu=0.6, nu=0.3, r_min=4, r_max=4, seed=1)
+    with pytest.warns(UserWarning, match="minimum degree"):
+        reg.partition_heuristic(g, 0.7, **args)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            reg.partition_heuristic(g, 0.7, **{**args, **bad})
+    assert not seen
 
 
 def squared_cycle_blowup(r=9, n0=20):

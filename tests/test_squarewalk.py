@@ -76,11 +76,10 @@ PUBLIC_SEARCHES = [
     sw.longest_square_path_exact,
     sw.has_square_hamilton_cycle,
     lambda g, budget: sw.has_square_cycle_through(g, 0, node_budget=budget),
-    sw.longest_square_cycle_exact,
 ]
 
 
-@pytest.mark.parametrize("search", PUBLIC_SEARCHES, ids=["path", "hamilton", "through", "cycle"])
+@pytest.mark.parametrize("search", PUBLIC_SEARCHES, ids=["path", "hamilton", "through"])
 def test_public_searches_share_the_budget_rule(search):
     g = graph.complete(6)
     with pytest.raises(ValueError, match="node_budget"):
@@ -237,15 +236,6 @@ def test_square_cycle_through():
     assert 3 in res.cycle.vertices
     lone = graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert sw.has_square_cycle_through(lone, 3).status == "none"
-
-
-def test_longest_square_cycle_exact():
-    g = squared_cycle_graph(8)
-    res = sw.longest_square_cycle_exact(g)
-    assert res.status == "found" and len(res.cycle) == 8
-    assert sw.longest_square_cycle_exact(cycle_graph(7)).status == "none"
-    res5 = sw.longest_square_cycle_exact(graph.complete(6))
-    assert res5.status == "found" and len(res5.cycle) == 6
 
 
 def test_greedy_complete_graph_spans():
