@@ -17,8 +17,9 @@ The good-edge kernel reads a chain in its dense-layer form,
 pair per forward move.  It is unpacked from a :class:`ChainPartition`, or
 sliced straight out of a graph's boolean adjacency matrix, as the embedder
 does for each window with no packed pairs in between.  The kernel's first
-layer is closed-form (a source edge (a, b) reaches (b, w) for w in
-N(a) & N(b)), so its GEMMs start at the second layer.
+two layers are closed-form (a source edge (a, b) reaches (b, w) for w in
+N(a) & N(b), and then (w, x) for x in N(b) & N(w)), so its GEMMs start at
+the third layer.
 
 Pruning owns a private copy of the pair matrices; the underlying Graph, when
 one exists, is never mutated.
@@ -436,18 +437,23 @@ class ChainLayers:
         neighbour.  Classes are disjoint, so every such walk is a square path.
 
         A multi-source traversal in dense linear algebra.  The states of a
-        block of S sources at pair (i, i+1) are a 0/1 tensor R[s, v, u] (u in
-        V_i, v in V_{i+1}), and one layer is
+        block of S sources at pair (i, i+1) are a 0/1 tensor R over (u, s, v),
+        u in V_i and v in V_{i+1}, and one layer is
 
-            R'[s, w, v] = A2[v, w] and (exists u: R[s, v, u] and B[u, w])
+            R'(w, s, v) = A2[v, w] and (exists u: R(u, s, v) and B[u, w])
 
         with B = E(V_i, V_{i+2}) and A2 = E(V_{i+1}, V_{i+2}): one float32 GEMM
-        (S n0 x n0) @ (n0 x n0), then clipped to 0/1 and masked with A2.  Every
-        GEMM entry sums at most n0 < 2^24 products of 0/1 values, so it is
-        exact.  The first layer needs no product: a source (a, b) has one
-        state, so it reaches exactly the states (b, w) with w in N(a) & N(b),
-        and the kernel starts its GEMMs at the second layer (the multi-source
-        frontier start of Then et al., "The More the Merrier", PVLDB 2014).
+        of an n0 x n0 and an n0 x S n0 matrix, then clipped to 0/1 and masked
+        with A2 in one pass.  The tensor keeps the source axis in the middle
+        and the older class first or last, alternately, so each GEMM contracts
+        an outer axis (B^T @ R, then R @ B) and no layer transposes the
+        state.  Every GEMM entry sums at most n0 < 2^24 products of 0/1
+        values, so it is exact.  The first two layers need no product.  A
+        source (a, b) has one state, so it reaches exactly the states (b, w)
+        with w in f = N(a) & N(b); from there the states are (w, x) with w in
+        f and x in N(b) & N(w), one broadcast product and one mask.  The GEMMs
+        start at the third layer (the multi-source frontier start of Then et
+        al., "The More the Merrier", PVLDB 2014, carried one layer further).
         """
         n0 = self.n0
         src = np.asarray(sources, dtype=np.int64).reshape(-1, 2)
@@ -460,26 +466,39 @@ class ChainLayers:
             return [0.0] * len(src)
         if not self.layers:  # k = 2: each source is its own only last-pair edge
             return [1 / total] * len(src)
-        (B0, A0), rest = self.layers[0], self.layers[1:]
         block = max(1, _BLOCK_ENTRIES // (n0 * n0))
+        (B0, A0), *rest = self.layers
         reached: list[int] = []
         for lo in range(0, len(src), block):
             part = src[lo : lo + block]
             s = len(part)
-            state = np.zeros((s, n0, n0), dtype=np.float32)
+            # the first move in closed form: from (a, b) the states are (b, w)
+            # for w in N(a) & N(b), that is f[s, w] = B0[a, w] A0[b, w]
+            f = B0[part[:, 0]] * A0[part[:, 1]]
+            if not rest:  # k = 3: the states (b, w) are last-pair edges
+                reached.extend(np.count_nonzero(f, axis=1).tolist())
+                continue
+            # the second move in closed form too: (b, w) steps to (w, x) for x
+            # in N(b) & N(w), so state[w, s, x] = f[s, w] B1[b, x] A1[w, x]
+            (B1, A1), *gemm_layers = rest
+            state = np.empty((n0, s, n0), dtype=np.float32)
+            np.multiply(f.T[:, :, None], B1[part[:, 1]], out=state)
+            state *= A1[:, None, :]
             step = np.empty_like(state)
-            # the first layer in closed form: from (a, b) the states are
-            # (b, w) for w in N(a) & N(b), so state[s, w, b] = B[a, w] A2[b, w]
-            state[np.arange(s), :, part[:, 1]] = B0[part[:, 0]] * A0[part[:, 1]]
-            for B, A2 in rest:
-                if not state.any():
+            for j, (B, A2) in enumerate(gemm_layers):
+                if not state.max():  # entries are >= 0, so no state is left
                     break
-                np.matmul(state.reshape(s * n0, n0), B, out=step.reshape(s * n0, n0))
-                # entries are whole numbers >= 0 and A2 is 0/1: min clips and masks
-                np.minimum(step, A2, out=step)
-                # the next layer contracts over v, so it becomes the last axis
-                state[...] = step.transpose(0, 2, 1)
-            reached.extend(np.count_nonzero(state, axis=(1, 2)).tolist())
+                if j % 2 == 0:  # the older class first: [u, s, v] -> [w, s, v]
+                    np.matmul(B.T, state.reshape(n0, s * n0), out=step.reshape(n0, s * n0))
+                    mask = np.ascontiguousarray(A2.T)
+                else:  # the older class last: [v, s, u] -> [v, s, w]
+                    np.matmul(state.reshape(n0 * s, n0), B, out=step.reshape(n0 * s, n0))
+                    mask = A2
+                # entries are whole numbers >= 0 and the mask is 0/1: min
+                # clips and masks
+                np.minimum(step, mask[:, None, :], out=state)
+            # the entries are 0/1, and a row sums at most n0 of them exactly
+            reached.extend(np.einsum("asb->as", state).sum(axis=0, dtype=np.int64).tolist())
         return [c / total for c in reached]
 
 

@@ -11,7 +11,13 @@ per-class pools of unused vertices.  Each window is a set of dense blocks
 of one boolean adjacency matrix, made once per embed: a
 :class:`sqlab.blowup.ChainLayers` sliced over those pools.  A seeded sample
 of its first-pair edges is classified in one batched call to the good-edge
-kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  Reserved
+kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  An embed
+keeps the report of every window whose first pair has at most
+``good_sample_limit`` edges, keyed by the window's class tuple, and serves
+a window with the same classes from it without slicing or classifying
+again; such a window was classified in full, with no rng draw.  A window
+with more first-pair edges is never kept: its classification samples, so
+it is classified anew, with fresh draws, each time.  Reserved
 per-class sets are set aside before growth starts and spent only in the
 closing phase, which winds the path through the leftover-plus-reserved
 pools to the lap boundary and joins it back to the start edge.
@@ -200,8 +206,11 @@ def classify_good_edges(
     a ``threshold`` fraction of the window's last pair.
 
     At most ``sample_limit`` first-pair edges are classified (seeded sample);
-    the good fraction reported is over the sampled edges.
+    the good fraction reported is over the sampled edges.  ``threshold``
+    must lie in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:  # also refuses NaN
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if sample_limit < 1:
         raise ValueError(f"sample_limit must be >= 1, got {sample_limit}")
     return _classify(ChainLayers.from_chain(window), threshold, sample_limit, rng_from(seed))
@@ -232,7 +241,8 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
 class _EmbedState:
     """Mutable growth state: the path, per class the unused vertices and the
     fixed reserve as bitsets, the boolean adjacency matrix that windows are
-    sliced from."""
+    sliced from, and the good-edge reports of the windows classified in
+    full, keyed by their class tuple."""
 
     def __init__(self, g, classes, reserve_count, rng):
         self.adj = g.adjacency
@@ -247,6 +257,7 @@ class _EmbedState:
             self.unused.append(mask_of(members))
         self.path: list[int] = []
         self.closing = False
+        self.reports: dict[tuple[tuple[int, ...], ...], GoodEdgeReport] = {}
 
     def pool_size(self, pos: int) -> int:
         return self.available_mask(pos).bit_count()
@@ -424,11 +435,11 @@ def _pick_start_edge(st, params, rng, trace):
     return viable[0] if viable else None
 
 
-def _window(st, start_pos: int, t: int, rng) -> Optional[ChainLayers]:
-    """Equal-size chain over the pools of classes start_pos..start_pos+t-1,
-    sliced from the embed's adjacency matrix; pools are truncated to the
-    smallest pool size by seeded subsampling.  Rebuilt per window because
-    pools shrink as the path consumes vertices."""
+def _window(st, start_pos: int, t: int, rng) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The classes of an equal-size chain over the pools of classes
+    start_pos..start_pos+t-1: pools are truncated to the smallest pool size
+    by seeded subsampling.  Drawn per window because pools shrink as the
+    path consumes vertices."""
     pools = [list(bits(st.available_mask(start_pos + i))) for i in range(t)]
     m = min(map(len, pools))
     if m < 3:
@@ -439,7 +450,7 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[ChainLayers]:
             picks = rng.choice(len(avail), size=m, replace=False)
             avail = [avail[int(j)] for j in sorted(picks)]
         cols.append(tuple(avail))
-    return ChainLayers.from_matrix(st.a, cols)
+    return tuple(cols)
 
 
 def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | None:
@@ -453,10 +464,17 @@ def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | 
     # the next window starts where this one ends; good edges live in its
     # first pair, which is this window's last pair
     next_start = c0 + t - 2
-    win = _window(st, next_start, t, rng)
-    if win is None:
+    cols = _window(st, next_start, t, rng)
+    if cols is None:
         return None
-    report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
+    report = st.reports.get(cols)
+    if report is None:
+        win = ChainLayers.from_matrix(st.a, cols)
+        report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
+        # a window classified in full drew nothing from rng, so a rebuild
+        # would report the same; a sampled one must draw again each time
+        if np.count_nonzero(win.first) <= params.good_sample_limit:
+            st.reports[cols] = report
     targets = {e for e in report.good if e not in banned}
     if not targets:
         return None

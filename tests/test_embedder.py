@@ -41,17 +41,31 @@ def kernel_fractions(chain, sources):
 
 
 @pytest.mark.parametrize(
-    "k, n0, p0, seed",
-    [(3, 12, 0.5, 1), (8, 10, 0.6, 2), (6, 12, 0.25, 3)],
-    ids=["k3", "k8", "sparse"],
+    "k, n0, p0, seed, emptied",
+    [
+        (3, 12, 0.5, 1, None),
+        (4, 12, 0.5, 7, None),  # the closed-form second move is the whole walk
+        (8, 10, 0.6, 2, None),
+        (6, 12, 0.25, 3, None),
+        (6, 10, 0.6, 8, (0, 2)),  # no first move leads anywhere
+        (6, 10, 0.6, 9, (1, 3)),  # no second move leads anywhere
+    ],
+    ids=["k3", "k4", "k8", "sparse", "dead-after-first", "dead-after-second"],
 )
-def test_kernel_matches_set_walk_oracle(k, n0, p0, seed):
+def test_kernel_matches_set_walk_oracle(k, n0, p0, seed, emptied):
     chain = bl.build_chain_random(k, n0, p0, seed)
+    if emptied is not None:
+        chain._pairs[emptied] = np.zeros_like(chain.pair(*emptied))
     pairs, ref = reference_fractions(chain)
     assert pairs
     assert kernel_fractions(chain, pairs) == ref
     if p0 < 0.3:
         assert 0.0 in ref and any(f > 0 for f in ref)  # some frontiers die
+    if emptied is not None:
+        assert chain.pair_edge_count(k - 2, k - 1) and set(ref) == {0.0}
+    if emptied == (1, 3):  # the first move still reaches some state
+        first = bl.ChainLayers.from_chain(chain).layers[0]
+        assert any((first[0][a] * first[1][b]).any() for a, b in pairs)
 
 
 def test_kernel_spans_several_source_blocks(monkeypatch):
@@ -97,6 +111,19 @@ def test_classify_good_edges_refuses_empty_sample():
     for limit in (0, -1):
         with pytest.raises(ValueError, match="sample_limit"):
             embedder.classify_good_edges(window, 0.5, sample_limit=limit)
+
+
+def test_classify_good_edges_refuses_threshold_outside_unit_interval(monkeypatch):
+    # a NaN threshold used to pass every check and report no good edge
+    window = bl.build_chain_random(6, 14, 0.55, 6)
+
+    def unreachable(chain):
+        raise AssertionError("the window was read before the threshold was checked")
+
+    monkeypatch.setattr(bl.ChainLayers, "from_chain", unreachable)
+    for threshold in (float("nan"), -0.01, 1.01, float("inf")):
+        with pytest.raises(ValueError, match="threshold"):
+            embedder.classify_good_edges(window, threshold)
 
 
 # -- the embed state ------------------------------------------------------------------
@@ -186,11 +213,30 @@ def run_pipeline(n, p, seed):
     return h, pr, cyc, tr
 
 
-def test_pipeline_600_trace_unchanged():
+def test_pipeline_600_trace_unchanged(monkeypatch):
+    # windows built and kernel calls made: an embed classifies a window whose
+    # classes it has classified in full before only once
+    counts = {"windows": 0, "kernel": 0}
+    window, kernel = embedder._window, bl.ChainLayers.expansion_fractions
+
+    def counted_window(*args):
+        cols = window(*args)
+        counts["windows"] += cols is not None
+        return cols
+
+    def counted_kernel(self, sources):
+        counts["kernel"] += 1
+        return kernel(self, sources)
+
+    monkeypatch.setattr(embedder, "_window", counted_window)
+    monkeypatch.setattr(bl.ChainLayers, "expansion_fractions", counted_kernel)
     h, pr, cyc, tr = run_pipeline(600, 0.7, 1)
 
     assert (tr.closing_status, tr.final_length) == ("open-path", 528) and tr.start_certified
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_600_TRACE_SHA256
+    # one kernel call picks the start edge and 465 classify windows: the
+    # other 543 of the 1008 windows built were served from the embed's reports
+    assert counts == {"windows": 1008, "kernel": 466}
     seq = tr.path.vertices
     assert is_square_path(h, seq)
     r = len(cyc.vertices)

@@ -454,8 +454,8 @@ def test_ported_searches_match_hand_rolled_loops(n):
 
 def copy_state(st):
     """A deep copy of an embed state that shares its read-only adjacency rows
-    and matrix."""
-    return copy.deepcopy(st, {id(st.adj): st.adj, id(st.a): st.a})
+    and matrix, and its window reports, which no search reads."""
+    return copy.deepcopy(st, {id(st.adj): st.adj, id(st.a): st.a, id(st.reports): st.reports})
 
 
 def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
@@ -763,10 +763,11 @@ def test_window_route_matches_chain_view(make, closing):
         for t in (5, 7, 10):
             seed = 100 * start + t
             rng, ref_rng = rng_from(seed), rng_from(seed)
-            win = embedder._window(state, start, t, rng)
+            cols = embedder._window(state, start, t, rng)
             ref = reference_window(ReferenceStateView(state, g), start, t, ref_rng)
-            assert (win is None) == (ref is None)
-            if win is not None:
+            assert (cols is None) == (ref is None)
+            if cols is not None:
+                win = bl.ChainLayers.from_matrix(state.a, cols)
                 assert_same_layers(win, ref)
                 pairs = ref.pair_edges_local(0, 1)
                 assert win.expansion_fractions(pairs) == reference_expansion_fractions(ref, pairs)
@@ -775,11 +776,46 @@ def test_window_route_matches_chain_view(make, closing):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("limit", [16, 4096], ids=["sampled", "in-full"])
+def test_window_report_kept_only_when_classified_in_full(monkeypatch, limit):
+    # two advances from one seed build the same window, and each draws from
+    # rng what a build and classification of the chain-view route draws: a
+    # window classified in full is kept and served the second time, a
+    # sampled one never is
+    monkeypatch.setattr(embedder.PipelineParams, "good_sample_limit", limit)
+    params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
+    g, state = embed_state(240, 0.6, 12, 2, 1)
+    for pos in (0, 1):
+        state.consume(pos, min(bits(state.available_mask(pos))))
+    t = params.k0
+    assert len({state.pool_size(c) for c in range(t - 2, 2 * t - 2)}) > 1  # _window draws
+    calls = []
+    kernel = bl.ChainLayers.expansion_fractions
+
+    def counted_kernel(self, sources):
+        calls.append(len(sources))
+        return kernel(self, sources)
+
+    monkeypatch.setattr(bl.ChainLayers, "expansion_fractions", counted_kernel)
+    monkeypatch.setattr(embedder, "_dfs_to_targets", lambda *args: None)
+    for _ in range(2):
+        rng, ref_rng = rng_from(5), rng_from(5)
+        assert embedder._advance_window(state, t, params, set(), rng, 0) is None
+        ref = reference_window(ReferenceStateView(state, g), t - 2, t, ref_rng)
+        want = reference_classify(ref, params.good_threshold, limit, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if limit == 16:
+        assert ref.pair_edge_count(0, 1) > limit
+        assert calls == [limit, limit] and state.reports == {}
+    else:
+        assert calls == [want.sampled] and state.reports == {ref.classes: want}
+
+
 def test_window_route_reaches_dead_frontiers_and_subsamples():
     # the grid above must see frontiers that die, frontiers that survive, and
     # first pairs larger than the classification sample
     _, state = embed_state(240, 0.35, 12, 2, 2)
-    win = embedder._window(state, 0, 10, rng_from(10))
+    win = bl.ChainLayers.from_matrix(state.a, embedder._window(state, 0, 10, rng_from(10)))
     fractions = win.expansion_fractions(win.first_edges())
     assert 0.0 in fractions and max(fractions) > 0
     assert len(win.first_edges()) > 16
