@@ -425,11 +425,6 @@ class ChainLayers:
     def to_global(self, class_index: int, local: int) -> int:
         return self.classes[class_index][local]
 
-    def first_edges(self) -> list[tuple[int, int]]:
-        """First-pair edges in local ids, row-major."""
-        rows, cols = np.nonzero(self.first)
-        return list(zip(rows.tolist(), cols.tolist()))
-
     def expansion_fractions(self, sources: Sequence[tuple[int, int]]) -> list[float]:
         """For each first-pair edge (a, b), in local ids, the fraction of
         last-pair edges it reaches by forward square-walk moves: (u, v) in

@@ -219,12 +219,13 @@ def classify_good_edges(
 def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeReport:
     """Sample at most ``sample_limit`` first-pair edges in row-major order and
     classify them with one batched expansion call."""
-    pairs = window.first_edges()
-    if not pairs:
+    rows, cols = np.nonzero(window.first)
+    if not rows.size:
         return GoodEdgeReport((), 0.0, 0)
-    if len(pairs) > sample_limit:
-        idx = rng.choice(len(pairs), size=sample_limit, replace=False)
-        pairs = [pairs[int(i)] for i in sorted(idx)]
+    if rows.size > sample_limit:
+        idx = np.sort(rng.choice(rows.size, size=sample_limit, replace=False))
+        rows, cols = rows[idx], cols[idx]
+    pairs = list(zip(rows.tolist(), cols.tolist()))
     fractions = window.expansion_fractions(pairs)
     good = tuple(
         (window.to_global(0, a), window.to_global(1, b))
@@ -241,8 +242,9 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
 class _EmbedState:
     """Mutable growth state: the path, per class the unused vertices and the
     fixed reserve as bitsets, the boolean adjacency matrix that windows are
-    sliced from, and the good-edge reports of the windows classified in
-    full, keyed by their class tuple."""
+    sliced from, the sorted vertex list of every pool mask a window has read,
+    and the good-edge reports of the windows classified in full, keyed by
+    their class tuple."""
 
     def __init__(self, g, classes, reserve_count, rng):
         self.adj = g.adjacency
@@ -257,6 +259,7 @@ class _EmbedState:
             self.unused.append(mask_of(members))
         self.path: list[int] = []
         self.closing = False
+        self.pools: dict[int, list[int]] = {}
         self.reports: dict[tuple[tuple[int, ...], ...], GoodEdgeReport] = {}
 
     def pool_size(self, pos: int) -> int:
@@ -265,6 +268,15 @@ class _EmbedState:
     def available_mask(self, pos: int) -> int:
         c = pos % self.r
         return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
+
+    def pool(self, pos: int) -> list[int]:
+        """The available vertices of class position ``pos``, in increasing
+        order; read-only, since a list is shared by every equal mask."""
+        m = self.available_mask(pos)
+        pool = self.pools.get(m)
+        if pool is None:
+            pool = self.pools[m] = list(bits(m))
+        return pool
 
     def consume(self, pos: int, v: int) -> None:
         c = pos % self.r
@@ -440,7 +452,7 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[tuple[tuple[int, ...], 
     start_pos..start_pos+t-1: pools are truncated to the smallest pool size
     by seeded subsampling.  Drawn per window because pools shrink as the
     path consumes vertices."""
-    pools = [list(bits(st.available_mask(start_pos + i))) for i in range(t)]
+    pools = [st.pool(start_pos + i) for i in range(t)]
     m = min(map(len, pools))
     if m < 3:
         return None
