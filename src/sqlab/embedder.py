@@ -11,13 +11,10 @@ per-class pools of unused vertices.  Each window is a set of dense blocks
 of one boolean adjacency matrix, made once per embed: a
 :class:`sqlab.blowup.ChainLayers` sliced over those pools.  A seeded sample
 of its first-pair edges is classified in one batched call to the good-edge
-kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  An embed
-keeps the report of every window whose first pair has at most
-``good_sample_limit`` edges, keyed by the window's class tuple, and serves
-a window with the same classes from it without slicing or classifying
-again; such a window was classified in full, with no rng draw.  A window
-with more first-pair edges is never kept: its classification samples, so
-it is classified anew, with fresh draws, each time.  Reserved
+kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  The path
+only grows: no window is undone, so the trace's window records replay to
+exactly the final path, and every successful window uses at least k0 - 2
+vertices, which bounds the number of windows without a budget.  Reserved
 per-class sets are set aside before growth starts and spent only in the
 closing phase, which winds the path through the leftover-plus-reserved
 pools to the lap boundary and joins it back to the start edge.
@@ -85,7 +82,6 @@ class PipelineParams:
     good_sample_limit: ClassVar[int] = 64
     # a window's search needs at least k0 - 2 expansions to reach its target
     window_node_budget: ClassVar[int] = 4000
-    backtrack_budget: ClassVar[int] = 60
 
     nu: float = 0.1
     epsilon: float = 0.075
@@ -240,11 +236,10 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
 
 
 class _EmbedState:
-    """Mutable growth state: the path, per class the unused vertices and the
-    fixed reserve as bitsets, the boolean adjacency matrix that windows are
-    sliced from, the sorted vertex list of every pool mask a window has read,
-    and the good-edge reports of the windows classified in full, keyed by
-    their class tuple."""
+    """Mutable growth state: the path, which only grows, per class the unused
+    vertices and the fixed reserve as bitsets, the boolean adjacency matrix
+    that windows are sliced from, and the sorted vertex list of every pool
+    mask a window has read."""
 
     def __init__(self, g, classes, reserve_count, rng):
         self.adj = g.adjacency
@@ -260,7 +255,6 @@ class _EmbedState:
         self.path: list[int] = []
         self.closing = False
         self.pools: dict[int, list[int]] = {}
-        self.reports: dict[tuple[tuple[int, ...], ...], GoodEdgeReport] = {}
 
     def pool_size(self, pos: int) -> int:
         return self.available_mask(pos).bit_count()
@@ -284,11 +278,6 @@ class _EmbedState:
             raise AssertionError(f"vertex {v} not available in class {c}")
         self.unused[c] ^= 1 << v
         self.path.append(v)
-
-    def restore(self, count: int) -> None:
-        for _ in range(count):
-            v = self.path.pop()
-            self.unused[len(self.path) % self.r] |= 1 << v
 
 
 def embed_square_cycle(
@@ -331,24 +320,19 @@ def embed_square_cycle(
     st.consume(1, x2)
     trace.start_edge = (x1, x2)
 
-    backtracks = 0
-    # stack of (vertices_consumed_in_window, banned target edges) for undo
-    history: list[tuple[int, set[tuple[int, int]]]] = []
-
     def min_pool_ahead() -> int:
         return min(st.pool_size(c) for c in range(r))
 
     def lap_remaining() -> int:
         return (r - 1 - ((len(st.path) - 1) % r)) % r
 
-    def advance(banned: set[tuple[int, int]]) -> bool:
+    def advance() -> bool:
         """Grow one window of the shortest length in [k0, 2 k0] that reaches a
-        good target edge outside ``banned``."""
+        good target edge."""
         for t in range(k0, 2 * k0 + 1):
-            rec = _advance_window(st, t, params, banned, rng, len(trace.windows))
+            rec = _advance_window(st, t, params, rng, len(trace.windows))
             if rec is not None:
                 trace.windows.append(rec)
-                history.append((t - 2, banned))
                 assert _is_square_path_dense(st.a, st.path), "window broke square-path validity"
                 return True
         return False
@@ -361,17 +345,7 @@ def embed_square_cycle(
             return _closes(adj, (x1, x2), st.path[-2], st.path[-1])
         return lap <= 2 * k0 - 2 and _attempt_join(st, x1, x2, lap, params)
 
-    def backtrack_and_retry() -> bool:
-        """Undo the last window, ban its target, re-advance differently."""
-        nonlocal backtracks
-        if not history or backtracks >= params.backtrack_budget:
-            return False
-        consumed, prev_banned = history.pop()
-        prev_banned.add((st.path[-2], st.path[-1]))
-        st.restore(consumed)
-        backtracks += 1
-        return advance(prev_banned) or bool(history)  # deeper unwinding may still help
-
+    # every advance consumes at least k0 - 2 unused vertices, so the loop ends
     while True:
         if not st.closing and min_pool_ahead() < stop_floor:
             st.closing = True
@@ -382,12 +356,8 @@ def embed_square_cycle(
             if joined():
                 trace.closing_status = "closed"
                 break
-            # the boundary join failed: re-route the last window so the next
-            # attempt starts from a different end edge
-            if backtrack_and_retry():
-                continue
 
-        if advance(set()) or backtrack_and_retry():
+        if advance():
             continue
         if not st.closing:
             st.closing = True
@@ -465,9 +435,9 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[tuple[tuple[int, ...], 
     return tuple(cols)
 
 
-def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | None:
+def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     """One window advance: classify good edges of the next window, then DFS
-    from the current end edge to a good (and not banned) target edge."""
+    from the current end edge to a good target edge."""
     r = st.r
     end_pos = len(st.path) - 1
     c0 = end_pos - 1  # class position of path[-2]
@@ -479,19 +449,12 @@ def _advance_window(st, t, params, banned, rng, window_index) -> WindowRecord | 
     cols = _window(st, next_start, t, rng)
     if cols is None:
         return None
-    report = st.reports.get(cols)
-    if report is None:
-        win = ChainLayers.from_matrix(st.a, cols)
-        report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
-        # a window classified in full drew nothing from rng, so a rebuild
-        # would report the same; a sampled one must draw again each time
-        if np.count_nonzero(win.first) <= params.good_sample_limit:
-            st.reports[cols] = report
-    targets = {e for e in report.good if e not in banned}
-    if not targets:
+    win = ChainLayers.from_matrix(st.a, cols)
+    report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
+    if not report.good:
         return None
 
-    new_vertices = _dfs_to_targets(st, u, v, c0, t, targets, params.window_node_budget)
+    new_vertices = _dfs_to_targets(st, u, v, c0, t, report.good, params.window_node_budget)
     if new_vertices is None:
         return None
     for off, w in enumerate(new_vertices):

@@ -13,15 +13,14 @@ from sqlab.util import rng_from
 from oracles import oracle_expansion_fraction
 
 # sha256 of EmbeddingTrace.to_json() for G(600, 0.7), graph seed 1, at
-# PipelineParams(epsilon=0.2, nu=0.3), which ends open-path at 528/600 since
-# the partition tests its pairs in one shared-draw run: 17 of its 105 pairs
-# are falsely flagged at class size 40 (16 with a stream per pair, when it
-# closed at 540)
-PIPELINE_600_TRACE_SHA256 = "c54211786152b7a8fa74b2ce16096978c95510a2d2d0138cf807cd86a33d6de9"
+# PipelineParams(epsilon=0.2, nu=0.3), which closes at 525/600: the partition
+# tests its pairs in one shared-draw run and falsely flags 17 of its 105 pairs
+# at class size 40
+PIPELINE_600_TRACE_SHA256 = "aef313bcecc11f4bdc1d707beda19fba413780d3b15e79a6e7bb5fd3080f3c1d"
 # the same for G(1200, 0.6), graph seed 1, which closes at 1110/1200, as
 # produced by windows built as chain views: at the benchmark's size the
 # windows subsample unequal pools, which the 600-vertex run never does
-PIPELINE_1200_TRACE_SHA256 = "49ae1d62abbbcd76bfe140aaea6e56246d2f08dccad8f2e12809860131a34dca"
+PIPELINE_1200_TRACE_SHA256 = "22bc62ac8b45472dd1b1d17f5748fc3e5ff986c46feccf77e979f91fbfce7f29"
 # the same for G(240, 0.95), graph seed 2, which closes at 195/240 through the
 # early join: the pools thin below 4 at path length 188, inside a short lap
 PIPELINE_240_TRACE_SHA256 = "903cb826a260315bb12300e5299908630b7d892eb26d605e6071f4ac215f6609"
@@ -130,13 +129,12 @@ def test_classify_good_edges_refuses_threshold_outside_unit_interval(monkeypatch
 
 
 @pytest.mark.parametrize("closing", [False, True], ids=["growing", "closing"])
-def test_consume_then_restore_keeps_available_masks(closing):
+def test_consume_keeps_available_masks(closing):
     r = 6
     g = graph.gnp(60, 0.5, 1)
     classes = [tuple(range(10 * c, 10 * c + 10)) for c in range(r)]
     st = embedder._EmbedState(g, classes, 3, rng_from(1))
     st.closing = closing
-    before = [st.available_mask(c) for c in range(r)]
     # one lap of pool vertices, then one of reserved vertices
     for pos in range(2 * r):
         c = pos % r
@@ -147,10 +145,7 @@ def test_consume_then_restore_keeps_available_masks(closing):
         assert (prev >> v) & 1 == (closing or not reserved)
         st.consume(pos, v)
         assert st.available_mask(c) == prev & ~(1 << v)
-    st.restore(2 * r)
-    assert st.path == []
-    assert [st.available_mask(c) for c in range(r)] == before
-    assert st.unused == [mask_of(cls) for cls in classes]
+    assert st.unused == [mask_of(cls) & ~mask_of(st.path[c::r]) for c, cls in enumerate(classes)]
 
 
 # -- chain_view -------------------------------------------------------------------
@@ -213,9 +208,28 @@ def run_pipeline(n, p, seed):
     return h, pr, cyc, tr
 
 
+def assert_trace_replays(tr, r):
+    """The window records replay the final path: each one starts where the
+    previous one ended and ends at the path's two vertices there, and only
+    the closing join may add vertices after the last one."""
+    seq = tuple((tr.path if tr.cycle is None else tr.cycle).vertices)
+    assert seq[:2] == tr.start_edge
+    length = 2
+    for i, rec in enumerate(tr.windows):
+        assert rec.index == i
+        assert rec.start_class == (length - 2) % r
+        assert rec.path_length == length + rec.length - 2
+        length = rec.path_length
+        assert rec.chosen_edge == seq[length - 2 : length]
+    if tr.closing_status == "open-path":
+        assert tr.final_length == length
+    else:
+        assert length <= tr.final_length <= length + 2 * embedder.PipelineParams.k0 - 2
+
+
 def test_pipeline_600_trace_unchanged(monkeypatch):
-    # windows built and kernel calls made: an embed classifies a window whose
-    # classes it has classified in full before only once
+    # windows built and kernel calls made: each window built is classified
+    # once
     counts = {"windows": 0, "kernel": 0}
     window, kernel = embedder._window, bl.ChainLayers.expansion_fractions
 
@@ -232,30 +246,33 @@ def test_pipeline_600_trace_unchanged(monkeypatch):
     monkeypatch.setattr(bl.ChainLayers, "expansion_fractions", counted_kernel)
     h, pr, cyc, tr = run_pipeline(600, 0.7, 1)
 
-    assert (tr.closing_status, tr.final_length) == ("open-path", 528) and tr.start_certified
+    assert (tr.closing_status, tr.final_length) == ("closed", 525) and tr.start_certified
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_600_TRACE_SHA256
-    # one kernel call picks the start edge and 465 classify windows: the
-    # other 543 of the 1008 windows built were served from the embed's reports
-    assert counts == {"windows": 1008, "kernel": 466}
-    seq = tr.path.vertices
-    assert is_square_path(h, seq)
+    # one kernel call picks the start edge and one classifies each of the
+    # 186 windows built; 171 of them reached a good edge and are kept
+    assert counts == {"windows": 186, "kernel": 187} and len(tr.windows) == 171
+    seq = tr.cycle.vertices
+    assert is_square_cycle(h, seq)
     r = len(cyc.vertices)
     position = {v: j for j, c in enumerate(cyc.vertices) for v in pr.partition.classes[c]}
     assert all(position[v] == idx % r for idx, v in enumerate(seq))
+    assert_trace_replays(tr, r)
 
 
 def test_pipeline_1200_trace_unchanged():
-    h, _, _, tr = run_pipeline(1200, 0.6, 1)
+    h, _, cyc, tr = run_pipeline(1200, 0.6, 1)
     assert (tr.closing_status, tr.final_length) == ("closed", 1110)
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_1200_TRACE_SHA256
     assert is_square_cycle(h, tr.cycle.vertices)
+    assert_trace_replays(tr, len(cyc.vertices))
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="closing re-grows the same window until backtrack_budget runs out "
-    "and ends open-path at 1120/1200 (ROADMAP item 5)",
+    reason="no window advances the path past 1101/1200, 9 classes short of the "
+    "lap boundary and beyond one join's reach of 2 k0 - 2 = 8, so the embed "
+    "ends open-path (ROADMAP item 5)",
 )
 def test_pipeline_1200_closes():
     # the benchmark's resilience op pipeline-2: G(1200, 0.6), graph seed 2
@@ -275,11 +292,23 @@ def test_pipeline_240_closes_through_the_early_join(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(embedder, "_can_wind_generously", spy)
-    h, _, _, tr = run_pipeline(240, 0.95, 2)
+    h, _, cyc, tr = run_pipeline(240, 0.95, 2)
     assert [length for length, ok in seen if not ok] == [188]
     assert (tr.closing_status, tr.final_length) == ("closed", 195)
     assert is_square_cycle(h, tr.cycle.vertices)
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_240_TRACE_SHA256
+    assert_trace_replays(tr, len(cyc.vertices))
+
+
+def test_embed_ends_without_a_budget_when_no_join_succeeds(monkeypatch):
+    # the path only grows, and each window uses at least k0 - 2 vertices, so
+    # an embed whose joins all fail runs out of windows and ends open
+    monkeypatch.setattr(embedder, "_attempt_join", lambda *args: False)
+    monkeypatch.setattr(embedder, "_closes", lambda *args: False)
+    h, _, cyc, tr = run_pipeline(240, 0.95, 2)
+    assert tr.closing_status == "open-path" and "stuck-while-closing" in tr.flags
+    assert is_square_path(h, tr.path.vertices)
+    assert_trace_replays(tr, len(cyc.vertices))
 
 
 def test_pipeline_240_seed_1_reduced_cycle_too_short():
@@ -305,8 +334,9 @@ def test_params_settable_values_are_epsilon_and_nu():
     ],
 )
 def test_params_refuse_removed_fields(name):
+    # any value: the keyword is refused before it is read
     with pytest.raises(TypeError, match=name):
-        embedder.PipelineParams(**{name: getattr(embedder.PipelineParams, name)})
+        embedder.PipelineParams(**{name: 1})
 
 
 def test_params_refuse_positional_arguments():
@@ -323,7 +353,6 @@ def test_params_constants_within_limits():
     assert P.window_node_budget >= P.k0 - 2
     assert 0 < P.good_threshold <= 1
     assert P.good_sample_limit >= 1
-    assert P.backtrack_budget >= 0
     assert P.r_max == P.r_min == 3 * P.k0
 
 

@@ -454,9 +454,8 @@ def test_ported_searches_match_hand_rolled_loops(n):
 
 def copy_state(st):
     """A deep copy of an embed state that shares its read-only adjacency rows
-    and matrix, and its pool lists and window reports, which no search
-    reads."""
-    shared = (st.adj, st.a, st.pools, st.reports)
+    and matrix, and its pool lists, which no search reads."""
+    shared = (st.adj, st.a, st.pools)
     return copy.deepcopy(st, {id(x): x for x in shared})
 
 
@@ -778,11 +777,10 @@ def test_window_route_matches_chain_view(make, closing):
 
 
 @pytest.mark.parametrize("limit", [16, 4096], ids=["sampled", "in-full"])
-def test_window_report_kept_only_when_classified_in_full(monkeypatch, limit):
+def test_advance_window_draws_as_the_chain_view_route(monkeypatch, limit):
     # two advances from one seed build the same window, and each draws from
-    # rng what a build and classification of the chain-view route draws: a
-    # window classified in full is kept and served the second time, a
-    # sampled one never is
+    # rng what a build and classification of the chain-view route draws and
+    # calls the kernel, whether its first pair is sampled or classified in full
     monkeypatch.setattr(embedder.PipelineParams, "good_sample_limit", limit)
     params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
     g, state = embed_state(240, 0.6, 12, 2, 1)
@@ -801,15 +799,12 @@ def test_window_report_kept_only_when_classified_in_full(monkeypatch, limit):
     monkeypatch.setattr(embedder, "_dfs_to_targets", lambda *args: None)
     for _ in range(2):
         rng, ref_rng = rng_from(5), rng_from(5)
-        assert embedder._advance_window(state, t, params, set(), rng, 0) is None
+        assert embedder._advance_window(state, t, params, rng, 0) is None
         ref = reference_window(ReferenceStateView(state, g), t - 2, t, ref_rng)
         want = reference_classify(ref, params.good_threshold, limit, ref_rng)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if limit == 16:
-        assert ref.pair_edge_count(0, 1) > limit
-        assert calls == [limit, limit] and state.reports == {}
-    else:
-        assert calls == [want.sampled] and state.reports == {ref.classes: want}
+    assert (ref.pair_edge_count(0, 1) > limit) == (limit == 16)
+    assert calls == [want.sampled, want.sampled]
 
 
 def test_window_route_reaches_dead_frontiers_and_subsamples():
