@@ -26,23 +26,27 @@ sample_count = 200, true random pairs of density 0.7 are flagged in 20 of
 400.  The false-violation rate falls below the percent level only once
 classes hold several hundred vertices.
 
-One sampling loop tests any number of pairs of vertex classes at once.  At
-each sample index the uniform subsets are drawn once per class, and a pivot
-proposal draws one pivot per class; each pair then draws its own subset of
-its pivot's neighbourhood, and each pivot class one uniform subset that
-excludes the pivot.  Each pair's samples keep the distribution of a test of
-that pair alone; only pairs that share a class are correlated, through that
-class's subsets and pivot.  A single pair, as ``test_regular`` and
-``lower_regular_verdict`` test it, is read from its dense |L| x |R| boolean
-matrix and gets exactly the rng calls of a test of that pair alone.
-``partition_heuristic`` tests all its dense pairs in one run from the packed
-adjacency rows of the class vertices (n^2 / 8 bytes): every pair's density
-comes from them, and the samples of all pairs at one index are counted with
-one ``np.bitwise_count``.
+One sampling loop tests any number of pairs of vertex classes at once, in a
+few array operations per sample index and none per pair.  At each index it
+draws one uniform key per class position (one ``rng.random((r, width))``
+array).  A class's uniform k-subset is the positions of its k smallest keys;
+a class's pivot is the position of its largest key.  A pair's pivot
+proposal takes the k smallest keys of the other class inside the pivot's
+neighbourhood and the k smallest of the pivot's class, which leave the
+pivot out unless the class has at most k vertices: a uniform pivot and a
+uniform subset of the rest.  Each pair's samples keep the distribution of a
+test of that pair alone; only pairs that share a class are correlated,
+through that class's keys and pivot.  A single pair, as ``test_regular``
+and ``lower_regular_verdict`` test it, is the two-class case read from its
+dense |L| x |R| boolean matrix.  ``partition_heuristic`` tests all its
+dense pairs in one run from the packed adjacency rows of the class vertices
+(n^2 / 8 bytes): every pair's density comes from them, and the samples of
+all pairs at one index are counted with one ``np.bitwise_count``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,17 +163,23 @@ class _MatrixCounter:
         # a column-sliced matrix comes out in Fortran order, where take on
         # rows is many times slower
         self.m = np.ascontiguousarray(m)
+        # padded square, so that a row's or a column's adjacency is as wide
+        # as the sampling loop's key rows
+        self.square = self.m
+        if m.shape[0] != m.shape[1]:
+            self.square = np.zeros((max(m.shape),) * 2, dtype=bool)
+            self.square[: m.shape[0], : m.shape[1]] = m
 
-    def neighbourhood(self, c: int, pos: int):
-        """Adjacency of position ``pos`` of class ``c``, indexed by class."""
-        return (self.m[:, pos], None) if c else (None, self.m[pos])
+    def neighbourhoods(self, pivot, pc, oc) -> np.ndarray:
+        """Adjacency of the pivot of class ``pc[i]`` to the positions of class
+        ``oc[i]``, one row per pair (here at most the one)."""
+        return self.square[:, pivot[1]][None] if pc[0] else self.square[pivot[0]][None]
 
-    def counts(self, pairs, subsets) -> list[int]:
-        # two takes are about twice as fast as one broadcast fancy index
-        return [
-            int(np.count_nonzero(self.m.take(li, axis=0).take(ri, axis=1)))
-            for li, ri in subsets
-        ]
+    def counts(self, a, b, left, right) -> np.ndarray:
+        # the one pair; two takes are about twice as fast as one broadcast
+        # fancy index
+        block = self.m.take(left[0], axis=0).take(right[0], axis=1)
+        return np.array([np.count_nonzero(block)])
 
 
 class _GraphCounter:
@@ -203,17 +213,22 @@ class _GraphCounter:
             out[a] = np.bitwise_count(block).sum(axis=(0, 2), dtype=np.int64)
         return out
 
-    def neighbourhood(self, c: int, pos: int) -> np.ndarray:
-        """Adjacency of position ``pos`` of class ``c``, one row per class."""
-        row = self.rows[c * self.size + pos].view(np.uint8)
-        return np.unpackbits(row, bitorder="little")[self.ids]
+    def neighbourhoods(self, pivot, pc, oc) -> np.ndarray:
+        """Adjacency of the pivot of class ``pc[i]`` to the positions of class
+        ``oc[i]``, one row per pair."""
+        r, s = self.ids.shape
+        rows = self.rows.take(np.arange(r) * s + pivot, axis=0)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        # every pivot's adjacency to every class, then each pair's block
+        hoods = bits.take(self.ids, axis=1).reshape(r * r, s)
+        return hoods.take(pc * r + oc, axis=0).view(bool)
 
-    def counts(self, pairs, subsets) -> list[int]:
-        a, b = np.array(pairs, dtype=np.int64).T
-        left = np.array([li for li, _ in subsets]) + (a * self.size)[:, None]
-        right = self.ids[b[:, None], np.array([ri for _, ri in subsets])]
-        block = self.rows[left] & self._masks(right)[:, None, :]
-        return np.bitwise_count(block).sum(axis=(1, 2), dtype=np.int64).tolist()
+    def counts(self, a, b, left, right) -> np.ndarray:
+        """Edges between the positions ``left[i]`` of class ``a[i]`` and
+        ``right[i]`` of class ``b[i]``, per pair."""
+        masks = self._masks(self.ids.take(right + (b * self.size)[:, None]))
+        block = self.rows.take(left + (a * self.size)[:, None], axis=0) & masks[:, None, :]
+        return np.bitwise_count(block).sum(axis=(1, 2), dtype=np.int64)
 
 
 def _check_sampling(reference_p: float, epsilon: float, sample_count: int) -> None:
@@ -241,79 +256,89 @@ def _sampled_test(
 ) -> list:
     """Test every pair (a, b) of classes of the given sizes, a its left and
     b its right side, in one run; returns (hit-or-None, samples-run) per pair.
+    The left classes of all pairs share one subset size, and so do the right.
 
     A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
     (two-sided, d the pair's density) or  observed < (1 - FLAG_SLACK*eps) * p
     (one-sided).  A pair stops at its first violating sample, so reports are
     order-deterministic.
 
-    Sample idx is drawn for all pairs still running, with the shared
-    per-class draws of the module docstring; pivot proposals sit at
-    idx % 3 == 1 (pivots in the right classes) and 2 (in the left).  Each
-    per-class draw is made when the first pair in order needs it, so a
-    single pair makes the rng calls of a test of that pair alone, in the
-    same order.
+    Sample idx is drawn for all pairs still running from one
+    ``rng.random((r, width))`` key array, with the shared draws of the module
+    docstring; one ``argpartition`` reads every subset off it.  Pivot
+    proposals sit at idx % 3 == 1 (pivots in the right classes) and 2 (in
+    the left).  A class's pivot is the position of its largest key: it is
+    uniform, and the k smallest keys of its class are a uniform k-subset of
+    the other positions, so the pivot's own side never holds it unless the
+    class has at most k vertices.  The other side takes the k smallest keys
+    inside the pivot's neighbourhood, or, when the pivot has fewer than k
+    neighbours there, the pair takes both classes' k smallest keys, as at
+    a uniform sample.
     """
-    k = [min(n, max(1, int(np.ceil(epsilon * n)))) for n in sizes]
+    out = [(None, sample_count)] * len(pairs)
+    if not pairs:
+        return out
+    k = [min(n, max(1, math.ceil(epsilon * n))) for n in sizes]
+    (kl,), (kr,) = {k[x] for x, _ in pairs}, {k[y] for _, y in pairs}
+    r, width = len(sizes), max(sizes)
+    # a row's k-th smallest key in place puts its k smallest before it
+    kth = sorted({c - 1 for c in k})
+    # keys past a class's size count as 0 when the pivots are read, never
+    # the largest, and as inf after, never among the k smallest
+    valid = pad = None
+    if min(sizes) < width:
+        valid = np.arange(width) < np.asarray(sizes)[:, None]
+        pad = np.where(valid, 0.0, np.inf)
+    denom = kl * kr
     lower = (1 - FLAG_SLACK * epsilon) * reference_p
     spread = FLAG_SLACK * epsilon * reference_p
 
-    def uniform(c, exclude=None):
-        # the pivot must not land in the opposite subset: its all-ones (or
-        # all-zeros) column against a neighbourhood sample would bias the
-        # observed density on perfectly regular pairs
-        if exclude is None or sizes[c] <= k[c]:
-            return rng.choice(sizes[c], size=k[c], replace=False)
-        pick = rng.choice(sizes[c] - 1, size=k[c], replace=False)
-        return pick + (pick >= exclude)
-
-    out = [(None, sample_count)] * len(pairs)
-    live = list(range(len(pairs)))
+    live = np.arange(len(pairs))
+    a, b = np.array(pairs).T
+    dens = np.asarray(densities, dtype=np.float64)
+    near_rows = r + live
     for idx in range(sample_count):
-        if not live:
+        if not live.size:
             break
         kind = idx % 3
-        end = 2 - kind  # for a pivot proposal, the pivots' side of every pair
-        # each class's pivot, its adjacency, the uniform subset excluding it,
-        # and the plain uniform subset; each drawn once, when a pair needs it
-        pivot, hood, rest, drawn = {}, {}, {}, {}
-        subsets, via = [], []
-        for i in live:
-            pair = pairs[i]
-            where = None
-            if kind:
-                c, o = pair[end], pair[1 - end]
-                if c not in pivot:
-                    pivot[c] = int(rng.integers(sizes[c]))
-                    hood[c] = counter.neighbourhood(c, pivot[c])
-                cand = hood[c][o].nonzero()[0]
-                if cand.size >= k[o]:
-                    near = cand[rng.choice(cand.size, size=k[o], replace=False)]
-                    if c not in rest:
-                        rest[c] = uniform(c, exclude=pivot[c])
-                    subsets.append((near, rest[c]) if end else (rest[c], near))
-                    where = (("left", "right")[end], pivot[c])
-            if where is None:
-                for c in pair:
-                    if c not in drawn:
-                        drawn[c] = uniform(c)
-                subsets.append((drawn[pair[0]], drawn[pair[1]]))
-            via.append(where)
-        counts = counter.counts([pairs[i] for i in live], subsets)
-        flagged = False
-        for i, (li, ri), where, e in zip(live, subsets, via, counts):
-            denom = li.size * ri.size
-            # int / int rounds correctly, so this equals float(Fraction(e, denom))
-            observed = e / denom
-            if one_sided:
-                bad = observed < lower
-            else:
-                bad = abs(observed - densities[i]) > spread
-            if bad:
-                out[i] = ((li, ri, Fraction(e, denom), where, idx), idx + 1)
-                flagged = True
-        if flagged:
-            live = [i for i in live if out[i][0] is None]
+        keys = rng.random((r, width))
+        # a pivot's own side never holds it: its all-ones (or all-zeros)
+        # column against a neighbourhood sample would bias the observed
+        # density on perfectly regular pairs
+        pivot = (keys if valid is None else keys * valid).argmax(axis=1) if kind else None
+        if pad is not None:
+            keys += pad
+        if kind:
+            # the pivots' side of every pair, and the other side
+            pc, oc, ko = (b, a, kl) if kind == 1 else (a, b, kr)
+            hood = counter.neighbourhoods(pivot, pc, oc)
+            near = np.add.reduce(hood, axis=1) >= ko
+            keys = np.concatenate([keys, np.where(hood, keys.take(oc, axis=0), np.inf)])
+            rows = np.where(near, near_rows, oc)
+            rl, rr = (rows, b) if kind == 1 else (a, rows)
+        else:
+            rl, rr = a, b
+        order = keys.argpartition(kth, axis=1)
+        # take is about three times as fast as fancy indexing on these sizes
+        left = order.take(rl, axis=0)[:, :kl]
+        right = order.take(rr, axis=0)[:, :kr]
+        counts = counter.counts(a, b, left, right)
+        # int / int rounds correctly, so this equals float(Fraction(e, denom))
+        observed = counts / denom
+        if one_sided:
+            bad = observed < lower
+        else:
+            bad = np.abs(observed - dens) > spread
+        if np.count_nonzero(bad):
+            for j in np.flatnonzero(bad):
+                where = None
+                if kind and near[j]:
+                    where = ("right" if kind == 1 else "left", int(pivot[pc[j]]))
+                hit = (left[j], right[j], Fraction(int(counts[j]), denom), where, idx)
+                out[live[j]] = (hit, idx + 1)
+            keep = ~bad
+            live, a, b, dens = live[keep], a[keep], b[keep], dens[keep]
+            near_rows = near_rows[: live.size]
     return out
 
 
@@ -537,7 +562,7 @@ def partition_heuristic(
         )
         reduced: dict[int, set[int]] = {i: set() for i in range(r)}
         reports: dict[tuple[int, int], RegularityReport] = {}
-        splitters: list[set[int]] = []
+        pivots: list[int] = []  # of violated pairs, whose neighbourhoods split
         for (i, j), result in zip(dense, results):
             rep = _pair_report(
                 classes[i], classes[j], density_of[i, j], reference_p, epsilon, result
@@ -547,9 +572,9 @@ def partition_heuristic(
                 reduced[i].add(j)
                 reduced[j].add(i)
             elif rep.witness.pivot is not None:
-                splitters.append(set(g.neighbors(rep.witness.pivot)))
+                pivots.append(rep.witness.pivot)
         rounds += 1
-        if not splitters or rounds > refine_rounds:
+        if not pivots or rounds > refine_rounds:
             degrees = {i: len(reduced[i]) for i in range(r)}
             return PartitionResult(
                 partition,
@@ -559,7 +584,8 @@ def partition_heuristic(
                 rounds,
                 reports,
             )
-        for s in splitters:
+        for pivot in pivots:
+            s = set(g.neighbors(pivot))
             new_atoms: list[list[int]] = []
             for atom in atoms:
                 inside = [v for v in atom if v in s]

@@ -15,16 +15,18 @@ square path search with the reach bound alone follows them, kept verbatim so
 the search with the independent-set bound can be held to the same paths in
 no more nodes.
 
-``reference_sampled_test`` is the single-pair sampling loop that the
-shared-draw ``_sampled_test`` replaced, kept verbatim;
-``reference_test_regular`` and ``reference_sampled_lower_regular_packed``
-run it on a packed counter, so single-pair reports, verdicts and rng draws
-can be held to it bit for bit.
+``reference_sampled_test`` is the regularity tester's sampling loop one
+pair and one vertex at a time: the same key array per sample index, each
+subset read off by sorting keys, each count taken from Python-int rows.
+``reference_test_regular``, ``reference_lower_regular_verdict`` and, with
+``ReferenceGraphCounter`` patched in, ``partition_heuristic`` run it, so
+subsets, reports, verdicts and rng draws can be held to it bit for bit.
 
 The chain kernels after them -- triangle pruning, the two exact
-square-path counters and the property-(ii) check with its packed-matrix
-counter -- are the earlier per-row and per-state versions, kept verbatim
-for the same purpose against the dense matrix-product kernels.  The
+square-path counters and the property-(ii) check, whose flank sub-pairs
+go through ``reference_lower_regular_verdict`` -- are the earlier per-row
+and per-state versions, kept verbatim for the same purpose against the
+dense matrix-product kernels.  The
 transposed pairs they read come from a local ``_pair_T``.
 
 The embedder's window route at the very end -- each window a ``chain_view``
@@ -47,6 +49,7 @@ results and node counts.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -62,7 +65,7 @@ from sqlab.bitops import (
 )
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
 from sqlab.embedder import GoodEdgeReport
-from sqlab.graph import Graph
+from sqlab.graph import Graph, from_edges
 from sqlab.regularity import (
     FLAG_SLACK,
     BipartitePairView,
@@ -203,8 +206,10 @@ def reference_per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
 
 
 class ReferenceGraphCounter:
-    """``regularity._GraphCounter``'s interface over equal-size classes,
-    read from the Python-int adjacency rows."""
+    """``regularity._GraphCounter``'s edge counts over equal-size classes,
+    and the scalar adjacency and subset counts that ``reference_sampled_test``
+    reads, all from the Python-int adjacency rows.  The classes may differ in
+    size when only the scalar methods are used."""
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
         self.g = g
@@ -217,17 +222,22 @@ class ReferenceGraphCounter:
             [[sum((adj[u] & mb).bit_count() for u in ca) for mb in masks] for ca in self.classes]
         )
 
-    def neighbourhood(self, c: int, pos: int) -> list[np.ndarray]:
-        row = self.g.adjacency[self.classes[c][pos]]
-        return [np.array([(row >> v) & 1 for v in cls], dtype=bool) for cls in self.classes]
+    def adjacent(self, c: int, i: int, o: int, j: int) -> bool:
+        """Whether position i of class c and position j of class o are adjacent."""
+        return bool(self.g.adjacency[self.classes[c][i]] >> self.classes[o][j] & 1)
 
-    def counts(self, pairs, subsets) -> list[int]:
-        adj = self.g.adjacency
-        out = []
-        for (a, b), (li, ri) in zip(pairs, subsets):
-            mask = mask_of(self.classes[b][j] for j in ri)
-            out.append(sum((adj[self.classes[a][i]] & mask).bit_count() for i in li))
-        return out
+    def count(self, a: int, li, b: int, ri) -> int:
+        """Edges between positions ``li`` of class a and ``ri`` of class b."""
+        mask = mask_of(self.classes[b][j] for j in ri)
+        return sum((self.g.adjacency[self.classes[a][i]] & mask).bit_count() for i in li)
+
+
+def matrix_counter(m: np.ndarray) -> ReferenceGraphCounter:
+    """The scalar counter of a dense |L| x |R| pair matrix: class 0 its rows,
+    class 1 its columns, as vertices 0..|L|-1 and |L|..|L|+|R|-1."""
+    nl, nr = m.shape
+    g = from_edges(nl + nr, [(int(u), nl + int(w)) for u, w in zip(*np.nonzero(m))])
+    return ReferenceGraphCounter(g, [range(nl), range(nl, nl + nr)])
 
 
 def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
@@ -355,106 +365,69 @@ def _pair_T(chain: ChainPartition, i: int, j: int) -> np.ndarray:
     return pack_bool_matrix(unpack_packed_matrix(chain.pair(i, j), chain.n0).T)
 
 
-class ReferencePackedCounter:
-    """Counter over a packed pair matrix restricted to row/col index lists."""
-
-    def __init__(self, packed: np.ndarray, rows: np.ndarray, cols: np.ndarray, n0: int):
-        self.packed = packed
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        self.n0 = n0
-
-    def _colmask(self, ci: np.ndarray) -> np.ndarray:
-        bitsrow = np.zeros(self.n0, dtype=bool)
-        bitsrow[self.cols[ci]] = True
-        return np.packbits(bitsrow, bitorder="little")
-
-    def count(self, li: np.ndarray, ri: np.ndarray) -> int:
-        cm = self._colmask(ri)
-        sub = self.packed[self.rows[li]] & cm[None, :]
-        return int(popcount_rows(sub).sum())
-
-    def left_indices_adjacent_to(self, right_pos: int) -> np.ndarray:
-        c = int(self.cols[right_pos])
-        byte, bit = c >> 3, c & 7
-        hit = (self.packed[self.rows, byte] >> bit) & 1
-        return np.nonzero(hit)[0]
-
-    def right_indices_adjacent_to(self, left_pos: int) -> np.ndarray:
-        row = self.packed[self.rows[left_pos]]
-        full = np.unpackbits(row, bitorder="little", count=self.n0).astype(bool)
-        return np.nonzero(full[self.cols])[0]
-
-
 def reference_sampled_test(
     counter,
-    nl: int,
-    nr: int,
-    pair_density: float,
+    sizes: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    densities: Sequence[float],
     reference_p: float,
     epsilon: float,
     sample_count: int,
     rng,
     one_sided: bool,
-):
-    """Shared loop; returns (hit-or-None, samples-run).
+) -> list:
+    """``regularity._sampled_test`` one pair and one vertex at a time, on a
+    scalar counter: the same key array per sample index, each subset read
+    off by sorting keys.
 
-    A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
-    (two-sided, d the pair density) or  observed < (1 - FLAG_SLACK*eps) * p
-    (one-sided).  The first violating sample wins, so reports are
-    order-deterministic.
+    At sample idx every class gets one row of ``rng.random((r, width))``
+    keys (positions past its size unused).  A uniform subset is the k
+    positions with the smallest keys.  At idx % 3 == 1 (2) each right
+    (left) class's pivot is the position of its largest key; a pair whose
+    pivot sees at least k positions of the other class takes the k of them
+    with the smallest keys, and the k smallest keys of the pivot's class
+    without the pivot, unless that class has at most k positions; otherwise
+    it takes uniform subsets.  The first violating sample wins.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    su = max(1, int(np.ceil(epsilon * nl)))
-    sw = max(1, int(np.ceil(epsilon * nr)))
-    su = min(su, nl)
-    sw = min(sw, nr)
-    denom = su * sw
-
-    def uniform(n, size, exclude=None):
-        # the pivot must not land in the opposite subset: its all-ones (or
-        # all-zeros) column against a neighbourhood sample would bias the
-        # observed density on perfectly regular pairs
-        if exclude is None or n <= size:
-            return rng.choice(n, size=size, replace=False)
-        pick = rng.choice(n - 1, size=size, replace=False)
-        return np.where(pick >= exclude, pick + 1, pick)
-
+    r, width = len(sizes), max(sizes)
+    k = [min(n, max(1, math.ceil(epsilon * n))) for n in sizes]
+    out = [(None, sample_count)] * len(pairs)
+    live = list(range(len(pairs)))
     for idx in range(sample_count):
+        if not live:
+            break
         kind = idx % 3
-        li = ri = None
-        pivot = None
-        if kind == 1 and nr > 0:
-            rpos = int(rng.integers(nr))
-            cand = counter.left_indices_adjacent_to(rpos)
-            if cand.size >= su:
-                pick = rng.choice(cand.size, size=su, replace=False)
-                li = cand[pick]
-                pivot = ("right", rpos)
-                ri = uniform(nr, sw, exclude=rpos)
-        elif kind == 2 and nl > 0:
-            lpos = int(rng.integers(nl))
-            cand = counter.right_indices_adjacent_to(lpos)
-            if cand.size >= sw:
-                pick = rng.choice(cand.size, size=sw, replace=False)
-                ri = cand[pick]
-                pivot = ("left", lpos)
-                li = uniform(nl, su, exclude=lpos)
-        if li is None:
-            li = uniform(nl, su)
-        if ri is None:
-            ri = uniform(nr, sw)
-        e = counter.count(li, ri)
-        # int / int rounds correctly, so this equals float(Fraction(e, denom))
-        observed = e / denom
-        if one_sided:
-            bad = observed < (1 - FLAG_SLACK * epsilon) * reference_p
-        else:
-            bad = abs(observed - pair_density) > FLAG_SLACK * epsilon * reference_p
-        if bad:
-            return (li, ri, Fraction(e, denom), pivot, idx), idx + 1
-    return None, sample_count
+        keys = rng.random((r, width)).tolist()
+
+        def smallest(c, positions):
+            return sorted(positions, key=lambda j: keys[c][j])[: k[c]]
+
+        if kind:
+            pivot = [max(range(n), key=lambda j: keys[c][j]) for c, n in enumerate(sizes)]
+        for i in live:
+            a, b = pairs[i]
+            li, ri, where = smallest(a, range(sizes[a])), smallest(b, range(sizes[b])), None
+            if kind:
+                c, o = (b, a) if kind == 1 else (a, b)
+                hood = [j for j in range(sizes[o]) if counter.adjacent(c, pivot[c], o, j)]
+                if len(hood) >= k[o]:
+                    near = smallest(o, hood)
+                    rest = smallest(
+                        c, [j for j in range(sizes[c]) if j != pivot[c] or sizes[c] <= k[c]]
+                    )
+                    li, ri = (near, rest) if kind == 1 else (rest, near)
+                    where = ("right" if kind == 1 else "left", pivot[c])
+            e = counter.count(a, li, b, ri)
+            denom = len(li) * len(ri)
+            observed = e / denom
+            if one_sided:
+                bad = observed < (1 - FLAG_SLACK * epsilon) * reference_p
+            else:
+                bad = abs(observed - densities[i]) > FLAG_SLACK * epsilon * reference_p
+            if bad:
+                out[i] = ((li, ri, Fraction(e, denom), where, idx), idx + 1)
+        live = [i for i in live if out[i][0] is None]
+    return out
 
 
 def reference_test_regular(
@@ -465,49 +438,29 @@ def reference_test_regular(
     sample_count: int = 200,
     seed: int = 0,
 ) -> RegularityReport:
-    """``test_regular`` through the single-pair ``reference_sampled_test``,
-    on a packed counter over the left vertices' adjacency rows."""
-    nbytes = (g.n + 7) // 8
-    raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in pair.left)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(pair.left), nbytes)
+    """``test_regular`` through ``reference_sampled_test`` on the scalar
+    counter of the pair's two sides."""
     nl, nr = len(pair.left), len(pair.right)
-    counter = ReferencePackedCounter(packed, np.arange(nl), np.asarray(pair.right), 8 * nbytes)
-    d = Fraction(counter.count(np.arange(nl), np.arange(nr)), nl * nr)
-    result = reference_sampled_test(
-        counter, nl, nr, float(d), reference_p, epsilon, sample_count, rng_from(seed), one_sided=False
+    counter = ReferenceGraphCounter(g, [pair.left, pair.right])
+    d = Fraction(counter.count(0, range(nl), 1, range(nr)), nl * nr)
+    [result] = reference_sampled_test(
+        counter, (nl, nr), [(0, 1)], [float(d)], reference_p, epsilon, sample_count,
+        rng_from(seed), one_sided=False,
     )
     return _pair_report(pair.left, pair.right, d, reference_p, epsilon, result)
 
 
-def reference_sampled_lower_regular_packed(
-    packed: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    reference_p: float,
-    epsilon: float,
-    sample_count: int,
-    rng,
+def reference_lower_regular_verdict(
+    m: np.ndarray, reference_p: float, epsilon: float, sample_count: int, rng
 ) -> str:
-    """Lower-regularity verdict for an induced sub-pair of a packed chain
-    pair matrix (rows/cols are local index arrays).  Returns the verdict
-    string only; used by the per-vertex neighbourhood checks where full
-    reports would be wasteful."""
-    if not rows.size or not cols.size:
+    """``lower_regular_verdict`` through ``reference_sampled_test`` on the
+    scalar counter of a dense pair matrix."""
+    if not m.size:
         return "violated" if reference_p > 0 else "no-violation-found"
-    n0 = packed.shape[1] * 8
-    counter = ReferencePackedCounter(packed, rows, cols, n0)
-    e = counter.count(np.arange(rows.size), np.arange(cols.size))
-    d = Fraction(e, rows.size * cols.size)
-    hit, _ = reference_sampled_test(
-        counter,
-        rows.size,
-        cols.size,
-        float(d),
-        reference_p,
-        epsilon,
-        sample_count,
-        rng,
-        one_sided=True,
+    counter = matrix_counter(m)
+    d = counter.count(0, range(m.shape[0]), 1, range(m.shape[1])) / m.size
+    [(hit, _)] = reference_sampled_test(
+        counter, m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count, rng, one_sided=True
     )
     return "violated" if hit is not None else "no-violation-found"
 
@@ -603,7 +556,7 @@ def reference_check_gtilde_ii(
         middle = i + 1
         AT = _pair_T(chain, i, middle)  # rows: middle locals, bits over class i
         Bm = chain.pair(middle, i + 2)
-        flank = chain.pair(i, i + 2)
+        flank = unpack_packed_matrix(chain.pair(i, i + 2), n0)
         exceptions = 0
         for v in range(n0):
             left = np.nonzero(
@@ -615,8 +568,8 @@ def reference_check_gtilde_ii(
             if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
                 exceptions += 1
                 continue
-            verdict = reference_sampled_lower_regular_packed(
-                flank, left, right, reference_p, epsilon, sample_count, rng
+            verdict = reference_lower_regular_verdict(
+                flank[np.ix_(left, right)], reference_p, epsilon, sample_count, rng
             )
             if verdict == "violated":
                 exceptions += 1

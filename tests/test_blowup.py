@@ -280,9 +280,9 @@ def test_check_ii_random_chain_within_budget():
 
 def test_check_ii_refuses_zero_samples():
     # zero samples would certify every neighbourhood pair that passes the
-    # size window; 5 samples find an exception in class 1
+    # size window; 5 samples find an exception in each middle class
     ch = bl.build_chain_random(4, 12, 0.5, seed=1)
-    assert bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=5, seed=1) == {1: 1, 2: 0}
+    assert bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=5, seed=1) == {1: 1, 2: 1}
     with pytest.raises(ValueError):
         bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=0, seed=1)
 

@@ -4,9 +4,9 @@ reference implementations in ``oracles``: outputs must be identical, down to
 edge counts, witnesses, sample indices, path vertices, pruned pairs, path
 counts, expansion fractions and rng draws.  The exact longest square path
 search, which prunes with a second bound, is held to the same paths and
-verdicts in no more nodes.  ``test_regular`` and ``lower_regular_verdict``
-are held to the single-pair sampling loop that the shared-draw loop
-replaced, and the partition's packed class counter to a bitset one.  The six searches ported onto
+verdicts in no more nodes.  ``test_regular``, ``lower_regular_verdict``
+and ``partition_heuristic`` are held, subset by subset, to the sampling loop
+run one pair at a time on Python-int rows.  The six searches ported onto
 ``squarewalk.search_square_paths`` are held to their hand-rolled loops:
 the same results in the same node counts, and the embedder's window and
 join searches call by call inside whole pipeline runs."""
@@ -27,6 +27,7 @@ from sqlab.util import rng_from
 from oracles import (
     ReferenceGraphCounter,
     ReferenceStateView,
+    matrix_counter,
     reference_attempt_join,
     reference_check_gtilde_ii,
     reference_classify,
@@ -39,10 +40,10 @@ from oracles import (
     reference_has_square_hamilton_cycle,
     reference_longest_square_path_exact,
     reference_longest_square_path_pruned,
+    reference_lower_regular_verdict,
     reference_per_vertex_deletion,
     reference_pick_start_edge,
     reference_prune_to_gtilde,
-    reference_sampled_lower_regular_packed,
     reference_sampled_test,
     reference_square_path_counts_from,
     reference_test_regular,
@@ -93,10 +94,12 @@ def test_per_vertex_deletion_matches_reference_across_chunks(monkeypatch, chunk)
 
 
 def with_reference_counter(monkeypatch, fn, *args, **kwargs):
-    """(fn with the packed counter, fn with the bitset reference counter)."""
+    """(fn with the packed counter and array sampling loop, fn with the
+    bitset reference counter and the loop run one pair at a time)."""
     got = fn(*args, **kwargs)
     with monkeypatch.context() as mp:
         mp.setattr(reg, "_GraphCounter", ReferenceGraphCounter)
+        mp.setattr(reg, "_sampled_test", reference_sampled_test)
         want = fn(*args, **kwargs)
     return got, want
 
@@ -201,36 +204,35 @@ def test_lower_regular_verdict_matches_single_pair_reference(
     nl, nr = m.shape
     got_rng, want_rng = rng_from(seed), rng_from(seed)
     got = reg.lower_regular_verdict(m, reference_p, epsilon, sample_count, got_rng)
-    want = reference_sampled_lower_regular_packed(
-        pack_bool_matrix(m), np.arange(nl), np.arange(nr), reference_p, epsilon, sample_count, want_rng
-    )
+    want = reference_lower_regular_verdict(m, reference_p, epsilon, sample_count, want_rng)
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class LoggingPairCounter:
-    """Both counter interfaces over one dense pair matrix; logs every sample
-    it counts, so that two sampling loops can be compared draw by draw."""
+    """Both counter interfaces over one dense pair matrix, the array one
+    through ``regularity._MatrixCounter``; logs the subsets of every sample
+    it counts, sorted, so that two sampling loops can be compared draw by
+    draw."""
 
     def __init__(self, m):
-        self.m = m
+        self.matrix = reg._MatrixCounter(m)
+        self.scalar = matrix_counter(m)
         self.log = []
 
-    def count(self, li, ri):
-        self.log.append((li.tolist(), ri.tolist()))
-        return int(np.count_nonzero(self.m[np.ix_(li, ri)]))
+    def neighbourhoods(self, pivot, pc, oc):
+        return self.matrix.neighbourhoods(pivot, pc, oc)
 
-    def left_indices_adjacent_to(self, right_pos):
-        return self.m[:, right_pos].nonzero()[0]
+    def counts(self, a, b, left, right):
+        self.log += [(sorted(li.tolist()), sorted(ri.tolist())) for li, ri in zip(left, right)]
+        return self.matrix.counts(a, b, left, right)
 
-    def right_indices_adjacent_to(self, left_pos):
-        return self.m[left_pos].nonzero()[0]
+    def adjacent(self, c, i, o, j):
+        return self.scalar.adjacent(c, i, o, j)
 
-    def neighbourhood(self, c, pos):
-        return (self.m[:, pos], None) if c else (None, self.m[pos])
-
-    def counts(self, pairs, subsets):
-        return [self.count(li, ri) for li, ri in subsets]
+    def count(self, a, li, b, ri):
+        self.log.append((sorted(li), sorted(ri)))
+        return self.scalar.count(a, li, b, ri)
 
 
 @given(
@@ -250,19 +252,16 @@ def test_sampled_test_draws_match_single_pair_reference(
     reference_p = scale * d or 0.5
     got_counter, want_counter = LoggingPairCounter(m), LoggingPairCounter(m)
     got_rng, want_rng = rng_from(seed), rng_from(seed)
-    [(got, got_samples)] = reg._sampled_test(
-        got_counter, m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count, got_rng, one_sided
-    )
-    want, want_samples = reference_sampled_test(
-        want_counter, *m.shape, d, reference_p, epsilon, sample_count, want_rng, one_sided
-    )
+    args = (m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count)
+    [(got, got_samples)] = reg._sampled_test(got_counter, *args, got_rng, one_sided)
+    [(want, want_samples)] = reference_sampled_test(want_counter, *args, want_rng, one_sided)
     assert got_counter.log == want_counter.log
     assert got_samples == want_samples
     assert (got is None) == (want is None)
     if got is not None:
         li, ri, observed, pivot, idx = got
-        assert (li.tolist(), ri.tolist(), observed, pivot, idx) == (
-            want[0].tolist(), want[1].tolist(), *want[2:]
+        assert (sorted(li.tolist()), sorted(ri.tolist()), observed, pivot, idx) == (
+            sorted(want[0]), sorted(want[1]), *want[2:]
         )
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
@@ -273,9 +272,12 @@ def test_sampled_test_draws_match_single_pair_reference(
         (squared_cycle_blowup()[0], 0.45, 0.25, 9, 2),
         (graph.gnp(360, 0.6, 8), 0.6, 0.2, 6, 1),
         (graph.gnp(360, 0.6, 8), 0.6, 0.075, 6, 3),
+        (graph.gnp(120, 0.6, 4), 0.6, 0.1, 2, 2),
+        (graph.empty(60), 0.5, 0.3, 6, 1),
     ],
-    ids=["blowup", "gnp-eps0.2", "gnp-eps0.075"],
+    ids=["blowup", "gnp-eps0.2", "gnp-eps0.075", "one-dense-pair", "no-dense-pair"],
 )
+@pytest.mark.filterwarnings("ignore:minimum degree:UserWarning")
 def test_partition_matches_reference(monkeypatch, g, p, epsilon, r, rounds):
     got, want = with_reference_counter(
         monkeypatch,
@@ -293,6 +295,28 @@ def test_partition_matches_reference(monkeypatch, g, p, epsilon, r, rounds):
     )
     assert got == want
     assert got.rounds_used == rounds
+
+
+@pytest.mark.parametrize("shape", [(60, 90), (90, 60)])
+@pytest.mark.parametrize("epsilon", [0.075, 0.2])
+def test_lower_regular_verdict_on_unequal_sides_matches_reference(shape, epsilon):
+    # the shorter side's key row is padded past its size; both orientations,
+    # on a random pair and on one with a planted empty corner, which always
+    # flags
+    gen = np.random.default_rng(11)
+    for hole in (False, True):
+        m = gen.random(shape) < 0.6
+        if hole:
+            m[: shape[0] // 2, : shape[1] // 2] = False
+        verdicts = set()
+        for seed in range(6):
+            got_rng, want_rng = rng_from(seed), rng_from(seed)
+            got = reg.lower_regular_verdict(m, 0.6, epsilon, 60, got_rng)
+            assert got == reference_lower_regular_verdict(m, 0.6, epsilon, 60, want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            verdicts.add(got)
+        if hole:
+            assert verdicts == {"violated"}
 
 
 # -- greedy square path ---------------------------------------------------------

@@ -141,11 +141,10 @@ def test_lower_regular_edgeless_first_sample():
     pair = reg.BipartitePairView(g, tuple(range(10)), tuple(range(10, 20)))
     rng = rng_from(1)
     assert reg.lower_regular_verdict(pair_matrix(g, pair), 0.5, 0.3, 50, rng) == "violated"
-    # the first sample is a uniform one, drawn as two choices of ceil(0.3 * 10)
-    # positions; the verdict must stop right after it
+    # the first sample is a uniform one, drawn from one 2 x 10 key array;
+    # the verdict must stop right after it
     twin = rng_from(1)
-    twin.choice(10, size=3, replace=False)
-    twin.choice(10, size=3, replace=False)
+    twin.random((2, 10))
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -210,6 +209,103 @@ def test_small_deletion_keeps_regularity():
         d = float(reg.density(out, kept.left, kept.right))
         rep = reg.test_regular(out, kept, d, 2 * eps, 100, seed)
         assert rep.verdict == "no-violation-found"
+
+
+# -- sampling draws ------------------------------------------------------------------
+
+
+class RecordingCounter:
+    """The one-pair matrix counter, recording each sample's pivot (the
+    per-class pivot positions and the pivots' class, or None at a uniform
+    sample) and its two subsets."""
+
+    def __init__(self, m):
+        self.inner = reg._MatrixCounter(m)
+        self.samples = []
+        self.pivot = None
+
+    def neighbourhoods(self, pivot, pc, oc):
+        self.pivot = (pivot.tolist(), int(pc[0]))
+        return self.inner.neighbourhoods(pivot, pc, oc)
+
+    def counts(self, a, b, left, right):
+        self.samples.append((self.pivot, left[0].tolist(), right[0].tolist()))
+        self.pivot = None
+        return self.inner.counts(a, b, left, right)
+
+
+def recorded_samples(m, epsilon, sample_count, seeds):
+    """Every sample of one-sided runs that never flag (reference_p 0)."""
+    out = []
+    d = np.count_nonzero(m) / m.size
+    for seed in seeds:
+        counter = RecordingCounter(m)
+        [(hit, ran)] = reg._sampled_test(
+            counter, m.shape, [(0, 1)], [d], 0.0, epsilon, sample_count, rng_from(seed), True
+        )
+        assert hit is None and ran == sample_count == len(counter.samples)
+        out += counter.samples
+    return out
+
+
+def test_uniform_subsets_hit_each_position_at_rate_k_over_n():
+    # frozen Monte Carlo: 3,000 uniform samples of a 12 x 20 pair at eps
+    # 0.25 (k = 3 and 5, so each position lands in a subset with probability
+    # 1/4); every count lies within 5 standard deviations of 750, and the
+    # 12-vertex side's padded key positions are never chosen
+    m = np.ones((12, 20), dtype=bool)
+    samples = recorded_samples(m, 0.25, 30, range(300))
+    uniform = [(li, ri) for pivot, li, ri in samples if pivot is None]
+    assert len(uniform) == 3000
+    for side, n, k in ((0, 12, 3), (1, 20, 5)):
+        chosen = [x[side] for x in uniform]
+        assert all(len(c) == len(set(c)) == k for c in chosen)
+        hits = np.bincount(np.concatenate(chosen), minlength=n)
+        assert hits.size == n
+        mean, sd = 3000 * k / n, math.sqrt(3000 * k / n * (1 - k / n))
+        assert np.all(np.abs(hits - mean) <= 5 * sd), hits
+
+
+def test_pivot_subsets_lie_in_the_pivot_neighbourhood():
+    # each pivot here sees at least 9 positions of the other side, above
+    # both subset sizes (6 and 8), so no proposal falls back to uniform
+    m = np.random.default_rng(3).random((30, 40)) < 0.5
+    assert m.sum(axis=0).min() >= 9 and m.sum(axis=1).min() >= 9
+    proposals = 0
+    for pivot, li, ri in recorded_samples(m, 0.2, 30, range(40)):
+        if pivot is None:
+            continue
+        proposals += 1
+        positions, c = pivot
+        if c == 1:  # pivot in the right class: the left subset is near it
+            hood, near, own = set(np.flatnonzero(m[:, positions[1]])), li, ri
+        else:
+            hood, near, own = set(np.flatnonzero(m[positions[0]])), ri, li
+        assert set(near) <= hood
+        assert positions[c] not in own
+    assert proposals == 40 * 20
+
+
+@pytest.mark.parametrize(
+    "shape, epsilon", [((1, 30), 0.2), ((5, 7), 1.0)], ids=["one-vertex-side", "eps-1"]
+)
+def test_rest_holds_the_pivot_only_in_a_class_of_at_most_k(shape, epsilon):
+    # a side of at most k vertices is its own subset, pivot included; a
+    # larger side leaves its pivot out
+    m = np.ones(shape, dtype=bool)
+    k = [min(n, max(1, math.ceil(epsilon * n))) for n in shape]
+    seen = 0
+    for pivot, li, ri in recorded_samples(m, epsilon, 30, range(20)):
+        if pivot is None:
+            continue
+        positions, c = pivot
+        own = ri if c == 1 else li
+        if shape[c] <= k[c]:
+            assert sorted(own) == list(range(shape[c]))
+        else:
+            assert positions[c] not in own and len(own) == k[c]
+        seen += 1
+    assert seen == 20 * 20
 
 
 # -- partition heuristic -----------------------------------------------------------
