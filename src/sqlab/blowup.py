@@ -36,7 +36,7 @@ import numpy as np
 
 from .bitops import pack_bool_matrix, popcount_rows, unpack_packed_matrix
 from .graph import Graph, to_matrix
-from .regularity import lower_regular_verdict
+from .regularity import _check_sampling, lower_regular_verdict
 from .util import rng_from
 
 
@@ -332,8 +332,9 @@ def check_gtilde_ii(
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
     either a hard size violation or a "violated" verdict of
     ``lower_regular_verdict``, which carries no witness and cannot be
-    replayed.
+    replayed.  Bad sampling arguments raise ValueError before any work.
     """
+    _check_sampling(reference_p, epsilon, sample_count)
     rng = rng_from(seed)
     n0 = chain.n0
     lo = (1 - epsilon) * n0 * reference_p

@@ -19,8 +19,9 @@ per-class sets are set aside before growth starts and spent only in the
 closing phase, which winds the path through the leftover-plus-reserved
 pools to the lap boundary and joins it back to the start edge.
 
-The embedder never trusts itself: every window asserts square-path validity
-of the whole grown prefix on the adjacency matrix, and the final cycle is
+The embedder never trusts itself: every window asserts that its end edge
+and new vertices form a square path, which with the unchanged prefix and the
+per-class used-vertex check proves the whole path, and the final cycle is
 re-validated from scratch on the graph.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .squarewalk import (
     SquarePath,
     _closes,
     has_square_hamilton_cycle,
+    is_square_path,
     search_square_paths,
 )
 from .util import rng_from
@@ -59,8 +61,8 @@ class PipelineParams:
     The settable values are the slacks the paper's statement depends on: the
     regularity ``epsilon`` and ``nu``, how far the minimum degree sits above
     ``mu`` n p.  ``epsilon`` must lie in (0, 1) and below ``nu``; it is also
-    the share of each class held in reserve for the closing phase
-    (``reserve_fraction``).  Arguments are keyword-only.
+    the share of each class held in reserve for the closing phase (reported
+    as ``reserve_fraction``).  Arguments are keyword-only.
 
     Everything else is a class constant.  Window lengths stay in [k0, 2 k0],
     with k0 derived from ``gamma``: the dense surrogate regime treats gamma
@@ -92,10 +94,6 @@ class PipelineParams:
                 f"need 0 < epsilon < min(1, nu), got epsilon={self.epsilon}, nu={self.nu}"
             )
 
-    @property
-    def reserve_fraction(self) -> float:
-        return self.epsilon
-
     def to_json_dict(self) -> dict:
         return {
             "gamma": self.gamma,
@@ -107,7 +105,7 @@ class PipelineParams:
             "r_min": self.r_min,
             "r_max": self.r_max,
             "good_threshold": self.good_threshold,
-            "reserve_fraction": self.reserve_fraction,
+            "reserve_fraction": self.epsilon,
         }
 
 
@@ -237,9 +235,8 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
 
 class _EmbedState:
     """Mutable growth state: the path, which only grows, per class the unused
-    vertices and the fixed reserve as bitsets, the boolean adjacency matrix
-    that windows are sliced from, and the sorted vertex list of every pool
-    mask a window has read."""
+    vertices and the fixed reserve as bitsets, and the boolean adjacency
+    matrix that windows are sliced from."""
 
     def __init__(self, g, classes, reserve_count, rng):
         self.adj = g.adjacency
@@ -254,7 +251,6 @@ class _EmbedState:
             self.unused.append(mask_of(members))
         self.path: list[int] = []
         self.closing = False
-        self.pools: dict[int, list[int]] = {}
 
     def pool_size(self, pos: int) -> int:
         return self.available_mask(pos).bit_count()
@@ -263,17 +259,10 @@ class _EmbedState:
         c = pos % self.r
         return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
 
-    def pool(self, pos: int) -> list[int]:
-        """The available vertices of class position ``pos``, in increasing
-        order; read-only, since a list is shared by every equal mask."""
-        m = self.available_mask(pos)
-        pool = self.pools.get(m)
-        if pool is None:
-            pool = self.pools[m] = list(bits(m))
-        return pool
-
-    def consume(self, pos: int, v: int) -> None:
-        c = pos % self.r
+    def consume(self, v: int) -> None:
+        """Append ``v`` at the next path position; it must be an unused
+        vertex of that position's class."""
+        c = len(self.path) % self.r
         if not (self.unused[c] >> v) & 1:
             raise AssertionError(f"vertex {v} not available in class {c}")
         self.unused[c] ^= 1 << v
@@ -304,7 +293,7 @@ def embed_square_cycle(
         raise ValueError(f"reduced cycle length {r} below 3 k0 = {3 * k0}")
     classes = [partition.classes[i] for i in reduced_cycle.vertices]
     ntilde = len(classes[0])
-    reserve_count = max(1, math.ceil(params.reserve_fraction * ntilde))
+    reserve_count = max(1, math.ceil(params.epsilon * ntilde))
     stop_floor = max(3, math.ceil(params.epsilon * ntilde))
     rng = rng_from(seed)
     st = _EmbedState(g, classes, reserve_count, rng)
@@ -316,8 +305,8 @@ def embed_square_cycle(
         trace.flags.append("no-start-edge")
         return trace
     x1, x2 = start
-    st.consume(0, x1)
-    st.consume(1, x2)
+    st.consume(x1)
+    st.consume(x2)
     trace.start_edge = (x1, x2)
 
     def min_pool_ahead() -> int:
@@ -333,7 +322,7 @@ def embed_square_cycle(
             rec = _advance_window(st, t, params, rng, len(trace.windows))
             if rec is not None:
                 trace.windows.append(rec)
-                assert _is_square_path_dense(st.a, st.path), "window broke square-path validity"
+                assert is_square_path(g, st.path[-t:]), "window broke square-path validity"
                 return True
         return False
 
@@ -422,7 +411,7 @@ def _window(st, start_pos: int, t: int, rng) -> Optional[tuple[tuple[int, ...], 
     start_pos..start_pos+t-1: pools are truncated to the smallest pool size
     by seeded subsampling.  Drawn per window because pools shrink as the
     path consumes vertices."""
-    pools = [st.pool(start_pos + i) for i in range(t)]
+    pools = [list(bits(st.available_mask(start_pos + i))) for i in range(t)]
     m = min(map(len, pools))
     if m < 3:
         return None
@@ -439,8 +428,7 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     """One window advance: classify good edges of the next window, then DFS
     from the current end edge to a good target edge."""
     r = st.r
-    end_pos = len(st.path) - 1
-    c0 = end_pos - 1  # class position of path[-2]
+    c0 = len(st.path) - 2  # class position of path[-2]
     u, v = st.path[-2], st.path[-1]
 
     # the next window starts where this one ends; good edges live in its
@@ -457,8 +445,8 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     new_vertices = _dfs_to_targets(st, u, v, c0, t, report.good, params.window_node_budget)
     if new_vertices is None:
         return None
-    for off, w in enumerate(new_vertices):
-        st.consume(end_pos + 1 + off, w)
+    for w in new_vertices:
+        st.consume(w)
     return WindowRecord(
         window_index,
         c0 % r,
@@ -501,28 +489,12 @@ def _dfs_to_targets(st, u, v, c0, t, targets, budget):
     return found
 
 
-def _is_square_path_dense(a: np.ndarray, seq: Sequence[int]) -> bool:
-    """:func:`sqlab.squarewalk.is_square_path` on the boolean adjacency
-    matrix ``a``, from scratch: ids in range and distinct, and every pair at
-    distance 1 or 2 along ``seq`` adjacent."""
-    p = np.asarray(seq, dtype=np.int64)
-    n = a.shape[0]
-    if not p.size or p.min() < 0 or p.max() >= n:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    seen[p] = True
-    if np.count_nonzero(seen) != p.size:
-        return False
-    return bool(a[p[:-1], p[1:]].all() and a[p[:-2], p[2:]].all())
-
-
 def _attempt_join(st, x1, x2, lap_remaining, params):
     """Close the cycle: extend through the rest of the lap so the last two
     vertices also satisfy the seam adjacencies against the start edge."""
     adj = st.adj
     u, v = st.path[-2], st.path[-1]
-    end_pos = len(st.path) - 1
-    c0 = end_pos - 1
+    c0 = len(st.path) - 2
     depth_total = lap_remaining
     found = None
 
@@ -545,8 +517,8 @@ def _attempt_join(st, x1, x2, lap_remaining, params):
     search_square_paths(reversed(roots), expand, params.window_node_budget)
     if found is None:
         return False
-    for off, nv in enumerate(found):
-        st.consume(end_pos + 1 + off, nv)
+    for nv in found:
+        st.consume(nv)
     return True
 
 

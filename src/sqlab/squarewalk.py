@@ -90,20 +90,10 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> bool:
 
 
 def is_square_cycle(g: Graph, seq: Sequence[int]) -> bool:
-    """Cyclic analogue; requires length >= 5 so distance-2 chords are real."""
-    m = len(seq)
-    if m < 5 or len(set(seq)) != m:
-        return False
-    for v in seq:
-        if not 0 <= v < g.n:
-            return False
-    for i in range(m):
-        a, b, c = seq[i], seq[(i + 1) % m], seq[(i + 2) % m]
-        if not (g.adjacency[a] >> b) & 1:
-            return False
-        if not (g.adjacency[a] >> c) & 1:
-            return False
-    return True
+    """Cyclic analogue: a square path of length >= 5 (so distance-2 chords
+    are real) whose last two vertices also see the first two as the
+    wrap-around requires."""
+    return len(seq) >= 5 and is_square_path(g, seq) and _closes(g.adjacency, seq, seq[-2], seq[-1])
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from sqlab.bitops import (
 )
 from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
 from sqlab.embedder import GoodEdgeReport
-from sqlab.graph import Graph, from_edges
+from sqlab.graph import Graph, from_matrix
 from sqlab.regularity import (
     FLAG_SLACK,
     BipartitePairView,
@@ -236,7 +236,10 @@ def matrix_counter(m: np.ndarray) -> ReferenceGraphCounter:
     """The scalar counter of a dense |L| x |R| pair matrix: class 0 its rows,
     class 1 its columns, as vertices 0..|L|-1 and |L|..|L|+|R|-1."""
     nl, nr = m.shape
-    g = from_edges(nl + nr, [(int(u), nl + int(w)) for u, w in zip(*np.nonzero(m))])
+    full = np.zeros((nl + nr, nl + nr), dtype=bool)
+    full[:nl, nl:] = m
+    full[nl:, :nl] = m.T
+    g = from_matrix(full)
     return ReferenceGraphCounter(g, [range(nl), range(nl, nl + nr)])
 
 
@@ -1115,8 +1118,8 @@ def reference_attempt_join(st, x1, x2, lap_remaining, params):
         if depth == depth_total - 1:
             y = chosen[-2] if len(chosen) >= 2 else v
             if _seam_ok(adj, x1, x2, y, w):
-                for off, nv in enumerate(chosen):
-                    st.consume(end_pos + 1 + off, nv)
+                for nv in chosen:
+                    st.consume(nv)
                 return True, len(chosen)
             continue
         pu = chosen[-2] if len(chosen) >= 2 else v

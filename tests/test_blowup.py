@@ -295,6 +295,22 @@ def test_check_ii_refuses_zero_samples_on_empty_neighbourhoods():
         bl.check_gtilde_ii(ch, 1.0, 0.5, sample_count=0, seed=2)
 
 
+@pytest.mark.parametrize(
+    "epsilon, reference_p, sample_count",
+    [(0.01, 0.9, 0), (-0.5, 0.9, 10), (float("nan"), 0.9, 10), (0.01, -0.5, 10)],
+    ids=["zero-samples", "negative-epsilon", "nan-epsilon", "negative-p"],
+)
+def test_check_ii_refuses_bad_sampling_arguments_before_any_work(
+    epsilon, reference_p, sample_count
+):
+    # no neighbourhood of this chain passes the size window under any of these
+    # arguments, so no vertex reaches the sampled test, which used to be the
+    # only place they were checked: each call returned {1: 12}
+    ch = bl.build_chain_random(3, 12, 0.5, seed=1)
+    with pytest.raises(ValueError):
+        bl.check_gtilde_ii(ch, epsilon, reference_p, sample_count=sample_count, seed=1)
+
+
 # -- edge expansion ----------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from sqlab import adversary, embedder, graph, regularity
 from sqlab import blowup as bl
 from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
 from sqlab.regularity import EquitablePartition
-from sqlab.squarewalk import is_square_cycle, is_square_path
+from sqlab.squarewalk import SquareCycle, is_square_cycle, is_square_path
 from sqlab.util import rng_from
 from oracles import oracle_expansion_fraction
 
@@ -143,7 +143,7 @@ def test_consume_keeps_available_masks(closing):
         prev = st.available_mask(c)
         # a reserved vertex is available only while closing
         assert (prev >> v) & 1 == (closing or not reserved)
-        st.consume(pos, v)
+        st.consume(v)
         assert st.available_mask(c) == prev & ~(1 << v)
     assert st.unused == [mask_of(cls) & ~mask_of(st.path[c::r]) for c, cls in enumerate(classes)]
 
@@ -309,6 +309,31 @@ def test_embed_ends_without_a_budget_when_no_join_succeeds(monkeypatch):
     assert tr.closing_status == "open-path" and "stuck-while-closing" in tr.flags
     assert is_square_path(h, tr.path.vertices)
     assert_trace_replays(tr, len(cyc.vertices))
+
+
+def test_window_check_refuses_vertices_that_break_the_square_path(monkeypatch):
+    # K(120) on 15 classes of 8, less every edge between classes 1 and 3: the
+    # first window puts a class-3 vertex two places after the start edge's
+    # class-1 end.  A search that returns the smallest available vertex of
+    # each class gets past consume, which checks only that each is an unused
+    # vertex of its class; the window's own square-path check must refuse it
+    r, size = 15, 8
+    classes = tuple(tuple(range(size * c, size * (c + 1))) for c in range(r))
+    a = ~np.eye(r * size, dtype=bool)
+    a[np.ix_(classes[1], classes[3])] = a[np.ix_(classes[3], classes[1])] = False
+    g = graph.from_matrix(a)
+    segments = []
+
+    def smallest_available(st, u, v, c0, t, targets, budget):
+        new = [min(bits(st.available_mask(c0 + 2 + i))) for i in range(t - 2)]
+        segments.append([u, v, *new])
+        return new
+
+    monkeypatch.setattr(embedder, "_dfs_to_targets", smallest_available)
+    part, cyc = EquitablePartition((), classes), SquareCycle(tuple(range(r)))
+    with pytest.raises(AssertionError, match="window broke square-path validity"):
+        embedder.embed_square_cycle(g, part, cyc, embedder.PipelineParams(), 0)
+    assert len(segments) == 1 and not is_square_path(g, segments[0])
 
 
 def test_pipeline_240_seed_9_reduced_cycle_too_short():

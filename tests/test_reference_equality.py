@@ -478,8 +478,8 @@ def test_ported_searches_match_hand_rolled_loops(n):
 
 def copy_state(st):
     """A deep copy of an embed state that shares its read-only adjacency rows
-    and matrix, and its pool lists, which no search reads."""
-    shared = (st.adj, st.a, st.pools)
+    and matrix."""
+    shared = (st.adj, st.a)
     return copy.deepcopy(st, {id(x): x for x in shared})
 
 
@@ -809,7 +809,7 @@ def test_advance_window_draws_as_the_chain_view_route(monkeypatch, limit):
     params = embedder.PipelineParams(epsilon=0.2, nu=0.3)
     g, state = embed_state(240, 0.6, 12, 2, 1)
     for pos in (0, 1):
-        state.consume(pos, min(bits(state.available_mask(pos))))
+        state.consume(min(bits(state.available_mask(pos))))
     t = params.k0
     assert len({state.pool_size(c) for c in range(t - 2, 2 * t - 2)}) > 1  # _window draws
     calls = []
@@ -934,23 +934,3 @@ def test_start_pick_matches_chain_view():
         seen.update(assert_same_start_pick(300, p, reserve, seed))
     # certified, uncertified and pool starts, with and without the reserved view
     assert {(True, ()), (False, ("start-uncertified",)), (False, ("start-from-pool",))} <= seen
-
-
-@given(
-    st.lists(st.integers(-2, 11), max_size=8),
-    st.sampled_from([0.5, 0.9, 1.0]),
-    st.integers(0, 20),
-)
-def test_dense_square_path_check_matches_is_square_path(seq, p, seed):
-    g = graph.gnp(10, p, seed)
-    assert embedder._is_square_path_dense(graph.to_matrix(g), seq) == sw.is_square_path(g, seq)
-
-
-@pytest.mark.parametrize(
-    "seq",
-    [[], [3], [3, 4], [0, 1, 2, 3, 4, 5, 6, 7], [0, 1, 2, 3, 1], [0, 1, 2, 3, 5], [0, 2, 1],
-     [9, 10]],
-)
-def test_dense_square_path_check_on_squared_cycle(seq):
-    g = squared_cycle_graph(10)
-    assert embedder._is_square_path_dense(graph.to_matrix(g), seq) == sw.is_square_path(g, seq)

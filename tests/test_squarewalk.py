@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sqlab import graph
 from sqlab import squarewalk as sw
@@ -102,6 +102,44 @@ def test_is_square_path_basics():
     assert sw.is_square_path(c6, [3])
     assert not sw.is_square_path(k4, [0, 0])
     assert not sw.is_square_path(k4, [0, 1, 0])
+
+
+def brute_force_square_cycle(g, seq):
+    """The definition: at least 5 distinct ids in range, each adjacent to the
+    next two around the cycle."""
+    edges = set(g.edges())
+    m = len(seq)
+    return (
+        m >= 5
+        and len(set(seq)) == m
+        and all(0 <= v < g.n for v in seq)
+        and all(
+            tuple(sorted((seq[i], seq[(i + d) % m]))) in edges for i in range(m) for d in (1, 2)
+        )
+    )
+
+
+@st.composite
+def graphs_and_sequences(draw):
+    """G(n <= 10, p) and ids from [-2, n + 1], repeats allowed; or G(n, p)
+    plus the square-path edges of a prefix of a vertex permutation, and that
+    prefix, so that only its wrap-around adjacencies decide the verdict."""
+    n = draw(st.integers(0, 10))
+    g = graph.gnp(n, draw(st.sampled_from([0.3, 0.6, 0.9])), draw(st.integers(0, 20)))
+    if draw(st.booleans()):
+        return g, draw(st.lists(st.integers(-2, n + 1), max_size=n + 3))
+    prefix = draw(st.permutations(range(n)))[: draw(st.integers(min(5, n), n))]
+    chords = {tuple(sorted((u, w))) for i, u in enumerate(prefix) for w in prefix[i + 1 : i + 3]}
+    return graph.from_edges(n, sorted(set(g.edges()) | chords)), prefix
+
+
+@settings(max_examples=500)
+@given(graphs_and_sequences())
+def test_is_square_cycle_matches_definition(case):
+    # the bench re-checks its cycles with this same function; each wrap-around
+    # adjacency alone decides only a few draws in a hundred, hence the count
+    g, seq = case
+    assert sw.is_square_cycle(g, seq) == brute_force_square_cycle(g, seq)
 
 
 def test_longest_exact_small_cases():
