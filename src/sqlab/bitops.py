@@ -33,10 +33,10 @@ def bits(x: int) -> Iterator[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Bitset of a vertex collection."""
+    """Bitset of a vertex collection (numpy integer ids are taken as ints)."""
     m = 0
     for v in vertices:
-        m |= 1 << v
+        m |= 1 << int(v)
     return m
 
 

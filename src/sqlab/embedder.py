@@ -7,17 +7,22 @@ order, one vertex per class per lap.  Growth is windowed: the path's end
 edge is extended to a *good* edge of the next window (one whose expansion
 through the window reaches at least ``good_threshold`` of the window's last
 pair), via a concrete square path recovered by depth-first search over the
-per-class pools of unused vertices.  Each window is a set of dense blocks
-of one boolean adjacency matrix, made once per embed: a
-:class:`sqlab.blowup.ChainLayers` sliced over those pools.  A seeded sample
-of its first-pair edges is classified in one batched call to the good-edge
-kernel, :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  The path
+per-class pools of unused vertices: :func:`_extend`, which also closes the
+cycle.  Each window is a set of dense blocks of one boolean adjacency
+matrix, made once per embed: a :class:`sqlab.blowup.ChainLayers` sliced
+over those pools.  A seeded sample of its first-pair edges is classified
+in one batched call to the good-edge kernel,
+:meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  The path
 only grows: no window is undone, so the trace's window records replay to
 exactly the final path, and every successful window uses at least k0 - 2
 vertices, which bounds the number of windows without a budget.  Reserved
 per-class sets are set aside before growth starts and spent only in the
-closing phase, which winds the path through the leftover-plus-reserved
-pools to the lap boundary and joins it back to the start edge.
+closing phase, which goes on winding windows through the
+leftover-plus-reserved pools.  Once some pool holds fewer than 4 vertices,
+or no window advances, the same search joins the path to the start edge
+across whatever remains of the lap (up to r - 1 classes; none when the
+path ends on the lap boundary): its last two vertices y, z must satisfy the
+seam, y in N(x1) and z in N(x1) & N(x2) for the start edge (x1, x2).
 
 The embedder never trusts itself: every window asserts that its end edge
 and new vertices form a square path, which with the unchanged prefix and the
@@ -42,7 +47,6 @@ from .squarewalk import (
     CycleSearchResult,
     SquareCycle,
     SquarePath,
-    _closes,
     has_square_hamilton_cycle,
     is_square_path,
     search_square_paths,
@@ -255,6 +259,9 @@ class _EmbedState:
     def pool_size(self, pos: int) -> int:
         return self.available_mask(pos).bit_count()
 
+    def smallest_pool(self) -> int:
+        return min(self.pool_size(c) for c in range(self.r))
+
     def available_mask(self, pos: int) -> int:
         c = pos % self.r
         return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
@@ -309,9 +316,6 @@ def embed_square_cycle(
     st.consume(x2)
     trace.start_edge = (x1, x2)
 
-    def min_pool_ahead() -> int:
-        return min(st.pool_size(c) for c in range(r))
-
     def lap_remaining() -> int:
         return (r - 1 - ((len(st.path) - 1) % r)) % r
 
@@ -326,25 +330,30 @@ def embed_square_cycle(
                 return True
         return False
 
+    # the seam: a path ending y, z closes onto (x1, x2) when y sees x1 and z
+    # sees both
+    seam = dict.fromkeys(bits(adj[x1]), adj[x1] & adj[x2])
+
     def joined() -> bool:
-        """Close the cycle across the rest of the lap, when that is short
-        enough for one join."""
-        lap = lap_remaining()
-        if lap == 0:
-            return _closes(adj, (x1, x2), st.path[-2], st.path[-1])
-        return lap <= 2 * k0 - 2 and _attempt_join(st, x1, x2, lap, params)
+        """Close the cycle across the rest of the lap (the path's own end
+        pair when the lap is complete)."""
+        found = _extend(st, lap_remaining(), seam, params.window_node_budget)
+        if found is None:
+            return False
+        for w in found:
+            st.consume(w)
+        return True
 
     # every advance consumes at least k0 - 2 unused vertices, so the loop ends
     while True:
-        if not st.closing and min_pool_ahead() < stop_floor:
+        if not st.closing and st.smallest_pool() < stop_floor:
             st.closing = True
 
         # join only when further winding would thin the pools below window
         # viability; while pools are healthy, keep consuming laps
-        if st.closing and lap_remaining() <= 2 * k0 - 2 and not _can_wind_generously(st):
-            if joined():
-                trace.closing_status = "closed"
-                break
+        if st.closing and st.smallest_pool() < 4 and joined():
+            trace.closing_status = "closed"
+            break
 
         if advance():
             continue
@@ -429,7 +438,6 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     from the current end edge to a good target edge."""
     r = st.r
     c0 = len(st.path) - 2  # class position of path[-2]
-    u, v = st.path[-2], st.path[-1]
 
     # the next window starts where this one ends; good edges live in its
     # first pair, which is this window's last pair
@@ -442,7 +450,10 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     if not report.good:
         return None
 
-    new_vertices = _dfs_to_targets(st, u, v, c0, t, report.good, params.window_node_budget)
+    targets: dict[int, int] = {}
+    for a, b in report.good:
+        targets[a] = targets.get(a, 0) | (1 << b)
+    new_vertices = _extend(st, t - 2, targets, params.window_node_budget)
     if new_vertices is None:
         return None
     for w in new_vertices:
@@ -458,73 +469,38 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     )
 
 
-def _dfs_to_targets(st, u, v, c0, t, targets, budget):
-    """Depth-first search through the pools of classes c0+2..c0+t-1 for a
-    square-path extension of (u, v) ending at a target edge."""
+def _extend(st, depth, targets, budget):
+    """Depth-first search through the pools of the next ``depth`` classes for
+    a square-path extension of the path whose last two vertices (y, z) form
+    a target pair: z in ``targets[y]``, a bitset per head y.  Returns the new
+    vertices, or None.  At depth 0 or 1 the end pair lies partly or wholly on
+    the path itself."""
     adj = st.adj
-    depth_total = t - 2
-    target_by_a: dict[int, int] = {}
-    for a, b in targets:
-        target_by_a[a] = target_by_a.get(a, 0) | (1 << b)
-    heads = mask_of(target_by_a)
-    found = None
-
-    def expand(pu, pv, chosen_mask, chosen):
-        nonlocal found
-        depth = len(chosen)
-        if depth == depth_total:
-            found = chosen
-            return None
-        cand = adj[pu] & adj[pv] & st.available_mask(c0 + 2 + depth) & ~chosen_mask
-        if depth == depth_total - 2:
-            cand &= heads  # second-to-last must head a target
-        if depth == depth_total - 1:
-            return cand & target_by_a.get(pv, 0)
-        near = adj[pv] & st.available_mask(c0 + 3 + depth)
-        # stack pops last = highest onward degree, largest id among ties
-        return sorted(bits(cand), key=lambda w: (near & adj[w]).bit_count())
-
-    roots = [(v, w, 1 << w, [w]) for w in expand(u, v, 0, [])]
-    search_square_paths(reversed(roots), expand, budget)
-    return found
-
-
-def _attempt_join(st, x1, x2, lap_remaining, params):
-    """Close the cycle: extend through the rest of the lap so the last two
-    vertices also satisfy the seam adjacencies against the start edge."""
-    adj = st.adj
-    u, v = st.path[-2], st.path[-1]
-    c0 = len(st.path) - 2
-    depth_total = lap_remaining
+    start = len(st.path)
+    heads = mask_of(targets)
     found = None
 
     def expand(y, z, chosen_mask, chosen):
         nonlocal found
-        depth = len(chosen)
-        if depth == depth_total:
-            if _closes(adj, (x1, x2), y, z):
+        i = len(chosen)
+        if i == depth:
+            if (targets.get(y, 0) >> z) & 1:
                 found = chosen
                 return None
             return 0
-        cand = adj[y] & adj[z] & st.available_mask(c0 + 2 + depth) & ~chosen_mask
-        if depth == depth_total - 1:
-            cand &= adj[x1] & adj[x2]  # z constraints
-        if depth == depth_total - 2:
-            cand &= adj[x1]  # y constraint
-        return cand
+        cand = adj[y] & adj[z] & st.available_mask(start + i) & ~chosen_mask
+        if i == depth - 1:
+            return cand & targets.get(z, 0)
+        if i == depth - 2:
+            cand &= heads  # the next-to-last vertex must head a target
+        near = adj[z] & st.available_mask(start + i + 1)
+        # stack pops last = highest onward degree, largest id among ties
+        return sorted(bits(cand), key=lambda w: (near & adj[w]).bit_count())
 
-    roots = [(v, w, 1 << w, [w]) for w in bits(expand(u, v, 0, []))]
-    search_square_paths(reversed(roots), expand, params.window_node_budget)
-    if found is None:
-        return False
-    for nv in found:
-        st.consume(nv)
-    return True
-
-
-def _can_wind_generously(st) -> bool:
-    """True while another full lap would leave every pool window-viable."""
-    return all(st.pool_size(c) >= 4 for c in range(st.r))
+    # the root is the path's own end edge, not a new vertex, so it is not
+    # charged to the budget
+    search_square_paths([(st.path[-2], st.path[-1], 0, [])], expand, budget + 1)
+    return found
 
 
 def _assert_class_alignment(path, classes, r):

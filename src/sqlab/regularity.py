@@ -70,6 +70,9 @@ class BipartitePairView:
     right: tuple[int, ...]
 
     def __post_init__(self):
+        # numpy integer ids would poison the bitsets built from the sides
+        object.__setattr__(self, "left", tuple(map(int, self.left)))
+        object.__setattr__(self, "right", tuple(map(int, self.right)))
         ls, rs = set(self.left), set(self.right)
         if len(ls) != len(self.left) or len(rs) != len(self.right):
             raise ValueError("duplicate vertices in pair side")

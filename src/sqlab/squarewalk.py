@@ -7,21 +7,22 @@ last two vertices, so searches run over *edge states*: ordered pairs (u, v)
 with {u, v} an edge.  The successors of (u, v) are exactly (v, w) for
 w in N(u) & N(v).
 
-Every exact search here, and the embedder's window and join searches, is
-one depth-first walk, :func:`search_square_paths`, over states
-(cu, cv, visited, seq): a square path seq ending in the edge state (cu, cv),
-with visited the bitset the caller's filters read.  Roots are drawn lazily;
-each root's subtree is searched to the end, last in first out, before the
-next is drawn.  The caller's ``expand(cu, cv, visited, seq)`` holds its
-candidate filter, acceptance test and child order.  It returns None to stop
-the search, or the vertices w that extend the path, each pushed as the
-state (cv, w, visited | 1 << w, seq + [w]): an int bitset is pushed in
-ascending id order, a sequence in the order given.  The search holds the
-one stack, node counter and budget rule: at most ``node_budget`` states are
-expanded, ``None`` means no limit and a negative budget is a ValueError.
-When the budget runs out the best object found so far is returned flagged
-as a lower bound / unknown verdict.  Every path or cycle returned by any
-routine is re-validated before it is handed back.
+Every exact search here, and the embedder's one extension search (its
+windows and its closing join), is one depth-first walk,
+:func:`search_square_paths`, over states (cu, cv, visited, seq): a square
+path seq ending in the edge state (cu, cv), with visited the bitset the
+caller's filters read.  Roots are drawn lazily; each root's subtree is
+searched to the end, last in first out, before the next is drawn.  The
+caller's ``expand(cu, cv, visited, seq)`` holds its candidate filter,
+acceptance test and child order.  It returns None to stop the search, or the
+vertices w that extend the path, each pushed as the state
+(cv, w, visited | 1 << w, seq + [w]): an int bitset is pushed in ascending
+id order, a sequence in the order given.  The search holds the one stack, node counter
+and budget rule: at most ``node_budget`` states are expanded, ``None`` means
+no limit and a negative budget is a ValueError.  When the budget runs out
+the best object found so far is returned flagged as a lower bound / unknown
+verdict.  Every path or cycle returned by any routine is re-validated before
+it is handed back.
 
 The longest-path search prunes with two admissible bounds: the unvisited
 vertices reachable from the end vertex, and an independent-set count.  Any
@@ -371,6 +372,7 @@ def has_square_cycle_through(
     deleted, v lies in no triangle and this search must report "none".
     """
     g.check_vertex(v)
+    v = int(v)  # a numpy integer would overflow the bitsets
     adj = g.adjacency
     found = None
 

@@ -40,11 +40,11 @@ vertices as sets and the unused ones split into a pool and a reserve mask.
 
 The edge-state searches at the end -- the longest path search with both
 bounds, the Hamilton and through-v cycle searches and the embedder's
-window and join searches -- are the hand-rolled loops, each with its own
-stack, node counter and budget check, that ``squarewalk.search_square_paths``
-replaced, with the embedder's ``_seam_ok`` that ``squarewalk._closes``
-replaced; kept verbatim so the ported searches can be held to identical
-results and node counts.
+window search -- are the hand-rolled loops, each with its own stack, node
+counter and budget check, that ``squarewalk.search_square_paths`` replaced;
+kept verbatim so the ported searches can be held to identical results and
+node counts.  The window search also serves as the reference of the
+embedder's closing join, fed the seam's target edges.
 """
 
 from __future__ import annotations
@@ -1077,55 +1077,3 @@ def reference_dfs_to_targets(st, u, v, c0, t, targets, budget):
             stack.append((depth + 1, nw, chosen + (nw,)))
     return None
 
-
-def _seam_ok(adj, x1, x2, y, z) -> bool:
-    """Whether a path ending y, z closes into a square cycle with the start
-    edge (x1, x2): z must see x1 and x2, and y must see x1."""
-    return bool((adj[z] >> x1) & 1 and (adj[y] >> x1) & 1 and (adj[z] >> x2) & 1)
-
-
-def reference_attempt_join(st, x1, x2, lap_remaining, params):
-    """Close the cycle: extend through the rest of the lap so the last two
-    vertices also satisfy the seam adjacencies against the start edge."""
-    adj = st.adj
-    r = st.r
-    u, v = st.path[-2], st.path[-1]
-    end_pos = len(st.path) - 1
-    c0 = end_pos - 1
-    depth_total = lap_remaining
-
-    stack = []
-    nodes = 0
-
-    def candidates(pu, pv, depth, chosen_mask):
-        pool = st.available_mask(c0 + 2 + depth) & ~chosen_mask
-        cand = adj[pu] & adj[pv] & pool
-        if depth == depth_total - 1:
-            cand &= adj[x1] & adj[x2]  # z constraints
-        if depth == depth_total - 2:
-            cand &= adj[x1]  # y constraint
-        if depth_total == 1:
-            cand &= adj[x1] & adj[x2]
-        return sorted(bits(cand))
-
-    for w in candidates(u, v, 0, 0):
-        stack.append((0, w, (w,)))
-    while stack:
-        nodes += 1
-        if nodes > params.window_node_budget:
-            return False, 0
-        depth, w, chosen = stack.pop()
-        if depth == depth_total - 1:
-            y = chosen[-2] if len(chosen) >= 2 else v
-            if _seam_ok(adj, x1, x2, y, w):
-                for nv in chosen:
-                    st.consume(nv)
-                return True, len(chosen)
-            continue
-        pu = chosen[-2] if len(chosen) >= 2 else v
-        mask = 0
-        for x in chosen:
-            mask |= 1 << x
-        for nw in candidates(pu, w, depth + 1, mask):
-            stack.append((depth + 1, nw, chosen + (nw,)))
-    return False, 0

@@ -22,8 +22,9 @@ PIPELINE_600_TRACE_SHA256 = "eb0e95f60db685def11a31d99f77440dcbb3a10c0967c4301e0
 # windows subsample unequal pools, which the 600-vertex run never does
 PIPELINE_1200_TRACE_SHA256 = "22bc62ac8b45472dd1b1d17f5748fc3e5ff986c46feccf77e979f91fbfce7f29"
 # the same for G(240, 0.95), graph seed 2, which closes at 195/240 through the
-# early join: the pools thin below 4 at path length 188, inside a short lap
-PIPELINE_240_TRACE_SHA256 = "04368270726c4114de7ab4b724f01f8563afafa13edf82b84427120865a47f69"
+# early join: the pools thin below 4 at path length 182, and the join spans
+# the 13 classes left of the lap
+PIPELINE_240_TRACE_SHA256 = "d6e5e95bce99e739137792162a324943a36088576dc5213f1f3d20d06df554e3"
 
 
 def reference_fractions(chain):
@@ -211,7 +212,8 @@ def run_pipeline(n, p, seed):
 def assert_trace_replays(tr, r):
     """The window records replay the final path: each one starts where the
     previous one ended and ends at the path's two vertices there, and only
-    the closing join may add vertices after the last one."""
+    the closing join may add vertices after the last one, and it ends the
+    lap the last window is in."""
     seq = tuple((tr.path if tr.cycle is None else tr.cycle).vertices)
     assert seq[:2] == tr.start_edge
     length = 2
@@ -224,7 +226,7 @@ def assert_trace_replays(tr, r):
     if tr.closing_status == "open-path":
         assert tr.final_length == length
     else:
-        assert length <= tr.final_length <= length + 2 * embedder.PipelineParams.k0 - 2
+        assert tr.final_length % r == 0 and length <= tr.final_length < length + r
 
 
 def test_pipeline_600_trace_unchanged(monkeypatch):
@@ -267,33 +269,40 @@ def test_pipeline_1200_trace_unchanged():
     assert_trace_replays(tr, len(cyc.vertices))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="no window advances the path past 1101/1200, 9 classes short of the "
-    "lap boundary and beyond one join's reach of 2 k0 - 2 = 8, so the embed "
-    "ends open-path (ROADMAP item 5)",
-)
 def test_pipeline_1200_closes():
-    # the benchmark's resilience op pipeline-2: G(1200, 0.6), graph seed 2
-    *_, tr = run_pipeline(1200, 0.6, 2)
+    # the benchmark's resilience op pipeline-2: G(1200, 0.6), graph seed 2.  No
+    # window advances the path past 1101/1200, 9 classes short of the lap
+    # boundary, so the join spans more classes than a window's 2 k0 - 2 = 8
+    h, _, cyc, tr = run_pipeline(1200, 0.6, 2)
+    assert (tr.closing_status, tr.final_length) == ("closed", 1110)
+    assert tr.final_length - tr.windows[-1].path_length == 9
+    assert is_square_cycle(h, tr.cycle.vertices)
+    assert_trace_replays(tr, len(cyc.vertices))
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7, 8])
+def test_pipeline_1200_closes_at_graph_seeds_5_to_8(seed):
+    # seeds 6 and 7 stop 14 and 9 classes short of the lap boundary
+    h, _, cyc, tr = run_pipeline(1200, 0.6, seed)
     assert tr.closing_status == "closed"
+    assert is_square_cycle(h, tr.cycle.vertices)
+    assert_trace_replays(tr, len(cyc.vertices))
 
 
 def test_pipeline_240_closes_through_the_early_join(monkeypatch):
-    # the run that reaches the join taken while closing, inside a short lap,
-    # once some pool holds fewer than 4 vertices (graph seeds 1-8 all reach
-    # it at path length 188; seed 9 raises, see the next test)
+    # the run that reaches the join taken while closing, once some pool holds
+    # fewer than 4 vertices (graph seeds 1-8 all reach it at path length 182;
+    # seed 9 raises, see the next test)
     seen = []
-    wind = embedder._can_wind_generously
+    smallest = embedder._EmbedState.smallest_pool
 
     def spy(st):
-        seen.append((len(st.path), wind(st)))
-        return seen[-1][1]
+        seen.append((len(st.path), st.closing, smallest(st)))
+        return seen[-1][2]
 
-    monkeypatch.setattr(embedder, "_can_wind_generously", spy)
+    monkeypatch.setattr(embedder._EmbedState, "smallest_pool", spy)
     h, _, cyc, tr = run_pipeline(240, 0.95, 2)
-    assert [length for length, ok in seen if not ok] == [188]
+    assert [length for length, closing, size in seen if closing and size < 4] == [182]
     assert (tr.closing_status, tr.final_length) == ("closed", 195)
     assert is_square_cycle(h, tr.cycle.vertices)
     assert hashlib.sha256(tr.to_json().encode()).hexdigest() == PIPELINE_240_TRACE_SHA256
@@ -303,10 +312,27 @@ def test_pipeline_240_closes_through_the_early_join(monkeypatch):
 def test_embed_ends_without_a_budget_when_no_join_succeeds(monkeypatch):
     # the path only grows, and each window uses at least k0 - 2 vertices, so
     # an embed whose joins all fail runs out of windows and ends open
-    monkeypatch.setattr(embedder, "_attempt_join", lambda *args: False)
-    monkeypatch.setattr(embedder, "_closes", lambda *args: False)
+    advancing, refused = [], []
+    advance, extend = embedder._advance_window, embedder._extend
+
+    def flagged_advance(*args):
+        advancing.append(True)
+        try:
+            return advance(*args)
+        finally:
+            advancing.pop()
+
+    def windows_only(st, depth, targets, budget):
+        if advancing:
+            return extend(st, depth, targets, budget)
+        refused.append(len(st.path))
+        return None
+
+    monkeypatch.setattr(embedder, "_advance_window", flagged_advance)
+    monkeypatch.setattr(embedder, "_extend", windows_only)
     h, _, cyc, tr = run_pipeline(240, 0.95, 2)
     assert tr.closing_status == "open-path" and "stuck-while-closing" in tr.flags
+    assert refused and refused[-1] == tr.final_length
     assert is_square_path(h, tr.path.vertices)
     assert_trace_replays(tr, len(cyc.vertices))
 
@@ -324,16 +350,38 @@ def test_window_check_refuses_vertices_that_break_the_square_path(monkeypatch):
     g = graph.from_matrix(a)
     segments = []
 
-    def smallest_available(st, u, v, c0, t, targets, budget):
-        new = [min(bits(st.available_mask(c0 + 2 + i))) for i in range(t - 2)]
-        segments.append([u, v, *new])
+    def smallest_available(st, depth, targets, budget):
+        new = [min(bits(st.available_mask(len(st.path) + i))) for i in range(depth)]
+        segments.append([*st.path[-2:], *new])
         return new
 
-    monkeypatch.setattr(embedder, "_dfs_to_targets", smallest_available)
+    monkeypatch.setattr(embedder, "_extend", smallest_available)
     part, cyc = EquitablePartition((), classes), SquareCycle(tuple(range(r)))
     with pytest.raises(AssertionError, match="window broke square-path validity"):
         embedder.embed_square_cycle(g, part, cyc, embedder.PipelineParams(), 0)
     assert len(segments) == 1 and not is_square_path(g, segments[0])
+
+
+def test_join_at_lap_remainders_0_and_1_reads_the_path_end():
+    # K(120) on 15 classes of 8, less the edge {0, 119}: a lap of each class's
+    # smallest vertex starts at the edge (0, 8), and its end pair closes onto
+    # it unless its last vertex is 119
+    r, size = 15, 8
+    classes = tuple(tuple(range(size * c, size * (c + 1))) for c in range(r))
+    a = ~np.eye(r * size, dtype=bool)
+    a[0, 119] = a[119, 0] = False
+    g = graph.from_matrix(a)
+    st = embedder._EmbedState(g, classes, 1, rng_from(0))
+    st.closing = True  # the pools hold the reserve too
+    for pos in range(r - 1):
+        st.consume(size * pos)
+    seam = dict.fromkeys(bits(g.adjacency[0]), g.adjacency[0] & g.adjacency[8])
+    # one class left: 119 is its largest vertex, but it does not see 0
+    assert embedder._extend(st, 1, seam, 10) == [118]
+    for last, want in ((119, None), (118, [])):
+        st.consume(last)
+        assert embedder._extend(st, 0, seam, 10) == want
+        st.unused[r - 1] |= 1 << st.path.pop()
 
 
 def test_pipeline_240_seed_9_reduced_cycle_too_short():

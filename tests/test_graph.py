@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqlab import graph
+from sqlab.bitops import mask_of
 from oracles import oracle_common_neighbors, oracle_triangle_total
 
 
@@ -77,3 +78,9 @@ def test_without_edges_and_subgraph_mask():
     assert h.edge_count == 5 and not h.has_edge(0, 1)
     with pytest.raises(ValueError):
         h.without_edges([(0, 1)])
+
+
+def test_mask_of_takes_numpy_integer_ids():
+    # 1 << np.int64(70) wraps in 64 bits; the bitset must keep bit 70
+    m = mask_of(np.array([70, 3]))
+    assert type(m) is int and m == (1 << 70) | (1 << 3)

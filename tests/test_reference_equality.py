@@ -28,7 +28,6 @@ from oracles import (
     ReferenceGraphCounter,
     ReferenceStateView,
     matrix_counter,
-    reference_attempt_join,
     reference_check_gtilde_ii,
     reference_classify,
     reference_count_square_paths_between,
@@ -484,36 +483,58 @@ def copy_state(st):
 
 
 def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
-    """Each window and join search of six embeds is run against its
-    reference on a deep copy of the embed state, which the join consumes."""
-    calls = {"dfs": 0, "join": 0}
-    exhausted = []
-    search, dfs, join = embedder.search_square_paths, embedder._dfs_to_targets, embedder._attempt_join
+    """Each extension search of six embeds is run against the hand-rolled
+    window search on a deep copy of the embed state: a window with its good
+    target edges, a join across two or more classes with the seam's target
+    edges.  A join across fewer classes is checked against ``_closes``."""
+    calls = {"window": 0, "join": 0, "short join": 0}
+    exhausted, advancing = [], []
+    search, advance, extend = (
+        embedder.search_square_paths, embedder._advance_window, embedder._extend,
+    )
 
     def recording_search(roots, expand, budget):
         nodes, out = search(roots, expand, budget)
         exhausted.append(out)
         return nodes, out
 
-    def checked_dfs(st, *args):
-        want = reference_dfs_to_targets(copy_state(st), *args)
-        got = dfs(st, *args)
-        assert got == want
-        calls["dfs"] += 1
-        return got
+    def flagged_advance(*args):
+        advancing.append(True)
+        try:
+            return advance(*args)
+        finally:
+            advancing.pop()
 
-    def checked_join(st, *args):
-        ref = copy_state(st)
-        want, _ = reference_attempt_join(ref, *args)
-        got = join(st, *args)
+    def checked_extend(st, depth, targets, budget):
+        got = extend(st, depth, targets, budget)
+        adj, path, start = st.adj, st.path, len(st.path)
+        u, v = path[-2:]
+        if advancing:
+            kind, pairs = "window", [(a, b) for a, m in targets.items() for b in bits(m)]
+        elif depth >= 2:
+            # the seam, read off the start edge: y sees x1, and z sees x1 and
+            # x2; only pairs in the pools the end pair is drawn from can matter
+            heads = adj[path[0]] & st.available_mask(start + depth - 2)
+            tails = adj[path[0]] & adj[path[1]] & st.available_mask(start + depth - 1)
+            kind, pairs = "join", [(a, b) for a in bits(heads) for b in bits(tails)]
+        else:
+            kind, pairs = "short join", None
+        if pairs is not None:
+            want = reference_dfs_to_targets(copy_state(st), u, v, start - 2, depth + 2, pairs, budget)
+        elif depth == 0:
+            want = [] if sw._closes(adj, path, u, v) else None
+        else:
+            # the largest closing vertex pops first
+            ends = [w for w in bits(adj[u] & adj[v] & st.available_mask(start))
+                    if sw._closes(adj, path, v, w)]
+            want = ends[-1:] or None
         assert got == want
-        assert (st.path, st.unused) == (ref.path, ref.unused)
-        calls["join"] += 1
+        calls[kind] += 1
         return got
 
     monkeypatch.setattr(embedder, "search_square_paths", recording_search)
-    monkeypatch.setattr(embedder, "_dfs_to_targets", checked_dfs)
-    monkeypatch.setattr(embedder, "_attempt_join", checked_join)
+    monkeypatch.setattr(embedder, "_advance_window", flagged_advance)
+    monkeypatch.setattr(embedder, "_extend", checked_extend)
     for seed in (1, 3):
         # window_node_budget 4000, the default; the partition does not read it
         h, pr, cyc, tr = run_pipeline(600, 0.7, seed)
@@ -522,7 +543,7 @@ def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
             with monkeypatch.context() as mp:
                 mp.setattr(embedder.PipelineParams, "window_node_budget", budget)
                 embedder.embed_square_cycle(h, pr.partition, cyc, params, seed)
-    assert calls["dfs"] and calls["join"]
+    assert all(calls.values())
     assert any(exhausted) and not all(exhausted)
 
 
@@ -820,7 +841,7 @@ def test_advance_window_draws_as_the_chain_view_route(monkeypatch, limit):
         return kernel(self, sources)
 
     monkeypatch.setattr(bl.ChainLayers, "expansion_fractions", counted_kernel)
-    monkeypatch.setattr(embedder, "_dfs_to_targets", lambda *args: None)
+    monkeypatch.setattr(embedder, "_extend", lambda *args: None)
     for _ in range(2):
         rng, ref_rng = rng_from(5), rng_from(5)
         assert embedder._advance_window(state, t, params, rng, 0) is None

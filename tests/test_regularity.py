@@ -96,6 +96,24 @@ def test_regular_two_block_violated():
         assert reg.replay_witness(g, rep)
 
 
+def test_pair_view_sides_take_numpy_integer_ids():
+    # a planted two-block pair on 40 + 40 vertices, probability 1.0 between
+    # matching halves and 0.4 across, with sides given as numpy integers:
+    # its witness must replay as it does with Python ints
+    rng = rng_from(7)
+    probs = np.full((40, 40), 0.4)
+    probs[:20, :20] = probs[20:, 20:] = 1.0
+    m = rng.random((40, 40)) < probs
+    full = np.zeros((80, 80), dtype=bool)
+    full[:40, 40:], full[40:, :40] = m, m.T
+    g = graph.from_matrix(full)
+    pair = reg.BipartitePairView(g, tuple(np.arange(40)), tuple(np.arange(40, 80)))
+    rep = reg.test_regular(g, pair, 0.7, 0.075, 200, seed=0)
+    assert rep.verdict == "violated"
+    assert reg.replay_witness(g, rep)
+    assert all(type(v) is int for v in pair.left + pair.right)
+
+
 def test_regular_gnp_rarely_violated():
     # frozen Monte Carlo: seeds 1000..1099 measured 100/100 clean
     g, pair = bipartite_random(200, 200, 0.3, seed=5)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -274,6 +275,12 @@ def test_square_cycle_through():
     assert 3 in res.cycle.vertices
     lone = graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
     assert sw.has_square_cycle_through(lone, 3).status == "none"
+
+
+def test_square_cycle_through_takes_a_numpy_integer_vertex():
+    g = graph.gnp(100, 0.5, 3)
+    res = sw.has_square_cycle_through(g, np.int64(70))
+    assert res.status == "found" and 70 in res.cycle.vertices
 
 
 def test_greedy_complete_graph_spans():
