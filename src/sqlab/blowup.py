@@ -332,7 +332,9 @@ def check_gtilde_ii(
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
     either a hard size violation or a "violated" verdict of
     ``lower_regular_verdict``, which carries no witness and cannot be
-    replayed.  Bad sampling arguments raise ValueError before any work.
+    replayed.  The flank sub-pairs of all of a middle class's vertices in
+    the window share one ``lower_regular_verdict`` run, drawn from the one
+    generator of the check.  Bad sampling arguments raise ValueError first.
     """
     _check_sampling(reference_p, epsilon, sample_count)
     rng = rng_from(seed)
@@ -344,20 +346,12 @@ def check_gtilde_ii(
         middle = i + 1
         left_of = _dense(chain, i, middle).T  # rows: middle locals
         right_of = _dense(chain, middle, i + 2)
+        sizes = np.count_nonzero(left_of, axis=1), np.count_nonzero(right_of, axis=1)
+        inside = np.flatnonzero(np.all([(lo <= x) & (x <= hi) for x in sizes], axis=0))
+        sub_pairs = [(left_of[v].nonzero()[0], right_of[v].nonzero()[0]) for v in inside]
         flank = _dense(chain, i, i + 2)
-        exceptions = 0
-        for v in range(n0):
-            left = left_of[v].nonzero()[0]
-            right = right_of[v].nonzero()[0]
-            if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
-                exceptions += 1
-                continue
-            verdict = lower_regular_verdict(
-                flank[np.ix_(left, right)], reference_p, epsilon, sample_count, rng
-            )
-            if verdict == "violated":
-                exceptions += 1
-        out[middle] = exceptions
+        verdicts = lower_regular_verdict(flank, sub_pairs, reference_p, epsilon, sample_count, rng)
+        out[middle] = n0 - inside.size + verdicts.count("violated")
     return out
 
 

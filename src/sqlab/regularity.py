@@ -5,7 +5,7 @@ of computational reach, so the tests here are randomised: "violated" is a
 proof, "no-violation-found" statistical evidence only.  The two-sided
 ``test_regular`` returns a report whose "violated" carries a witness subset
 pair that ``replay_witness`` recomputes exactly; the one-sided
-``lower_regular_verdict`` returns the verdict string alone, with no witness.
+``lower_regular_verdict`` returns verdict strings alone, with no witness.
 
 Each test draws seeded subset pairs of the exact floor sizes.  Two proposal
 families alternate: plain uniform subsets, and pivot proposals that sample
@@ -29,16 +29,17 @@ classes hold several hundred vertices.
 One sampling loop tests any number of pairs of vertex classes at once, in a
 few array operations per sample index and none per pair.  At each index it
 draws one uniform key per class position (one ``rng.random((r, width))``
-array).  A class's uniform k-subset is the positions of its k smallest keys;
-a class's pivot is the position of its largest key.  A pair's pivot
-proposal takes the k smallest keys of the other class inside the pivot's
-neighbourhood and the k smallest of the pivot's class, which leave the
-pivot out unless the class has at most k vertices: a uniform pivot and a
-uniform subset of the rest.  Each pair's samples keep the distribution of a
-test of that pair alone; only pairs that share a class are correlated,
-through that class's keys and pivot.  A single pair, as ``test_regular``
-and ``lower_regular_verdict`` test it, is the two-class case read from its
-dense |L| x |R| boolean matrix.  ``partition_heuristic`` tests all its
+array).  A class's uniform subset is the positions of its k smallest keys,
+with k = ceil(eps * its size), so each class's subsets have its own size; a
+class's pivot is the position of its largest key.  A pair's pivot proposal
+takes the k smallest keys of the other class inside the pivot's
+neighbourhood and the k smallest of the pivot's class, which leave the pivot
+out unless the class has at most k vertices: a uniform pivot and a uniform
+subset of the rest.  Each pair's samples keep the distribution of a test of
+that pair alone; only pairs that share a class are correlated, through that
+class's keys and pivot.  ``test_regular`` tests the one pair of a dense
+boolean matrix's full ranges, ``lower_regular_verdict`` any number of its
+(row ids, column ids) sub-pairs.  ``partition_heuristic`` tests all its
 dense pairs in one run from the packed adjacency rows of the class vertices
 (n^2 / 8 bytes): every pair's density comes from them, and the samples of
 all pairs at one index are counted with one ``np.bitwise_count``.
@@ -159,30 +160,46 @@ def replay_witness(g: Graph, report: RegularityReport) -> bool:
 
 
 class _MatrixCounter:
-    """Counter over a dense boolean pair matrix: class 0 is its rows, class 1
-    its columns, and (0, 1) the one pair."""
+    """Counter over classes of one dense boolean matrix: an even class is an
+    array of row ids, an odd one of column ids, and a pair is an (even, odd)
+    pair of classes; a single pair is the classes of the full ranges.  With
+    one pair left the scalar forms below are two to four times as fast."""
 
-    def __init__(self, m: np.ndarray):
-        # a column-sliced matrix comes out in Fortran order, where take on
-        # rows is many times slower
-        self.m = np.ascontiguousarray(m)
-        # padded square, so that a row's or a column's adjacency is as wide
-        # as the sampling loop's key rows
-        self.square = self.m
-        if m.shape[0] != m.shape[1]:
-            self.square = np.zeros((max(m.shape),) * 2, dtype=bool)
-            self.square[: m.shape[0], : m.shape[1]] = m
+    def __init__(self, m: np.ndarray, classes: Sequence[Sequence[int]]):
+        nl, nr = m.shape
+        # an all-zero row and column past the matrix, which the positions
+        # past a class's size read, and position ``width`` too
+        self.m = np.zeros((nl + 1, nr + 1), dtype=bool)
+        self.m[:nl, :nr] = m
+        width = max(map(len, classes), default=0)
+        self.ids = np.empty((len(classes), width + 1), dtype=np.int64)
+        self.ids[0::2], self.ids[1::2] = nl, nr
+        for row, c in zip(self.ids, classes):
+            row[: len(c)] = c
 
     def neighbourhoods(self, pivot, pc, oc) -> np.ndarray:
         """Adjacency of the pivot of class ``pc[i]`` to the positions of class
-        ``oc[i]``, one row per pair (here at most the one)."""
-        return self.square[:, pivot[1]][None] if pc[0] else self.square[pivot[0]][None]
+        ``oc[i]``, one row per pair; a pivot of an odd class is a column."""
+        if pc.size == 1:
+            (c,), (o,) = pc.tolist(), oc.tolist()
+            at = self.ids[c, pivot[c]]
+            return (self.m[:, at] if c % 2 else self.m[at]).take(self.ids[o, :-1])[None]
+        at = self.ids.take(pc * self.ids.shape[1] + pivot.take(pc))[:, None]
+        other, n = self.ids.take(oc, axis=0)[:, :-1], self.m.shape[1]
+        return self.m.ravel().take(other * n + at if pc[0] % 2 else at * n + other)
 
     def counts(self, a, b, left, right) -> np.ndarray:
-        # the one pair; two takes are about twice as fast as one broadcast
-        # fancy index
-        block = self.m.take(left[0], axis=0).take(right[0], axis=1)
-        return np.array([np.count_nonzero(block)])
+        """Edges between the positions ``left[i]`` of class ``a[i]`` and
+        ``right[i]`` of class ``b[i]``, per pair."""
+        if a.size == 1:  # two takes, of whole rows and then of columns
+            (x,), (y,) = a.tolist(), b.tolist()
+            rows, cols = self.ids[x].take(left[0]), self.ids[y].take(right[0])
+            return np.array([np.count_nonzero(self.m.take(rows, axis=0).take(cols, axis=1))])
+        stride = self.ids.shape[1]
+        rows = self.ids.take(left + (a * stride)[:, None]) * self.m.shape[1]
+        cols = self.ids.take(right + (b * stride)[:, None])
+        block = self.m.ravel().take(rows[:, :, None] + cols[:, None, :])
+        return np.add.reduce(block, axis=(1, 2), dtype=np.int64)
 
 
 class _GraphCounter:
@@ -257,14 +274,16 @@ def _sampled_test(
     rng,
     one_sided: bool,
 ) -> list:
-    """Test every pair (a, b) of classes of the given sizes, a its left and
-    b its right side, in one run; returns (hit-or-None, samples-run) per pair.
-    The left classes of all pairs share one subset size, and so do the right.
+    """Test every pair (a, b) of nonempty classes of the given sizes, a its
+    left and b its right side, in one run; returns (hit-or-None,
+    samples-run) per pair.  Class c's subsets hold
+    k_c = min(size, ceil(eps * size)) positions, so each pair has its own
+    denominator.
 
     A sample violates when  |observed - d| > FLAG_SLACK * eps * reference_p
     (two-sided, d the pair's density) or  observed < (1 - FLAG_SLACK*eps) * p
-    (one-sided).  A pair stops at its first violating sample, so reports are
-    order-deterministic.
+    (one-sided, which reads no density).  A pair stops at its first
+    violating sample, so reports are order-deterministic.
 
     Sample idx is drawn for all pairs still running from one
     ``rng.random((r, width))`` key array, with the shared draws of the module
@@ -282,7 +301,6 @@ def _sampled_test(
     if not pairs:
         return out
     k = [min(n, max(1, math.ceil(epsilon * n))) for n in sizes]
-    (kl,), (kr,) = {k[x] for x, _ in pairs}, {k[y] for _, y in pairs}
     r, width = len(sizes), max(sizes)
     # a row's k-th smallest key in place puts its k smallest before it
     kth = sorted({c - 1 for c in k})
@@ -292,14 +310,25 @@ def _sampled_test(
     if min(sizes) < width:
         valid = np.arange(width) < np.asarray(sizes)[:, None]
         pad = np.where(valid, 0.0, np.inf)
-    denom = kl * kr
     lower = (1 - FLAG_SLACK * epsilon) * reference_p
     spread = FLAG_SLACK * epsilon * reference_p
 
     live = np.arange(len(pairs))
     a, b = np.array(pairs).T
     dens = np.asarray(densities, dtype=np.float64)
-    near_rows = r + live
+    ks = [k[x] for x, _ in pairs], [k[y] for _, y in pairs]
+    (wl, wr), (kl, kr), short = map(max, ks), map(np.array, ks), None
+    denom = kl * kr
+    # subsets are read off the first wl (left) or wr (right) positions of
+    # the ordered rows, those past a pair's own k set to ``width``
+    if min(ks[0]) < wl or min(ks[1]) < wr:
+        short = np.arange(wl) >= kl[:, None], np.arange(wr) >= kr[:, None]
+    # per pivot kind: the distinct pivot classes, each pair's among them,
+    # and the rows of the pairs' other sides after them in the ordered keys
+    plan = {}
+    for kind, pcs in ((1, b), (2, a)):
+        own = np.array(sorted(set(pcs.tolist())))
+        plan[kind] = own, np.searchsorted(own, pcs), own.size + live
     for idx in range(sample_count):
         if not live.size:
             break
@@ -314,17 +343,27 @@ def _sampled_test(
         if kind:
             # the pivots' side of every pair, and the other side
             pc, oc, ko = (b, a, kl) if kind == 1 else (a, b, kr)
+            own, slot, rows = plan[kind]
             hood = counter.neighbourhoods(pivot, pc, oc)
             near = np.add.reduce(hood, axis=1) >= ko
-            keys = np.concatenate([keys, np.where(hood, keys.take(oc, axis=0), np.inf)])
-            rows = np.where(near, near_rows, oc)
-            rl, rr = (rows, b) if kind == 1 else (a, rows)
+            # only rows that a subset reads are ordered: each distinct pivot
+            # class's keys, and per pair the other class's keys inside the
+            # pivot's neighbourhood, or all of them when the pivot falls back
+            plain = keys.take(oc, axis=0)
+            other = np.where(hood, plain, np.inf)
+            if np.count_nonzero(near) < near.size:
+                other[~near] = plain[~near]
+            keys = np.concatenate([keys.take(own, axis=0), other])
+            rl, rr = (rows, slot) if kind == 1 else (slot, rows)
         else:
             rl, rr = a, b
         order = keys.argpartition(kth, axis=1)
         # take is about three times as fast as fancy indexing on these sizes
-        left = order.take(rl, axis=0)[:, :kl]
-        right = order.take(rr, axis=0)[:, :kr]
+        left = order.take(rl, axis=0)[:, :wl]
+        right = order.take(rr, axis=0)[:, :wr]
+        if short is not None:
+            np.copyto(left, width, where=short[0])
+            np.copyto(right, width, where=short[1])
         counts = counter.counts(a, b, left, right)
         # int / int rounds correctly, so this equals float(Fraction(e, denom))
         observed = counts / denom
@@ -337,11 +376,14 @@ def _sampled_test(
                 where = None
                 if kind and near[j]:
                     where = ("right" if kind == 1 else "left", int(pivot[pc[j]]))
-                hit = (left[j], right[j], Fraction(int(counts[j]), denom), where, idx)
+                observed_j = Fraction(int(counts[j]), int(denom[j]))
+                hit = left[j, : kl[j]], right[j, : kr[j]], observed_j, where, idx
                 out[live[j]] = (hit, idx + 1)
             keep = ~bad
-            live, a, b, dens = live[keep], a[keep], b[keep], dens[keep]
-            near_rows = near_rows[: live.size]
+            live, a, b, dens, denom, kl, kr = (x[keep] for x in (live, a, b, dens, denom, kl, kr))
+            short = short and (short[0][keep], short[1][keep])
+            # classes of stopped pairs stay ordered, as at uniform samples
+            plan = {i: (c, x[keep], c.size + np.arange(live.size)) for i, (c, x, _) in plan.items()}
     return out
 
 
@@ -398,7 +440,7 @@ def test_regular(
     m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]
     d = Fraction(int(np.count_nonzero(m)), m.size)
     result = _sampled_test(
-        _MatrixCounter(m),
+        _MatrixCounter(m, [np.arange(m.shape[0]), np.arange(m.shape[1])]),
         m.shape,
         [(0, 1)],
         [float(d)],
@@ -413,30 +455,35 @@ def test_regular(
 
 def lower_regular_verdict(
     m: np.ndarray,
+    sub_pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
     reference_p: float,
     epsilon: float,
     sample_count: int,
     rng,
-) -> str:
-    """Lower-regularity verdict for a dense boolean pair matrix, such as the
-    sub-pair of a chain pair induced by two neighbourhoods: the one-sided
-    test's only entry point.  Returns the verdict string alone; it carries
-    no witness, so it cannot be replayed."""
+) -> list[str]:
+    """Lower-regularity verdict of each (row ids, column ids) sub-pair of a
+    dense boolean matrix, from one sampling run: the one-sided test's only
+    entry point.  The whole matrix is the sub-pair of its full ranges; an
+    empty sub-pair is "violated" when reference_p > 0.  A verdict carries no
+    witness, so it cannot be replayed."""
     _check_sampling(reference_p, epsilon, sample_count)
-    if not m.size:
-        return "violated" if reference_p > 0 else "no-violation-found"
-    [(hit, _)] = _sampled_test(
-        _MatrixCounter(m),
-        m.shape,
-        [(0, 1)],
-        [int(np.count_nonzero(m)) / m.size],
+    tested = [j for j, (rows, cols) in enumerate(sub_pairs) if len(rows) and len(cols)]
+    classes = [ids for j in tested for ids in sub_pairs[j]]
+    results = _sampled_test(
+        _MatrixCounter(m, classes),
+        [len(ids) for ids in classes],
+        [(i, i + 1) for i in range(0, len(classes), 2)],
+        [0.0] * len(tested),
         reference_p,
         epsilon,
         sample_count,
         rng,
         one_sided=True,
     )
-    return "violated" if hit is not None else "no-violation-found"
+    verdicts = ["violated" if reference_p > 0 else "no-violation-found"] * len(sub_pairs)
+    for j, (hit, _) in zip(tested, results):
+        verdicts[j] = "violated" if hit is not None else "no-violation-found"
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

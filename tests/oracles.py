@@ -24,9 +24,9 @@ subsets, reports, verdicts and rng draws can be held to it bit for bit.
 
 The chain kernels after them -- triangle pruning, the two exact
 square-path counters and the property-(ii) check, whose flank sub-pairs
-go through ``reference_lower_regular_verdict`` -- are the earlier per-row
-and per-state versions, kept verbatim for the same purpose against the
-dense matrix-product kernels.  The
+go through ``reference_lower_regular_verdict`` one middle class at a time
+-- are the earlier per-row and per-state versions, kept for the same
+purpose against the dense matrix-product kernels.  The
 transposed pairs they read come from a local ``_pair_T``.
 
 The embedder's window route at the very end -- each window a ``chain_view``
@@ -232,15 +232,19 @@ class ReferenceGraphCounter:
         return sum((self.g.adjacency[self.classes[a][i]] & mask).bit_count() for i in li)
 
 
-def matrix_counter(m: np.ndarray) -> ReferenceGraphCounter:
-    """The scalar counter of a dense |L| x |R| pair matrix: class 0 its rows,
-    class 1 its columns, as vertices 0..|L|-1 and |L|..|L|+|R|-1."""
+def matrix_counter(m: np.ndarray, classes: Sequence[Sequence[int]]) -> ReferenceGraphCounter:
+    """The scalar counter of classes of a dense |L| x |R| matrix, as
+    ``regularity._MatrixCounter`` reads them: an even class holds row ids,
+    an odd one column ids.  Rows are vertices 0..|L|-1 and columns
+    |L|..|L|+|R|-1 of a bipartite graph."""
     nl, nr = m.shape
     full = np.zeros((nl + nr, nl + nr), dtype=bool)
     full[:nl, nl:] = m
     full[nl:, :nl] = m.T
     g = from_matrix(full)
-    return ReferenceGraphCounter(g, [range(nl), range(nl, nl + nr)])
+    return ReferenceGraphCounter(
+        g, [[int(v) + nl * (c % 2) for v in ids] for c, ids in enumerate(classes)]
+    )
 
 
 def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
@@ -392,9 +396,11 @@ def reference_sampled_test(
     without the pivot, unless that class has at most k positions; otherwise
     it takes uniform subsets.  The first violating sample wins.
     """
+    out = [(None, sample_count)] * len(pairs)
+    if not pairs:
+        return out
     r, width = len(sizes), max(sizes)
     k = [min(n, max(1, math.ceil(epsilon * n))) for n in sizes]
-    out = [(None, sample_count)] * len(pairs)
     live = list(range(len(pairs)))
     for idx in range(sample_count):
         if not live:
@@ -454,18 +460,29 @@ def reference_test_regular(
 
 
 def reference_lower_regular_verdict(
-    m: np.ndarray, reference_p: float, epsilon: float, sample_count: int, rng
-) -> str:
-    """``lower_regular_verdict`` through ``reference_sampled_test`` on the
-    scalar counter of a dense pair matrix."""
-    if not m.size:
-        return "violated" if reference_p > 0 else "no-violation-found"
-    counter = matrix_counter(m)
-    d = counter.count(0, range(m.shape[0]), 1, range(m.shape[1])) / m.size
-    [(hit, _)] = reference_sampled_test(
-        counter, m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count, rng, one_sided=True
+    m: np.ndarray, sub_pairs, reference_p: float, epsilon: float, sample_count: int, rng
+) -> list[str]:
+    """``lower_regular_verdict`` through one ``reference_sampled_test`` run
+    over the nonempty sub-pairs, on the scalar counter of the matrix; an
+    empty sub-pair is "violated" when reference_p > 0."""
+    empty = "violated" if reference_p > 0 else "no-violation-found"
+    verdicts = [empty] * len(sub_pairs)
+    tested = [j for j, (rows, cols) in enumerate(sub_pairs) if len(rows) and len(cols)]
+    classes = [ids for j in tested for ids in sub_pairs[j]]
+    results = reference_sampled_test(
+        matrix_counter(m, classes),
+        [len(ids) for ids in classes],
+        [(2 * i, 2 * i + 1) for i in range(len(tested))],
+        [0.0] * len(tested),
+        reference_p,
+        epsilon,
+        sample_count,
+        rng,
+        one_sided=True,
     )
-    return "violated" if hit is not None else "no-violation-found"
+    for j, (hit, _) in zip(tested, results):
+        verdicts[j] = "violated" if hit is not None else "no-violation-found"
+    return verdicts
 
 
 def reference_triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tuple[int, int], int]:
@@ -548,7 +565,10 @@ def reference_check_gtilde_ii(
     sampled lower-regularity test on the induced flank pair.
 
     Sampling makes the per-vertex verdicts one-sided: a counted exception is
-    either a hard size violation or a replayable density witness.
+    either a hard size violation or a "violated" verdict.  The flank
+    sub-pairs of one middle class go through one
+    ``reference_lower_regular_verdict`` call, so one ``reference_sampled_test``
+    run, with a class per neighbourhood.
     """
     rng = rng_from(seed)
     n0 = chain.n0
@@ -561,6 +581,7 @@ def reference_check_gtilde_ii(
         Bm = chain.pair(middle, i + 2)
         flank = unpack_packed_matrix(chain.pair(i, i + 2), n0)
         exceptions = 0
+        sub_pairs = []
         for v in range(n0):
             left = np.nonzero(
                 np.unpackbits(AT[v], bitorder="little", count=n0).astype(bool)
@@ -570,13 +591,12 @@ def reference_check_gtilde_ii(
             )[0]
             if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
                 exceptions += 1
-                continue
-            verdict = reference_lower_regular_verdict(
-                flank[np.ix_(left, right)], reference_p, epsilon, sample_count, rng
-            )
-            if verdict == "violated":
-                exceptions += 1
-        out[middle] = exceptions
+            else:
+                sub_pairs.append((left.tolist(), right.tolist()))
+        verdicts = reference_lower_regular_verdict(
+            flank, sub_pairs, reference_p, epsilon, sample_count, rng
+        )
+        out[middle] = exceptions + verdicts.count("violated")
     return out
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from sqlab import blowup as bl
 from sqlab import graph
+from sqlab import regularity as reg
 from sqlab.bitops import pack_bool_matrix, unpack_packed_matrix
 from sqlab.squarewalk import is_square_path
 from oracles import reference_triangle_counts_of_pair
@@ -280,11 +281,36 @@ def test_check_ii_random_chain_within_budget():
 
 def test_check_ii_refuses_zero_samples():
     # zero samples would certify every neighbourhood pair that passes the
-    # size window; 5 samples find an exception in each middle class
+    # size window, as all 24 here do; 5 samples find an exception in middle
+    # class 2
     ch = bl.build_chain_random(4, 12, 0.5, seed=1)
-    assert bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=5, seed=1) == {1: 1, 2: 1}
+    assert bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=5, seed=1) == {1: 0, 2: 1}
     with pytest.raises(ValueError):
         bl.check_gtilde_ii(ch, 0.5, 0.5, sample_count=0, seed=1)
+
+
+def test_check_ii_samples_each_middle_class_in_one_run(monkeypatch):
+    # one sampling run per middle class, over the flank sub-pairs of all its
+    # vertices inside the size window (16.8 to 31.2 neighbours a side here)
+    runs = []
+    real = reg._sampled_test
+
+    def spy(counter, sizes, pairs, *args, **kwargs):
+        runs.append(len(pairs))
+        return real(counter, sizes, pairs, *args, **kwargs)
+
+    monkeypatch.setattr(reg, "_sampled_test", spy)
+    ch = bl.build_chain_random(6, 40, 0.6, seed=2)
+    out = bl.check_gtilde_ii(ch, 0.3, 0.6, sample_count=10, seed=1)
+    outside = []
+    for i in range(ch.k - 2):
+        left = unpack_packed_matrix(ch.pair(i, i + 1), 40).sum(axis=0)
+        right = unpack_packed_matrix(ch.pair(i + 1, i + 2), 40).sum(axis=1)
+        sizes = np.stack([left, right])
+        outside.append(40 - int(((sizes >= 16.8) & (sizes <= 31.2)).all(axis=0).sum()))
+    assert len(runs) == ch.k - 2
+    assert runs == [40 - x for x in outside]
+    assert all(count >= x for count, x in zip(out.values(), outside))
 
 
 def test_check_ii_refuses_zero_samples_on_empty_neighbourhoods():

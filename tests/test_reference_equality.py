@@ -51,7 +51,7 @@ from oracles import (
 )
 from test_blowup import complete_chain
 from test_embedder import run_pipeline
-from test_regularity import squared_cycle_blowup
+from test_regularity import squared_cycle_blowup, whole, whole_verdict
 from test_squarewalk import cycle_graph, squared_cycle_graph
 
 
@@ -202,28 +202,35 @@ def test_lower_regular_verdict_matches_single_pair_reference(
 ):
     nl, nr = m.shape
     got_rng, want_rng = rng_from(seed), rng_from(seed)
-    got = reg.lower_regular_verdict(m, reference_p, epsilon, sample_count, got_rng)
-    want = reference_lower_regular_verdict(m, reference_p, epsilon, sample_count, want_rng)
+    got = reg.lower_regular_verdict(m, whole(m), reference_p, epsilon, sample_count, got_rng)
+    want = reference_lower_regular_verdict(
+        m, whole(m), reference_p, epsilon, sample_count, want_rng
+    )
     assert got == want
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class LoggingPairCounter:
-    """Both counter interfaces over one dense pair matrix, the array one
-    through ``regularity._MatrixCounter``; logs the subsets of every sample
-    it counts, sorted, so that two sampling loops can be compared draw by
-    draw."""
+    """Both counter interfaces over classes of one dense matrix (by default
+    the one pair of its full ranges), the array one through
+    ``regularity._MatrixCounter``; logs the subsets of every sample it
+    counts, sorted and without the padding past a class's size, so that two
+    sampling loops can be compared draw by draw."""
 
-    def __init__(self, m):
-        self.matrix = reg._MatrixCounter(m)
-        self.scalar = matrix_counter(m)
+    def __init__(self, m, classes=None):
+        classes = whole(m)[0] if classes is None else classes
+        self.matrix = reg._MatrixCounter(m, classes)
+        self.scalar = matrix_counter(m, classes)
+        self.sizes = [len(c) for c in classes]
         self.log = []
 
     def neighbourhoods(self, pivot, pc, oc):
         return self.matrix.neighbourhoods(pivot, pc, oc)
 
     def counts(self, a, b, left, right):
-        self.log += [(sorted(li.tolist()), sorted(ri.tolist())) for li, ri in zip(left, right)]
+        for x, y, li, ri in zip(a, b, left, right):
+            li, ri = li[li < self.sizes[x]], ri[ri < self.sizes[y]]
+            self.log.append((sorted(li.tolist()), sorted(ri.tolist())))
         return self.matrix.counts(a, b, left, right)
 
     def adjacent(self, c, i, o, j):
@@ -252,16 +259,66 @@ def test_sampled_test_draws_match_single_pair_reference(
     got_counter, want_counter = LoggingPairCounter(m), LoggingPairCounter(m)
     got_rng, want_rng = rng_from(seed), rng_from(seed)
     args = (m.shape, [(0, 1)], [d], reference_p, epsilon, sample_count)
-    [(got, got_samples)] = reg._sampled_test(got_counter, *args, got_rng, one_sided)
-    [(want, want_samples)] = reference_sampled_test(want_counter, *args, want_rng, one_sided)
+    got = reg._sampled_test(got_counter, *args, got_rng, one_sided)
+    want = reference_sampled_test(want_counter, *args, want_rng, one_sided)
     assert got_counter.log == want_counter.log
-    assert got_samples == want_samples
-    assert (got is None) == (want is None)
-    if got is not None:
-        li, ri, observed, pivot, idx = got
-        assert (sorted(li.tolist()), sorted(ri.tolist()), observed, pivot, idx) == (
-            sorted(want[0]), sorted(want[1]), *want[2:]
-        )
+    assert_same_results(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def assert_same_results(got, want):
+    """``_sampled_test`` results against the reference's: the same samples
+    run and the same hits, subsets compared as sets."""
+    assert len(got) == len(want)
+    for (g, got_samples), (w, want_samples) in zip(got, want):
+        assert got_samples == want_samples
+        assert (g is None) == (w is None)
+        if g is not None:
+            li, ri, observed, pivot, idx = g
+            assert (sorted(li.tolist()), sorted(ri.tolist()), observed, pivot, idx) == (
+                sorted(w[0]), sorted(w[1]), *w[2:]
+            )
+
+
+@st.composite
+def matrix_classes(draw):
+    """A pair matrix, 3-8 classes of unequal sizes read from it (even ones
+    of row ids, odd ones of column ids, in random order) and a nonempty list
+    of distinct (even, odd) pairs of them, which may share classes."""
+    m = draw(pair_matrices())
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    classes = []
+    for c in range(draw(st.integers(3, 8))):
+        n = m.shape[c % 2]
+        classes.append(gen.permutation(n)[: draw(st.integers(1, n))])
+    options = [(x, y) for x in range(0, len(classes), 2) for y in range(1, len(classes), 2)]
+    pairs = draw(st.lists(st.sampled_from(options), min_size=1, unique=True))
+    return m, classes, pairs
+
+
+@given(
+    case=matrix_classes(),
+    scale=st.floats(0.5, 2.0),
+    epsilon=st.sampled_from([0.075, 0.2, 0.5]),
+    sample_count=st.integers(1, 60),
+    seed=st.integers(0, 10**6),
+    one_sided=st.booleans(),
+)
+def test_sampled_test_draws_match_reference_on_unequal_classes(
+    case, scale, epsilon, sample_count, seed, one_sided
+):
+    # each class takes subsets of its own size, ceil(eps * size); pairs that
+    # share a class share its keys and pivot, and every pair stops on its own
+    m, classes, pairs = case
+    dens = [m[np.ix_(classes[x], classes[y])].mean() for x, y in pairs]
+    reference_p = scale * float(np.mean(dens)) or 0.5
+    got_counter, want_counter = LoggingPairCounter(m, classes), LoggingPairCounter(m, classes)
+    got_rng, want_rng = rng_from(seed), rng_from(seed)
+    args = ([len(c) for c in classes], pairs, dens, reference_p, epsilon, sample_count)
+    got = reg._sampled_test(got_counter, *args, got_rng, one_sided)
+    want = reference_sampled_test(want_counter, *args, want_rng, one_sided)
+    assert got_counter.log == want_counter.log
+    assert_same_results(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
@@ -310,8 +367,9 @@ def test_lower_regular_verdict_on_unequal_sides_matches_reference(shape, epsilon
         verdicts = set()
         for seed in range(6):
             got_rng, want_rng = rng_from(seed), rng_from(seed)
-            got = reg.lower_regular_verdict(m, 0.6, epsilon, 60, got_rng)
-            assert got == reference_lower_regular_verdict(m, 0.6, epsilon, 60, want_rng)
+            [got] = reg.lower_regular_verdict(m, whole(m), 0.6, epsilon, 60, got_rng)
+            want = reference_lower_regular_verdict(m, whole(m), 0.6, epsilon, 60, want_rng)
+            assert [got] == want
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
             verdicts.add(got)
         if hole:
@@ -751,8 +809,8 @@ def test_empty_neighbourhood_is_a_violation():
     # empty flank slice reaches the verdict, which flags it when p > 0
     chain = hollow_chain()
     assert bl.check_gtilde_ii(chain, 1.0, 1.0, sample_count=10, seed=2) == {1: 1, 2: 1}
-    assert reg.lower_regular_verdict(np.zeros((0, 3), dtype=bool), 0.5, 0.2, 10, None) == "violated"
-    assert reg.lower_regular_verdict(np.zeros((3, 0), dtype=bool), 0.0, 0.2, 10, None) == (
+    assert whole_verdict(np.zeros((0, 3), dtype=bool), 0.5, 0.2, 10, None) == "violated"
+    assert whole_verdict(np.zeros((3, 0), dtype=bool), 0.0, 0.2, 10, None) == (
         "no-violation-found"
     )
 

@@ -36,6 +36,17 @@ def pair_matrix(g, pair):
     return graph.to_matrix(g, pair.left)[:, list(pair.right)]
 
 
+def whole(m):
+    """The one sub-pair of a matrix's full row and column ranges."""
+    return [(np.arange(m.shape[0]), np.arange(m.shape[1]))]
+
+
+def whole_verdict(m, *args):
+    """``lower_regular_verdict`` of a whole matrix, as its one sub-pair."""
+    [verdict] = reg.lower_regular_verdict(m, whole(m), *args)
+    return verdict
+
+
 # -- density -----------------------------------------------------------------
 
 
@@ -150,7 +161,7 @@ def test_report_json_fractions():
 
 def test_lower_regular_complete():
     g, pair = complete_bipartite(30, 30)
-    verdict = reg.lower_regular_verdict(pair_matrix(g, pair), 1.0, 0.2, 100, rng_from(3))
+    verdict = whole_verdict(pair_matrix(g, pair), 1.0, 0.2, 100, rng_from(3))
     assert verdict == "no-violation-found"
 
 
@@ -158,7 +169,7 @@ def test_lower_regular_edgeless_first_sample():
     g = graph.empty(20)
     pair = reg.BipartitePairView(g, tuple(range(10)), tuple(range(10, 20)))
     rng = rng_from(1)
-    assert reg.lower_regular_verdict(pair_matrix(g, pair), 0.5, 0.3, 50, rng) == "violated"
+    assert whole_verdict(pair_matrix(g, pair), 0.5, 0.3, 50, rng) == "violated"
     # the first sample is a uniform one, drawn from one 2 x 10 key array;
     # the verdict must stop right after it
     twin = rng_from(1)
@@ -171,7 +182,7 @@ def test_regular_pass_implies_lower_pass_same_seed():
     d = float(reg.density(g, pair.left, pair.right))
     for seed in range(5):
         two = reg.test_regular(g, pair, d, 0.15, 120, seed=seed)
-        one = reg.lower_regular_verdict(pair_matrix(g, pair), d, 0.15, 120, rng_from(seed))
+        one = whole_verdict(pair_matrix(g, pair), d, 0.15, 120, rng_from(seed))
         if two.verdict == "no-violation-found":
             assert one == "no-violation-found"
 
@@ -180,12 +191,12 @@ def test_sample_count_zero_refused():
     # with no sample drawn nothing is checked, and an edgeless pair would
     # pass as "no-violation-found"
     with pytest.raises(ValueError):
-        reg.lower_regular_verdict(np.zeros((5, 5), dtype=bool), 0.5, 0.2, 0, rng_from(0))
+        whole_verdict(np.zeros((5, 5), dtype=bool), 0.5, 0.2, 0, rng_from(0))
     # an empty matrix has its verdict without sampling, but is refused too
     for shape in ((0, 3), (3, 0)):
         for count in (0, -5):
             with pytest.raises(ValueError):
-                reg.lower_regular_verdict(np.zeros(shape, dtype=bool), 0.5, 0.2, count, None)
+                whole_verdict(np.zeros(shape, dtype=bool), 0.5, 0.2, count, None)
     g, pair = complete_bipartite(10, 10)
     with pytest.raises(ValueError):
         reg.test_regular(g, pair, 1.0, 0.2, 0)
@@ -202,7 +213,7 @@ def test_sampling_refuses_empty_flag_window_and_negative_density(reference_p, ep
         reg.test_regular(g, pair, reference_p, epsilon, 50, seed=1)
     for m in (np.ones((5, 5), dtype=bool), np.zeros((0, 3), dtype=bool)):
         with pytest.raises(ValueError):
-            reg.lower_regular_verdict(m, reference_p, epsilon, 5, rng_from(0))
+            whole_verdict(m, reference_p, epsilon, 5, rng_from(0))
     with pytest.raises(ValueError):
         reg.partition_heuristic(g, reference_p, epsilon, 0.1, 0.1, 4, 4, seed=1)
 
@@ -233,12 +244,13 @@ def test_small_deletion_keeps_regularity():
 
 
 class RecordingCounter:
-    """The one-pair matrix counter, recording each sample's pivot (the
-    per-class pivot positions and the pivots' class, or None at a uniform
-    sample) and its two subsets."""
+    """The matrix counter over classes of one matrix (by default the one
+    pair of its full ranges), recording each sample's pivot (the per-class
+    pivot positions and the first pair's pivot class, or None at a uniform
+    sample) and every running pair's two subsets, as read."""
 
-    def __init__(self, m):
-        self.inner = reg._MatrixCounter(m)
+    def __init__(self, m, classes=None):
+        self.inner = reg._MatrixCounter(m, whole(m)[0] if classes is None else classes)
         self.samples = []
         self.pivot = None
 
@@ -247,7 +259,7 @@ class RecordingCounter:
         return self.inner.neighbourhoods(pivot, pc, oc)
 
     def counts(self, a, b, left, right):
-        self.samples.append((self.pivot, left[0].tolist(), right[0].tolist()))
+        self.samples.append((self.pivot, left.tolist(), right.tolist()))
         self.pivot = None
         return self.inner.counts(a, b, left, right)
 
@@ -262,7 +274,7 @@ def recorded_samples(m, epsilon, sample_count, seeds):
             counter, m.shape, [(0, 1)], [d], 0.0, epsilon, sample_count, rng_from(seed), True
         )
         assert hit is None and ran == sample_count == len(counter.samples)
-        out += counter.samples
+        out += [(pivot, li, ri) for pivot, (li,), (ri,) in counter.samples]
     return out
 
 
@@ -282,6 +294,54 @@ def test_uniform_subsets_hit_each_position_at_rate_k_over_n():
         assert hits.size == n
         mean, sd = 3000 * k / n, math.sqrt(3000 * k / n * (1 - k / n))
         assert np.all(np.abs(hits - mean) <= 5 * sd), hits
+    # the same on three sub-pairs of unequal sizes, tested in one run: class
+    # c's k_c = ceil(n_c / 4) positions come first in its rows, padded to
+    # the widest k on its side with position 20 (no vertex), and each of
+    # its positions lands in a subset at rate k_c / n_c
+    gen = np.random.default_rng(5)
+    sizes = [12, 20, 7, 15, 9, 11]
+    classes = [gen.permutation((12, 20)[c % 2])[:n] for c, n in enumerate(sizes)]
+    chosen = [[] for _ in sizes]
+    for seed in range(300):
+        counter = RecordingCounter(m, classes)
+        results = reg._sampled_test(
+            counter, sizes, [(0, 1), (2, 3), (4, 5)], [1.0] * 3, 0.0, 0.25, 30,
+            rng_from(seed), True,
+        )
+        assert results == [(None, 30)] * 3
+        for pivot, left, right in counter.samples:
+            if pivot is None:
+                for c, subset in enumerate(x for pair in zip(left, right) for x in pair):
+                    chosen[c].append([x for x in subset if x != 20])
+                    assert all(x == 20 for x in subset[len(chosen[c][-1]) :])
+    for n, subsets in zip(sizes, chosen):
+        k = math.ceil(n / 4)
+        assert len(subsets) == 3000
+        assert all(len(c) == len(set(c)) == k and max(c) < n for c in subsets)
+        hits = np.bincount(np.concatenate(subsets), minlength=n)
+        mean, sd = 3000 * k / n, math.sqrt(3000 * k / n * (1 - k / n))
+        assert np.all(np.abs(hits - mean) <= 5 * sd), (n, hits)
+
+
+def test_batched_sub_pair_flags_at_its_own_rate():
+    # frozen Monte Carlo: a 40 x 35 sub-pair of a G(60, 60, 0.6) matrix is
+    # flagged one-sidedly in some of 300 seeded runs of 10 samples; run
+    # alone or beside four other sub-pairs, which share none of its keys, it
+    # is flagged at the same rate within 5 standard deviations
+    gen = np.random.default_rng(8)
+    m = gen.random((60, 60)) < 0.6
+    target = (gen.permutation(60)[:40], gen.permutation(60)[:35])
+    others = [(gen.permutation(60)[:n], gen.permutation(60)[:n + 5]) for n in (20, 30, 45, 55)]
+    batch = others[:2] + [target] + others[2:]
+    alone = batched = 0
+    for seed in range(300):
+        [verdict] = reg.lower_regular_verdict(m, [target], 0.7, 0.2, 10, rng_from(seed))
+        alone += verdict == "violated"
+        verdicts = reg.lower_regular_verdict(m, batch, 0.7, 0.2, 10, rng_from(seed))
+        batched += verdicts[2] == "violated"
+    rate = (alone + batched) / 600
+    assert 0.1 < rate < 0.9, rate
+    assert abs(alone - batched) / 300 <= 5 * math.sqrt(rate * (1 - rate) * 2 / 300), (alone, batched)
 
 
 def test_pivot_subsets_lie_in_the_pivot_neighbourhood():
