@@ -323,12 +323,14 @@ def _sampled_test(
     # the ordered rows, those past a pair's own k set to ``width``
     if min(ks[0]) < wl or min(ks[1]) < wr:
         short = np.arange(wl) >= kl[:, None], np.arange(wr) >= kr[:, None]
-    # per pivot kind: the distinct pivot classes, each pair's among them,
-    # and the rows of the pairs' other sides after them in the ordered keys
-    plan = {}
-    for kind, pcs in ((1, b), (2, a)):
-        own = np.array(sorted(set(pcs.tolist())))
-        plan[kind] = own, np.searchsorted(own, pcs), own.size + live
+
+    def pivot_plan(pcs):
+        # the distinct pivot classes of the live pairs, each pair's among
+        # them, and the rows of the pairs' other sides after them
+        own = np.flatnonzero(np.bincount(pcs))
+        return own, own.searchsorted(pcs), own.size + np.arange(pcs.size)
+
+    plans = pivot_plan(b), pivot_plan(a)
     for idx in range(sample_count):
         if not live.size:
             break
@@ -343,12 +345,12 @@ def _sampled_test(
         if kind:
             # the pivots' side of every pair, and the other side
             pc, oc, ko = (b, a, kl) if kind == 1 else (a, b, kr)
-            own, slot, rows = plan[kind]
             hood = counter.neighbourhoods(pivot, pc, oc)
             near = np.add.reduce(hood, axis=1) >= ko
-            # only rows that a subset reads are ordered: each distinct pivot
-            # class's keys, and per pair the other class's keys inside the
-            # pivot's neighbourhood, or all of them when the pivot falls back
+            # only rows that a subset reads are ordered: the live pairs'
+            # distinct pivot classes, then per pair the other class's keys in
+            # the pivot's neighbourhood, or all of them if the pivot falls back
+            own, slot, rows = plans[kind - 1]
             plain = keys.take(oc, axis=0)
             other = np.where(hood, plain, np.inf)
             if np.count_nonzero(near) < near.size:
@@ -382,8 +384,7 @@ def _sampled_test(
             keep = ~bad
             live, a, b, dens, denom, kl, kr = (x[keep] for x in (live, a, b, dens, denom, kl, kr))
             short = short and (short[0][keep], short[1][keep])
-            # classes of stopped pairs stay ordered, as at uniform samples
-            plan = {i: (c, x[keep], c.size + np.arange(live.size)) for i, (c, x, _) in plan.items()}
+            plans = pivot_plan(b), pivot_plan(a)
     return out
 
 
