@@ -186,10 +186,11 @@ def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
 class PruneSchedule:
     """Named constants of the pruning analysis.
 
-    beta = (alpha/(4e))^3; delta_i = (eps_{i-1}/4)^4 / 2 and eps_i =
-    delta_i / 4 for i >= 1.  The analysis takes eps_i = min(delta_i / 4,
-    eps_cor(beta, delta_i)) with eps_cor a correlation threshold that the
-    proof does not construct; delta_i / 4 stands in for it.
+    delta_i = (eps_{i-1}/4)^4 / 2 and eps_i = delta_i / 4 for i >= 1.  The
+    analysis takes eps_i = min(delta_i / 4, eps_cor(beta, delta_i)) with
+    beta = (alpha/(4e))^3 and eps_cor a correlation threshold that the proof
+    does not construct; delta_i / 4 stands in for it, so beta, and the alpha
+    it is computed from, would feed nothing and are not kept.
     m_i = ceil((1 - eps_i) n0^2 p0) is the per-pair edge yardstick, and a
     step is flagged when it removes more than 2 delta_i m_i edges.
 
@@ -200,15 +201,10 @@ class PruneSchedule:
     it: when nothing underflows.
     """
 
-    alpha: float
     epsilon_0: float
     delta: tuple[float, ...]  # delta[i-1] holds delta_i, i = 1..steps
     epsilon: tuple[float, ...]  # epsilon[i-1] holds eps_i
     m: tuple[int, ...]
-
-    @property
-    def beta(self) -> float:
-        return (self.alpha / (4 * math.e)) ** 3
 
     @property
     def underflows(self) -> bool:
@@ -217,9 +213,7 @@ class PruneSchedule:
         return any(d < sys.float_info.min for d in self.delta)
 
     @classmethod
-    def build(
-        cls, alpha: float, epsilon_0: float, steps: int, n0: int, p0: float
-    ) -> "PruneSchedule":
+    def build(cls, epsilon_0: float, steps: int, n0: int, p0: float) -> "PruneSchedule":
         deltas, epsilons, ms = [], [], []
         prev_eps = epsilon_0
         for _ in range(steps):
@@ -229,7 +223,7 @@ class PruneSchedule:
             epsilons.append(e)
             ms.append(math.ceil((1 - e) * n0 * n0 * p0))
             prev_eps = e
-        sched = cls(alpha, epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms))
+        sched = cls(epsilon_0, tuple(deltas), tuple(epsilons), tuple(ms))
         if not sched.underflows:
             sched.check_decreasing()
         return sched
@@ -270,18 +264,15 @@ def _triangle_blocks(chain: ChainPartition, i: int):
         yield lo, unpack_packed_matrix(B[lo : lo + rows], n0).astype(np.float32) @ CT
 
 
-def prune_to_gtilde(
-    chain: ChainPartition,
-    epsilon: float,
-    schedule: Optional[PruneSchedule] = None,
-) -> PruneResult:
+def prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneResult:
     """Triangle pruning: for i from the last interior pair down to the first,
     drop every surviving edge of E(V_i, V_{i+1}) that closes fewer than
     (1 - epsilon) n0 p0^2 triangles with V_{i+2}, counted against surviving
     edges.  Counts at step i depend only on the pairs (i, i+2) and
     (i+1, i+2), so removal within a step is order-independent; steps run
     strictly from the top index down.  The final pair is never touched.
-    ``epsilon`` must lie in (0, 1).
+    ``epsilon`` must lie in (0, 1).  Each step's flag reads the bound of
+    ``PruneSchedule.build(epsilon, k - 2, n0, p0)``.
 
     Returns a pruned copy; the input chain is unchanged.
     """
@@ -290,9 +281,7 @@ def prune_to_gtilde(
     out = chain.copy()
     n0, p0 = out.n0, out.reference_p
     tau = (1 - epsilon) * n0 * p0 * p0
-    steps = out.k - 2
-    if schedule is None:
-        schedule = PruneSchedule.build(0.1, epsilon, steps, n0, p0)
+    schedule = PruneSchedule.build(epsilon, out.k - 2, n0, p0)
     removed: dict[tuple[int, int], int] = {}
     fractions: dict[tuple[int, int], float] = {}
     flagged: dict[tuple[int, int], bool] = {}

@@ -127,12 +127,18 @@ class WindowRecord:
 @dataclass
 class EmbeddingTrace:
     windows: list[WindowRecord]
-    closing_status: str  # "closed" | "open-path" | "failed"
     cycle: Optional[SquareCycle]
     path: Optional[SquarePath]
     start_edge: tuple[int, int] | None
     start_certified: bool
     flags: list[str] = field(default_factory=list)
+
+    @property
+    def closing_status(self) -> str:
+        """"closed" with a cycle, "open-path" with a path, else "failed"."""
+        if self.cycle is not None:
+            return "closed"
+        return "failed" if self.path is None else "open-path"
 
     @property
     def final_length(self) -> int:
@@ -190,8 +196,12 @@ def square_cycle_in_reduced(r_graph: Graph) -> CycleSearchResult:
 @dataclass(frozen=True)
 class GoodEdgeReport:
     good: tuple[tuple[int, int], ...]
-    fraction: float
     sampled: int
+
+    @property
+    def fraction(self) -> float:
+        """The good share of the sampled edges, 0.0 when none was sampled."""
+        return len(self.good) / self.sampled if self.sampled else 0.0
 
 
 def classify_good_edges(
@@ -219,7 +229,7 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
     classify them with one batched expansion call."""
     rows, cols = np.nonzero(window.first)
     if not rows.size:
-        return GoodEdgeReport((), 0.0, 0)
+        return GoodEdgeReport((), 0)
     if rows.size > sample_limit:
         idx = np.sort(rng.choice(rows.size, size=sample_limit, replace=False))
         rows, cols = rows[idx], cols[idx]
@@ -230,7 +240,7 @@ def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeRepo
         for (a, b), frac in zip(pairs, fractions)
         if frac >= threshold
     )
-    return GoodEdgeReport(good, len(good) / len(pairs), len(pairs))
+    return GoodEdgeReport(good, len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +315,7 @@ def embed_square_cycle(
     rng = rng_from(seed)
     st = _EmbedState(g, classes, reserve_count, rng)
     adj = g.adjacency
-    trace = EmbeddingTrace([], "failed", None, None, None, False)
+    trace = EmbeddingTrace([], None, None, None, False)
 
     start = _pick_start_edge(st, params, rng, trace)
     if start is None:
@@ -352,7 +362,7 @@ def embed_square_cycle(
         # join only when further winding would thin the pools below window
         # viability; while pools are healthy, keep consuming laps
         if st.closing and st.smallest_pool() < 4 and joined():
-            trace.closing_status = "closed"
+            closed = True
             break
 
         if advance():
@@ -361,14 +371,12 @@ def embed_square_cycle(
             st.closing = True
             continue
         # no way forward: one last join attempt from where we stand
-        if joined():
-            trace.closing_status = "closed"
-            break
-        trace.closing_status = "open-path"
-        trace.flags.append("stuck-while-closing")
+        closed = joined()
+        if not closed:
+            trace.flags.append("stuck-while-closing")
         break
 
-    if trace.closing_status == "closed":
+    if closed:
         cyc = SquareCycle.checked(g, st.path)
         _assert_class_alignment(st.path, classes, r)
         trace.cycle = cyc

@@ -8,6 +8,13 @@ Adjacency has two encodings that agree bit for bit:
   operations, and
 * a dense boolean matrix, for whole-graph passes that numpy vectorises.
 
+A ``Graph`` is its vertex count and its rows; it counts its own edges from
+the rows, so the constructors (``from_edges``, ``complete``, ``empty``,
+``complete_multipartite``, ``from_matrix``) and ``without_edges`` pass rows
+only.  ``has_edge`` and ``without_edges`` take numpy integer ids too: they
+convert ids with ``operator.index``, since shifting a Python-int row by a
+numpy integer overflows, and floats are still refused.
+
 ``to_packed`` joins chosen adjacency rows into a packed uint8 matrix with
 one ``to_bytes`` join, ``to_matrix`` unpacks that with one
 ``np.unpackbits``, and ``from_matrix`` packs a symmetric boolean matrix
@@ -21,6 +28,7 @@ stream, so identical ``(n, p, seed)`` reproduce the same graph byte for byte.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,14 +41,12 @@ class Graph:
 
     __slots__ = ("n", "adjacency", "edge_count")
 
-    def __init__(self, n: int, adjacency: Sequence[int], edge_count: int | None = None):
+    def __init__(self, n: int, adjacency: Sequence[int]):
         if len(adjacency) != n:
             raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adjacency", tuple(adjacency))
-        if edge_count is None:
-            edge_count = sum(row.bit_count() for row in adjacency) // 2
-        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in adjacency) // 2)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -65,6 +71,7 @@ class Graph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
     def has_edge(self, u: int, v: int) -> bool:
+        u, v = index(u), index(v)
         self.check_vertex(u)
         self.check_vertex(v)
         return bool((self.adjacency[u] >> v) & 1)
@@ -94,18 +101,16 @@ class Graph:
     def without_edges(self, removed: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the given edges deleted (non-edges are an error)."""
         adj = list(self.adjacency)
-        dropped = 0
         for u, v in removed:
+            u, v = index(u), index(v)
             if not (adj[u] >> v) & 1:
                 raise ValueError(f"({u}, {v}) is not an edge")
             adj[u] &= ~(1 << v)
             adj[v] &= ~(1 << u)
-            dropped += 1
-        return Graph(self.n, adj, self.edge_count - dropped)
+        return Graph(self.n, adj)
 
     def validate(self) -> None:
         """Full-scan check of the structural invariants (test support)."""
-        total = 0
         for v, row in enumerate(self.adjacency):
             if (row >> v) & 1:
                 raise AssertionError(f"self-loop at {v}")
@@ -114,9 +119,6 @@ class Graph:
             for u in bits(row):
                 if not (self.adjacency[u] >> v) & 1:
                     raise AssertionError(f"asymmetric edge ({v}, {u})")
-            total += row.bit_count()
-        if total != 2 * self.edge_count:
-            raise AssertionError("edge_count does not match degree sum")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +127,6 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n
-    m = 0
     for u, v in edges:
         u, v = int(u), int(v)  # numpy ints would poison the bitset rows
         if u == v:
@@ -136,17 +137,16 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"duplicate edge ({u}, {v})")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        m += 1
-    return Graph(n, adj, m)
+    return Graph(n, adj)
 
 
 def complete(n: int) -> Graph:
     full = (1 << n) - 1
-    return Graph(n, [full & ~(1 << v) for v in range(n)], n * (n - 1) // 2)
+    return Graph(n, [full & ~(1 << v) for v in range(n)])
 
 
 def empty(n: int) -> Graph:
-    return Graph(n, [0] * n, 0)
+    return Graph(n, [0] * n)
 
 
 def complete_multipartite(part_sizes: Sequence[int]) -> Graph:
@@ -206,4 +206,4 @@ def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
 def from_matrix(m: np.ndarray) -> Graph:
     """Graph of a symmetric boolean adjacency matrix with an empty diagonal."""
     adj = [packed_to_int(row) for row in pack_bool_matrix(m)]
-    return Graph(m.shape[0], adj, int(np.count_nonzero(m)) // 2)
+    return Graph(m.shape[0], adj)

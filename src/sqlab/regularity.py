@@ -114,9 +114,14 @@ class RegularityReport:
     density: Fraction
     reference_p: float
     epsilon: float
-    verdict: str  # "violated" | "no-violation-found"
     witness: Optional[Witness]
     samples: int
+
+    @property
+    def verdict(self) -> str:
+        """"violated" exactly when a witness is attached, else
+        "no-violation-found"."""
+        return "no-violation-found" if self.witness is None else "violated"
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -324,13 +329,6 @@ def _sampled_test(
     if min(ks[0]) < wl or min(ks[1]) < wr:
         short = np.arange(wl) >= kl[:, None], np.arange(wr) >= kr[:, None]
 
-    def pivot_plan(pcs):
-        # the distinct pivot classes of the live pairs, each pair's among
-        # them, and the rows of the pairs' other sides after them
-        own = np.flatnonzero(np.bincount(pcs))
-        return own, own.searchsorted(pcs), own.size + np.arange(pcs.size)
-
-    plans = pivot_plan(b), pivot_plan(a)
     for idx in range(sample_count):
         if not live.size:
             break
@@ -347,16 +345,16 @@ def _sampled_test(
             pc, oc, ko = (b, a, kl) if kind == 1 else (a, b, kr)
             hood = counter.neighbourhoods(pivot, pc, oc)
             near = np.add.reduce(hood, axis=1) >= ko
-            # only rows that a subset reads are ordered: the live pairs'
-            # distinct pivot classes, then per pair the other class's keys in
-            # the pivot's neighbourhood, or all of them if the pivot falls back
-            own, slot, rows = plans[kind - 1]
+            # every class row is ordered, then one row per pair: the other
+            # class's keys in the pivot's neighbourhood, or all of them if the
+            # pivot falls back
             plain = keys.take(oc, axis=0)
             other = np.where(hood, plain, np.inf)
             if np.count_nonzero(near) < near.size:
                 other[~near] = plain[~near]
-            keys = np.concatenate([keys.take(own, axis=0), other])
-            rl, rr = (rows, slot) if kind == 1 else (slot, rows)
+            keys = np.concatenate([keys, other])
+            rows = r + np.arange(pc.size)
+            rl, rr = (rows, pc) if kind == 1 else (pc, rows)
         else:
             rl, rr = a, b
         order = keys.argpartition(kth, axis=1)
@@ -384,7 +382,6 @@ def _sampled_test(
             keep = ~bad
             live, a, b, dens, denom, kl, kr = (x[keep] for x in (live, a, b, dens, denom, kl, kr))
             short = short and (short[0][keep], short[1][keep])
-            plans = pivot_plan(b), pivot_plan(a)
     return out
 
 
@@ -420,7 +417,6 @@ def _pair_report(
         pair_density,
         reference_p,
         epsilon,
-        "violated" if witness is not None else "no-violation-found",
         witness,
         samples,
     )
@@ -521,10 +517,14 @@ class EquitablePartition:
 class PartitionResult:
     partition: EquitablePartition
     reduced_adjacency: dict[int, frozenset[int]]
-    reduced_degrees: dict[int, int]
     min_degree_ok: bool
     rounds_used: int
     pair_reports: dict[tuple[int, int], RegularityReport]
+
+    @property
+    def reduced_degrees(self) -> dict[int, int]:
+        """Each class's degree in the reduced graph, in class order."""
+        return {i: len(s) for i, s in self.reduced_adjacency.items()}
 
 
 def partition_heuristic(
@@ -626,11 +626,9 @@ def partition_heuristic(
                 pivots.append(rep.witness.pivot)
         rounds += 1
         if not pivots or rounds > refine_rounds:
-            degrees = {i: len(reduced[i]) for i in range(r)}
             return PartitionResult(
                 partition,
                 {i: frozenset(s) for i, s in reduced.items()},
-                degrees,
                 min_degree_ok,
                 rounds,
                 reports,

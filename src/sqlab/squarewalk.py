@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -73,8 +74,10 @@ def is_square_path(g: Graph, seq: Sequence[int]) -> bool:
     """True iff seq is a valid square path in g.
 
     Length 1 needs a valid distinct vertex, length 2 an edge; from length 3
-    on both the consecutive and the distance-2 adjacencies must hold.
+    on both the consecutive and the distance-2 adjacencies must hold.  Ids
+    may be numpy integers; floats are refused.
     """
+    seq = list(map(index, seq))  # a numpy id would overflow the row shifts
     m = len(seq)
     if m == 0 or len(set(seq)) != m:
         return False
@@ -94,6 +97,7 @@ def is_square_cycle(g: Graph, seq: Sequence[int]) -> bool:
     """Cyclic analogue: a square path of length >= 5 (so distance-2 chords
     are real) whose last two vertices also see the first two as the
     wrap-around requires."""
+    seq = list(map(index, seq))
     return len(seq) >= 5 and is_square_path(g, seq) and _closes(g.adjacency, seq, seq[-2], seq[-1])
 
 
@@ -105,9 +109,10 @@ class SquarePath:
 
     @classmethod
     def checked(cls, g: Graph, seq: Sequence[int]) -> "SquarePath":
+        seq = tuple(map(index, seq))
         if not is_square_path(g, seq):
             raise ValueError(f"not a square path: {list(seq)}")
-        return cls(tuple(seq))
+        return cls(seq)
 
     def __len__(self):
         return len(self.vertices)
@@ -122,9 +127,10 @@ class SquareCycle:
 
     @classmethod
     def checked(cls, g: Graph, seq: Sequence[int]) -> "SquareCycle":
+        seq = tuple(map(index, seq))
         if not is_square_cycle(g, seq):
             raise ValueError(f"not a square cycle: {list(seq)}")
-        return cls(tuple(seq))
+        return cls(seq)
 
     def __len__(self):
         return len(self.vertices)
@@ -394,25 +400,20 @@ def has_square_cycle_through(
     return _cycle_result(g, found, nodes, exhausted)
 
 
-def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
+def greedy_square_path(g: Graph, seed: int) -> SquarePath:
     """Scalable seeded heuristic: grow from a random start edge, at each step
-    taking the successor with the most extension states within
-    ``lookahead_depth`` further moves (ties to the smallest vertex id).
-    Grows forward until stuck, then backward from the start until stuck.
-    Deterministic given the seed.
+    taking the successor with the most extension states one move further
+    (ties to the smallest vertex id).  Grows forward until stuck, then
+    backward from the start until stuck.  Deterministic given the seed.
 
     The start edge is the k-th of ``g.edges()`` for one uniform draw of k,
     found by walking the rows' upper-triangle popcounts; no edge list is
     built.  Steps score on the packed adjacency rows: with ``free`` the
     unvisited vertices and (cu, cv) the end state, the candidates are
-    N(cu) & N(cv) & free, and a candidate w scores
-    |N(cv) & N(w) & free| at depth 1, one ``bitwise_count`` over the
-    gathered candidate rows.  At depth 2 and beyond it scores
-    |F| + sum over x in F of |N(x) & N(w) & free|, F = N(cv) & N(w) & free.
-    Working memory is the n x ceil(n/8) packed rows plus O(n) per step.
+    N(cu) & N(cv) & free, and a candidate w scores |N(cv) & N(w) & free|,
+    one ``bitwise_count`` over the gathered candidate rows.  Working memory
+    is the n x ceil(n/8) packed rows plus O(n) per step.
     """
-    if lookahead_depth < 1:
-        raise ValueError(f"lookahead_depth must be >= 1, got {lookahead_depth}")
     if g.edge_count == 0:
         if g.n == 0:
             raise ValueError("empty graph has no square path")
@@ -428,16 +429,6 @@ def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquareP
     def members(row: np.ndarray) -> np.ndarray:
         return np.flatnonzero(np.unpackbits(row, count=g.n, bitorder="little"))
 
-    def scores(prev: int, cand: np.ndarray, pfree: np.ndarray) -> np.ndarray:
-        near = packed[prev] & pfree
-        if lookahead_depth <= 1:
-            return popcount_rows(packed[cand] & near)
-        out = np.empty(cand.size, dtype=np.int64)
-        for i, w in enumerate(cand):
-            frontier = members(near & packed[w])
-            out[i] = frontier.size + popcount_rows(packed[frontier] & packed[w] & pfree).sum()
-        return out
-
     def grow(cu: int, cv: int) -> list[int]:
         """Extend the end state (cu, cv) greedily; the vertices added."""
         added = []
@@ -447,7 +438,7 @@ def greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquareP
             if not cand.size:
                 return added
             # argmax keeps the first maximum: the smallest id among ties
-            w = int(cand[np.argmax(scores(cv, cand, pfree))])
+            w = int(cand[np.argmax(popcount_rows(packed[cand] & (packed[cv] & pfree)))])
             added.append(w)
             free[w] = False
             cu, cv = cv, w

@@ -164,7 +164,6 @@ def reference_gnp(n: int, p: float, seed: int) -> Graph:
         upper.append(np.empty(0, dtype=np.int64))
 
     adj = [0] * n
-    m = 0
     row_bits = np.zeros(n, dtype=bool)
     lower: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
@@ -174,12 +173,11 @@ def reference_gnp(n: int, p: float, seed: int) -> Graph:
             row_bits[hits] = True
             for j in hits:
                 lower[j].append(i)
-            m += hits.size
         if lower[i]:
             row_bits[lower[i]] = True
         packed = np.packbits(row_bits, bitorder="little")
         adj[i] = int.from_bytes(packed.tobytes(), "little")
-    return Graph(n, adj, int(m))
+    return Graph(n, adj)
 
 
 def reference_per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
@@ -247,12 +245,11 @@ def matrix_counter(m: np.ndarray, classes: Sequence[Sequence[int]]) -> Reference
     )
 
 
-def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) -> SquarePath:
+def reference_greedy_square_path(g: Graph, seed: int) -> SquarePath:
     """Scalable seeded heuristic: grow from a random start edge, at each step
-    taking the successor with the most extension states within
-    ``lookahead_depth`` further moves (ties to the smallest vertex id).
-    Grows forward until stuck, then backward from the start until stuck.
-    Deterministic given the seed.
+    taking the successor with the most extension states one move further
+    (ties to the smallest vertex id).  Grows forward until stuck, then
+    backward from the start until stuck.  Deterministic given the seed.
     """
     if g.edge_count == 0:
         if g.n == 0:
@@ -268,13 +265,7 @@ def reference_greedy_square_path(g: Graph, seed: int, lookahead_depth: int = 1) 
     visited = (1 << u) | (1 << v)
 
     def score(prev: int, w: int, visited_mask: int) -> int:
-        frontier = adj[prev] & adj[w] & ~visited_mask
-        if lookahead_depth <= 1:
-            return frontier.bit_count()
-        total = 0
-        for x in bits(frontier):
-            total += (adj[w] & adj[x] & ~visited_mask & ~(1 << x)).bit_count() + 1
-        return total
+        return (adj[prev] & adj[w] & ~visited_mask).bit_count()
 
     while True:
         cu, cv = seq[-2], seq[-1]
@@ -504,11 +495,7 @@ def reference_triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tup
     return out
 
 
-def reference_prune_to_gtilde(
-    chain: ChainPartition,
-    epsilon: float,
-    schedule: Optional[PruneSchedule] = None,
-) -> PruneResult:
+def reference_prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneResult:
     """Triangle pruning: for i from the last interior pair down to the first,
     drop every surviving edge of E(V_i, V_{i+1}) that closes fewer than
     (1 - epsilon) n0 p0^2 triangles with V_{i+2}, counted against surviving
@@ -521,9 +508,7 @@ def reference_prune_to_gtilde(
     out = chain.copy()
     n0, p0 = out.n0, out.reference_p
     tau = (1 - epsilon) * n0 * p0 * p0
-    steps = out.k - 2
-    if schedule is None:
-        schedule = PruneSchedule.build(0.1, max(epsilon, 1e-9), steps, n0, p0)
+    schedule = PruneSchedule.build(max(epsilon, 1e-9), out.k - 2, n0, p0)
     removed: dict[tuple[int, int], int] = {}
     fractions: dict[tuple[int, int], float] = {}
     flagged: dict[tuple[int, int], bool] = {}
@@ -769,7 +754,7 @@ def reference_classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
     classify them with one batched expansion call."""
     pairs = window.pair_edges_local(0, 1)
     if not pairs:
-        return GoodEdgeReport((), 0.0, 0)
+        return GoodEdgeReport((), 0)
     if len(pairs) > sample_limit:
         idx = rng.choice(len(pairs), size=sample_limit, replace=False)
         pairs = [pairs[int(i)] for i in sorted(idx)]
@@ -779,7 +764,7 @@ def reference_classify(window, threshold, sample_limit, rng) -> GoodEdgeReport:
         for (a, b), frac in zip(pairs, fractions)
         if frac >= threshold
     )
-    return GoodEdgeReport(good, len(good) / len(pairs), len(pairs))
+    return GoodEdgeReport(good, len(pairs))
 
 
 class ReferenceStateView:

@@ -131,8 +131,7 @@ def test_chain_view_rejects_overlap():
 
 
 def test_prune_schedule_formulas():
-    sched = bl.PruneSchedule.build(alpha=0.4, epsilon_0=0.2, steps=3, n0=100, p0=0.5)
-    assert sched.beta == pytest.approx((0.4 / (4 * math.e)) ** 3)
+    sched = bl.PruneSchedule.build(epsilon_0=0.2, steps=3, n0=100, p0=0.5)
     d1 = (0.2 / 4) ** 4 / 2
     assert sched.delta[0] == pytest.approx(d1)
     assert sched.epsilon[0] == pytest.approx(d1 / 4)
@@ -160,7 +159,7 @@ def direct_schedule(epsilon_0, steps, n0, p0):
 @pytest.mark.parametrize("k", [3, 4, 5])
 @pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.35, 0.5])
 def test_prune_schedule_short_chains_exact_floats(k, epsilon):
-    sched = bl.PruneSchedule.build(0.1, epsilon, k - 2, 1500, 0.35)
+    sched = bl.PruneSchedule.build(epsilon, k - 2, 1500, 0.35)
     assert (sched.delta, sched.epsilon, sched.m) == direct_schedule(epsilon, k - 2, 1500, 0.35)
     assert not sched.underflows
 
@@ -168,7 +167,7 @@ def test_prune_schedule_short_chains_exact_floats(k, epsilon):
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
 @pytest.mark.parametrize("epsilon", [0.1, 0.2, 0.5])
 def test_prune_default_schedule_long_chains(k, epsilon):
-    sched = bl.PruneSchedule.build(0.1, epsilon, k - 2, 12, 0.5)
+    sched = bl.PruneSchedule.build(epsilon, k - 2, 12, 0.5)
     assert (sched.delta, sched.epsilon, sched.m) == direct_schedule(epsilon, k - 2, 12, 0.5)
     assert sched.underflows and sched.delta[-1] == 0.0
     res = bl.prune_to_gtilde(bl.build_chain_random(k, 12, 0.5, seed=k), epsilon)
@@ -183,7 +182,7 @@ def test_prune_default_schedule_long_chains(k, epsilon):
 def test_prune_default_schedule_still_refuses_a_rising_one():
     # for epsilon_0 >= 8, delta_1 = (epsilon_0 / 4)^4 / 2 is not below it
     with pytest.raises(ValueError, match="strictly decreasing"):
-        bl.PruneSchedule.build(0.1, 10.0, 2, 100, 0.5)
+        bl.PruneSchedule.build(10.0, 2, 100, 0.5)
 
 
 # -- pruning -------------------------------------------------------------------

@@ -100,10 +100,20 @@ def test_classify_good_edges_matches_per_edge_reference():
         for a, b in sampled
         if oracle_expansion_fraction(window, a, b) >= threshold
     ]
-    expected = embedder.GoodEdgeReport(tuple(good), len(good) / limit, limit)
+    expected = embedder.GoodEdgeReport(tuple(good), limit)
     got = embedder.classify_good_edges(window, threshold, sample_limit=limit, seed=seed)
     assert got == expected
+    assert got.fraction == len(good) / limit
     assert 0 < len(good) < limit
+
+
+def test_derived_fields_at_empty_inputs():
+    # no first-pair edge to sample reads a good fraction of 0.0, and a trace
+    # with neither a cycle nor a path reads "failed"
+    rep = embedder.classify_good_edges(bl.build_chain_random(6, 14, 0.0, 6), 0.5)
+    assert (rep.good, rep.sampled, rep.fraction) == ((), 0, 0.0)
+    tr = embedder.EmbeddingTrace([], None, None, None, False)
+    assert (tr.closing_status, tr.final_length) == ("failed", 0)
 
 
 def test_classify_good_edges_refuses_empty_sample():

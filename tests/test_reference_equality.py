@@ -379,9 +379,9 @@ def test_lower_regular_verdict_on_unequal_sides_matches_reference(shape, epsilon
 # -- greedy square path ---------------------------------------------------------
 
 
-def assert_same_greedy(g, seed, depth):
-    got = sw.greedy_square_path(g, seed, depth)
-    assert got == reference_greedy_square_path(g, seed, depth)
+def assert_same_greedy(g, seed):
+    got = sw.greedy_square_path(g, seed)
+    assert got == reference_greedy_square_path(g, seed)
     return got
 
 
@@ -403,23 +403,21 @@ SHAPES = [
 
 
 @pytest.mark.parametrize("make", [m for _, m in SHAPES], ids=[i for i, _ in SHAPES])
-@pytest.mark.parametrize("depth", [1, 2])
-def test_greedy_matches_reference_on_shapes(make, depth):
+def test_greedy_matches_reference_on_shapes(make):
     g = make()
     for seed in range(8):
-        assert_same_greedy(g, seed, depth)
+        assert_same_greedy(g, seed)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
-@pytest.mark.parametrize("depth", [1, 2])
-def test_greedy_matches_reference_across_padding(n, depth):
+def test_greedy_matches_reference_across_padding(n):
     for p in (0.3, 0.8):
         for seed in (0, 5):
-            assert_same_greedy(graph.gnp(n, p, seed), seed, depth)
+            assert_same_greedy(graph.gnp(n, p, seed), seed)
 
 
 def test_greedy_matches_reference_at_scale():
-    assert len(assert_same_greedy(graph.gnp(2000, 0.5, 4), 4, 1)) > 1900
+    assert len(assert_same_greedy(graph.gnp(2000, 0.5, 4), 4)) > 1900
 
 
 def test_greedy_empty_graph_raises():
@@ -427,9 +425,9 @@ def test_greedy_empty_graph_raises():
         sw.greedy_square_path(graph.empty(0), 0)
 
 
-@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 10**6), st.sampled_from([1, 2]))
-def test_greedy_matches_reference_property(n, p, seed, depth):
-    assert_same_greedy(graph.gnp(n, p, seed), seed, depth)
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 10**6))
+def test_greedy_matches_reference_property(n, p, seed):
+    assert_same_greedy(graph.gnp(n, p, seed), seed)
 
 
 @pytest.mark.parametrize(
@@ -608,18 +606,9 @@ def test_embedder_searches_match_hand_rolled_loops(monkeypatch):
 # -- chain kernels ----------------------------------------------------------------
 
 
-def geometric_schedule(chain):
-    """A hand-built schedule whose delta_i fall geometrically, not doubly
-    exponentially, so every step's flag bound 2 delta_i m_i stays nonzero."""
-    delta = tuple(0.05 / 4**i for i in range(chain.k - 2))
-    eps = tuple(d / 4 for d in delta)
-    m = tuple(math.ceil((1 - e) * chain.n0**2 * chain.reference_p) for e in eps)
-    return bl.PruneSchedule(0.1, 0.2, delta, eps, m)
-
-
-def assert_same_prune(chain, epsilon, triangles=True, schedule=None):
-    got = bl.prune_to_gtilde(chain, epsilon, schedule)
-    want = reference_prune_to_gtilde(chain, epsilon, schedule)
+def assert_same_prune(chain, epsilon, triangles=True):
+    got = bl.prune_to_gtilde(chain, epsilon)
+    want = reference_prune_to_gtilde(chain, epsilon)
     assert got.removed == want.removed
     assert got.removed_fraction == want.removed_fraction
     assert got.flagged == want.flagged
@@ -643,29 +632,6 @@ def test_prune_matches_reference(k, n0, p0):
     chain = bl.build_chain_random(k, n0, p0, seed=k * n0)
     pruned = assert_same_prune(chain, 0.2)
     assert_same_prune(pruned.chain, 0.2, triangles=False)  # the re-prune of a pruned chain
-
-
-@pytest.mark.parametrize("n0", [3, 7, 8, 9, 700])
-@pytest.mark.parametrize("p0", [0.0, 0.05, 0.5, 1.0])
-def test_prune_matches_reference_with_explicit_schedule(n0, p0):
-    # the default schedule underflows at k = 8, so its late flag bounds read
-    # 0.0; a hand-built one keeps them nonzero and takes the schedule= path
-    chain = bl.build_chain_random(8, n0, p0, seed=8 * n0)
-    schedule = geometric_schedule(chain)
-    assert not schedule.underflows
-    pruned = assert_same_prune(chain, 0.2, schedule=schedule)
-    assert not pruned.schedule_underflow
-    assert_same_prune(pruned.chain, 0.2, triangles=False, schedule=schedule)
-
-
-def test_explicit_schedule_flags_differ_from_default():
-    # the explicit-schedule grid must reach a step where the nonzero bound
-    # matters: edges are removed there, yet fewer than the bound allows
-    chain = bl.build_chain_random(8, 700, 0.5, seed=8 * 700)
-    default = bl.prune_to_gtilde(chain, 0.2)
-    explicit = bl.prune_to_gtilde(chain, 0.2, geometric_schedule(chain))
-    assert default.removed == explicit.removed
-    assert default.flagged != explicit.flagged
 
 
 def test_prune_grid_removes_edges():
@@ -994,8 +960,8 @@ def assert_same_start_pick(n, p, reserve, seed):
     outcomes = []
     for closing in (False, True):
         g, state = embed_state(n, p, 3 * params.k0, reserve, seed, closing)
-        got_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
-        want_trace = embedder.EmbeddingTrace([], "failed", None, None, None, False)
+        got_trace = embedder.EmbeddingTrace([], None, None, None, False)
+        want_trace = embedder.EmbeddingTrace([], None, None, None, False)
         rng, ref_rng = rng_from(seed), rng_from(seed)
         got = embedder._pick_start_edge(state, params, rng, got_trace)
         want = reference_pick_start_edge(ReferenceStateView(state, g), params, ref_rng, want_trace)

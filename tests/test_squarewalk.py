@@ -283,6 +283,36 @@ def test_square_cycle_through_takes_a_numpy_integer_vertex():
     assert res.status == "found" and 70 in res.cycle.vertices
 
 
+def test_numpy_vertex_ids_give_the_python_int_answers():
+    # a Python-int row shifted by a numpy integer overflows once the row has
+    # a bit past 63, which nearly every row of G(200, 0.5) has
+    g = graph.gnp(200, 0.5, 4)
+    for u, v in [(0, 199), (150, 70), (3, 4), (199, 198), (64, 63)]:
+        for cast in (np.int64, np.int32, np.uint64):
+            assert g.has_edge(cast(u), cast(v)) == g.has_edge(u, v)
+    removed = list(g.edges())[::97]
+    assert g.without_edges(np.array(removed)) == g.without_edges(removed)
+
+    path = list(sw.greedy_square_path(g, 4).vertices)
+    cycle = list(sw.has_square_cycle_through(g, 150).cycle.vertices)
+    for seq in (path, cycle, path[::-1], cycle[1:], path[:3] + path[4:], [5]):
+        for ids in (np.array(seq), [np.int64(v) for v in seq]):
+            assert sw.is_square_path(g, ids) == sw.is_square_path(g, seq)
+            assert sw.is_square_cycle(g, ids) == sw.is_square_cycle(g, seq)
+    assert sw.is_square_cycle(g, np.array(cycle)) and not sw.is_square_path(g, np.array(path[:3] + path[4:]))
+    # the checked objects hold Python ints, so they serialise
+    assert sw.SquarePath.checked(g, np.array(path)).to_json() == sw.SquarePath.checked(g, path).to_json()
+    assert sw.SquareCycle.checked(g, np.array(cycle)).to_json() == sw.SquareCycle.checked(g, cycle).to_json()
+
+    # floats are still refused
+    with pytest.raises(TypeError):
+        g.has_edge(150.0, 70)
+    with pytest.raises(TypeError):
+        g.without_edges([(0.0, 199)])
+    with pytest.raises(TypeError):
+        sw.is_square_path(g, [float(v) for v in path])
+
+
 def test_greedy_complete_graph_spans():
     for n in (5, 9, 14):
         g = graph.complete(n)
@@ -298,20 +328,10 @@ def test_greedy_triangle_free_stops_at_edge():
 
 def test_greedy_deterministic_and_valid():
     g = graph.gnp(300, 0.15, 21)
-    a = sw.greedy_square_path(g, seed=5, lookahead_depth=1)
-    b = sw.greedy_square_path(g, seed=5, lookahead_depth=1)
+    a = sw.greedy_square_path(g, seed=5)
+    b = sw.greedy_square_path(g, seed=5)
     assert a.vertices == b.vertices
     assert sw.is_square_path(g, a.vertices)
-    c = sw.greedy_square_path(g, seed=5, lookahead_depth=2)
-    assert sw.is_square_path(g, c.vertices)
-
-
-@pytest.mark.parametrize("depth", [0, -3])
-def test_greedy_refuses_lookahead_below_one(depth):
-    # depth 1 is the least lookahead; lower depths are refused, not rounded up
-    g = graph.gnp(60, 0.7, 1)
-    with pytest.raises(ValueError, match="lookahead_depth"):
-        sw.greedy_square_path(g, 1, lookahead_depth=depth)
 
 
 @given(st.integers(5, 30), st.floats(0.2, 0.9), st.integers(0, 10**6))
