@@ -98,8 +98,7 @@ def neighborhood_wipe(g: Graph, v: int) -> Graph:
 
     Afterwards v lies in no triangle, hence in no square of a cycle.
     """
-    g.check_vertex(v)
-    nv = g.adjacency[v]
+    nv = g.adjacency[g.check_vertex(v)]
     removed = [
         (u, w)
         for u in bits(nv)
@@ -122,7 +121,7 @@ def independent_blocker(g: Graph, c: float, seed: int) -> tuple[Graph, tuple[int
         raise ValueError(f"blocker fraction {c} outside (0, 1)")
     rng = rng_from(seed)
     size = int((1.0 - c) * g.n)
-    blocked = tuple(sorted(int(x) for x in rng.choice(g.n, size=size, replace=False)))
+    blocked = tuple(sorted(rng.choice(g.n, size=size, replace=False).tolist()))
     inside = mask_of(blocked)
     removed = [
         (u, w)

@@ -19,6 +19,7 @@ with :func:`pack_bool_matrix` and :func:`unpack_packed_matrix`.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,10 +34,11 @@ def bits(x: int) -> Iterator[int]:
 
 
 def mask_of(vertices: Iterable[int]) -> int:
-    """Bitset of a vertex collection (numpy integer ids are taken as ints)."""
+    """Bitset of a vertex collection.  Ids go through ``operator.index``, as
+    in ``Graph.check_vertex``: numpy integers are taken, floats refused."""
     m = 0
     for v in vertices:
-        m |= 1 << int(v)
+        m |= 1 << index(v)
     return m
 
 

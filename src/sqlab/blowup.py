@@ -156,12 +156,9 @@ def build_chain_random(k: int, n0: int, p0: float, seed: int) -> ChainPartition:
 
 def chain_view(g: Graph, classes: Sequence[Sequence[int]]) -> ChainPartition:
     """View of g as a chain: only distance-1/2 pair edges are visible."""
-    classes = [tuple(c) for c in classes]
+    classes = [tuple(map(g.check_vertex, c)) for c in classes]
     k = len(classes)
     n0 = len(classes[0]) if classes else 0
-    for cls in classes:
-        for u in cls:
-            g.check_vertex(u)
     cols = [np.array(cls, dtype=np.int64) for cls in classes]
     pairs: dict[tuple[int, int], np.ndarray] = {}
     for i in range(k - 1):
@@ -397,10 +394,6 @@ class ChainLayers:
             for i in range(k - 2)
         )
         return cls(classes, consecutive[0], layers, int(np.count_nonzero(consecutive[-1])))
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
 
     @property
     def n0(self) -> int:

@@ -11,9 +11,13 @@ Adjacency has two encodings that agree bit for bit:
 A ``Graph`` is its vertex count and its rows; it counts its own edges from
 the rows, so the constructors (``from_edges``, ``complete``, ``empty``,
 ``complete_multipartite``, ``from_matrix``) and ``without_edges`` pass rows
-only.  ``has_edge`` and ``without_edges`` take numpy integer ids too: they
-convert ids with ``operator.index``, since shifting a Python-int row by a
-numpy integer overflows, and floats are still refused.
+only.
+
+Every entry point of the package takes a vertex id of a graph through
+``Graph.check_vertex``, which returns it as a Python int after its range
+check; where no graph is at hand (``from_edges``, ``bitops.mask_of``) the
+conversion is ``operator.index``.  Either way numpy integer ids are taken
+and floats are refused, never truncated.
 
 ``to_packed`` joins chosen adjacency rows into a packed uint8 matrix with
 one ``to_bytes`` join, ``to_matrix`` unpacks that with one
@@ -28,61 +32,55 @@ stream, so identical ``(n, p, seed)`` reproduce the same graph byte for byte.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import index
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .bitops import bits, pack_bool_matrix, packed_to_int, unpack_packed_matrix
+from .util import rng_from
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple graph with bitset adjacency rows."""
 
-    __slots__ = ("n", "adjacency", "edge_count")
+    n: int
+    adjacency: tuple[int, ...]
+    edge_count: int = field(init=False, compare=False)
 
-    def __init__(self, n: int, adjacency: Sequence[int]):
-        if len(adjacency) != n:
-            raise ValueError(f"adjacency has {len(adjacency)} rows for n={n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adjacency", tuple(adjacency))
-        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in adjacency) // 2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.adjacency == other.adjacency
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.adjacency))
+    def __post_init__(self):
+        if len(self.adjacency) != self.n:
+            raise ValueError(f"adjacency has {len(self.adjacency)} rows for n={self.n}")
+        object.__setattr__(self, "adjacency", tuple(self.adjacency))
+        object.__setattr__(self, "edge_count", sum(row.bit_count() for row in self.adjacency) // 2)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
 
     # -- primitive queries ------------------------------------------------
 
-    def check_vertex(self, v: int) -> None:
+    def check_vertex(self, v: int) -> int:
+        """``v`` as a Python int, once it is known to be a vertex.
+
+        ``operator.index`` takes numpy integers, which would poison the
+        bitsets (a Python-int row shifted by a numpy integer overflows past
+        bit 63), and refuses floats instead of truncating them.
+        """
+        v = index(v)
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
+        return v
 
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = index(u), index(v)
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return bool((self.adjacency[u] >> v) & 1)
+        return bool((self.adjacency[self.check_vertex(u)] >> self.check_vertex(v)) & 1)
 
     def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.adjacency[v].bit_count()
+        return self.adjacency[self.check_vertex(v)].bit_count()
 
     def neighbors(self, v: int) -> Iterator[int]:
-        self.check_vertex(v)
-        return bits(self.adjacency[v])
+        return bits(self.adjacency[self.check_vertex(v)])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, lexicographically sorted."""
@@ -102,7 +100,7 @@ class Graph:
         """New graph with the given edges deleted (non-edges are an error)."""
         adj = list(self.adjacency)
         for u, v in removed:
-            u, v = index(u), index(v)
+            u, v = self.check_vertex(u), self.check_vertex(v)
             if not (adj[u] >> v) & 1:
                 raise ValueError(f"({u}, {v}) is not an edge")
             adj[u] &= ~(1 << v)
@@ -128,7 +126,7 @@ class Graph:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     adj = [0] * n
     for u, v in edges:
-        u, v = int(u), int(v)  # numpy ints would poison the bitset rows
+        u, v = index(u), index(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -176,7 +174,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = rng_from(seed)
     m = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
         m[i, i + 1 :] = rng.random(n - 1 - i) < p

@@ -71,30 +71,23 @@ class BipartitePairView:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        # numpy integer ids would poison the bitsets built from the sides
-        object.__setattr__(self, "left", tuple(map(int, self.left)))
-        object.__setattr__(self, "right", tuple(map(int, self.right)))
+        object.__setattr__(self, "left", tuple(map(self.graph.check_vertex, self.left)))
+        object.__setattr__(self, "right", tuple(map(self.graph.check_vertex, self.right)))
         ls, rs = set(self.left), set(self.right)
         if len(ls) != len(self.left) or len(rs) != len(self.right):
             raise ValueError("duplicate vertices in pair side")
         if ls & rs:
             raise ValueError("pair sides overlap")
-        for v in self.left + self.right:
-            self.graph.check_vertex(v)
 
 
 def density(g: Graph, a: Iterable[int], b: Iterable[int]) -> Fraction:
     """Edge density e(A, B) / (|A| |B|) of two disjoint nonempty sets."""
-    a, b = tuple(a), tuple(b)
-    if not a or not b:
+    pair = BipartitePairView(g, a, b)
+    if not pair.left or not pair.right:
         raise ValueError("density needs nonempty sets")
-    if set(a) & set(b):
-        raise ValueError("density sets must be disjoint")
-    for v in a + b:
-        g.check_vertex(v)
-    mask_b = mask_of(b)
-    e = sum((g.adjacency[u] & mask_b).bit_count() for u in a)
-    return Fraction(e, len(a) * len(b))
+    mask_b = mask_of(pair.right)
+    e = sum((g.adjacency[u] & mask_b).bit_count() for u in pair.left)
+    return Fraction(e, len(pair.left) * len(pair.right))
 
 
 @dataclass(frozen=True)
@@ -580,7 +573,7 @@ def partition_heuristic(
         )
 
     rng = rng_from(seed)
-    order = [int(x) for x in rng.permutation(n)]
+    order = rng.permutation(n).tolist()
     atoms: list[list[int]] = [order]
 
     rounds = 0

@@ -377,8 +377,7 @@ def has_square_cycle_through(
     Used to certify wipe-style adversaries: after all edges inside N(v) are
     deleted, v lies in no triangle and this search must report "none".
     """
-    g.check_vertex(v)
-    v = int(v)  # a numpy integer would overflow the bitsets
+    v = g.check_vertex(v)
     adj = g.adjacency
     found = None
 
@@ -438,7 +437,7 @@ def greedy_square_path(g: Graph, seed: int) -> SquarePath:
             if not cand.size:
                 return added
             # argmax keeps the first maximum: the smallest id among ties
-            w = int(cand[np.argmax(popcount_rows(packed[cand] & (packed[cv] & pfree)))])
+            w = index(cand[np.argmax(popcount_rows(packed[cand] & (packed[cv] & pfree)))])
             added.append(w)
             free[w] = False
             cu, cv = cv, w

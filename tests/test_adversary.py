@@ -161,3 +161,7 @@ def test_adversary_spec_takes_exactly_its_kinds_field():
     g = graph.complete(6)
     h, info = adv.apply_adversary(g, adv.AdversarySpec(kind="neighborhood-wipe", target=2))
     assert h == adv.neighborhood_wipe(g, 2) and info["target"] == 2
+    h, info = adv.apply_adversary(g, adv.AdversarySpec(kind="independent-blocker", c=0.5, seed=3))
+    want, blocked = adv.independent_blocker(g, 0.5, 3)
+    assert h == want and info["blocked"] == list(blocked) and len(blocked) == 3
+    assert info["edges_removed"] == 3 and info["min_degree_after"] == 3

@@ -100,6 +100,8 @@ def test_chain_view_complete():
     classes = [tuple(range(i * 10, (i + 1) * 10)) for i in range(3)]
     ch = bl.chain_view(g, classes)
     assert all(ch.pair_edge_count(i, j) == 100 for i, j in ch.pair_indices())
+    # numpy ids are held as the Python ints they name
+    assert repr(bl.chain_view(g, np.array(classes)).classes) == repr(ch.classes)
 
 
 def test_chain_view_no_cross_edges_empty():
@@ -125,6 +127,18 @@ def test_chain_view_rejects_overlap():
     g = graph.complete(6)
     with pytest.raises(ValueError):
         bl.chain_view(g, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(TypeError):
+        bl.chain_view(g, [(0, 1), (2, 3.0), (4, 5)])
+
+
+def test_chain_lookups_reject_what_is_not_in_the_chain():
+    ch = complete_chain(4, 3)  # classes 0-2, 3-5, 6-8 and 9-11
+    with pytest.raises(ValueError, match="not a chain pair"):
+        ch.pair(0, 3)
+    with pytest.raises(ValueError, match="not in the chain"):
+        ch.to_local(12)
+    with pytest.raises(ValueError, match="does not lie in a chain pair"):
+        ch.locate_edge(0, 9)
 
 
 # -- schedule ------------------------------------------------------------------
@@ -395,6 +409,18 @@ def test_count_complete_chain_exact():
     e1 = (ch.to_global(0, 0), ch.to_global(1, 0))
     e2 = (ch.to_global(4, 0), ch.to_global(5, 0))
     assert bl.count_square_paths_between(ch, e1, e2) == 16
+
+
+def test_counts_reject_end_edges_outside_the_end_pairs():
+    ch = complete_chain(5, 3)  # classes 0-2, 3-5, 6-8, 9-11 and 12-14
+    first, middle, last = (0, 3), (3, 6), (9, 12)
+    assert bl.count_square_paths_between(ch, first, last) == 3
+    with pytest.raises(ValueError, match="e1 must lie in the first pair"):
+        bl.count_square_paths_between(ch, middle, last)
+    with pytest.raises(ValueError, match="e2 must lie in the last pair"):
+        bl.count_square_paths_between(ch, first, middle)
+    with pytest.raises(ValueError, match="e1 must lie in the first pair"):
+        bl.square_path_counts_from(ch, last)
 
 
 def test_count_no_successors_zero():

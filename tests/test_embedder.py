@@ -157,6 +157,9 @@ def test_consume_keeps_available_masks(closing):
         st.consume(v)
         assert st.available_mask(c) == prev & ~(1 << v)
     assert st.unused == [mask_of(cls) & ~mask_of(st.path[c::r]) for c, cls in enumerate(classes)]
+    # the next position is class 0 again, whose first vertex is used
+    with pytest.raises(AssertionError, match="not available in class 0"):
+        st.consume(st.path[0])
 
 
 # -- chain_view -------------------------------------------------------------------
@@ -472,4 +475,28 @@ def test_embed_without_reduced_cycle_raises_value_error():
         ValueError, match=r"no square Hamilton cycle in the reduced graph \(r = 4, class size 3\)"
     ):
         embedder.embed_square_cycle(g, part, res.cycle, embedder.PipelineParams(), seed=0)
+    # a reduced cycle of 12 classes is shorter than 3 k0 = 15
+    part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(12)))
+    with pytest.raises(ValueError, match="reduced cycle length 12 below 3 k0 = 15"):
+        embedder.embed_square_cycle(
+            graph.complete(36), part, SquareCycle(tuple(range(12))), embedder.PipelineParams(), seed=0
+        )
+
+
+def test_embed_on_an_edgeless_graph_fails_without_a_start_edge():
+    part = EquitablePartition((), tuple(tuple(range(3 * i, 3 * i + 3)) for i in range(15)))
+    tr = embedder.embed_square_cycle(
+        graph.empty(45), part, SquareCycle(tuple(range(15))), embedder.PipelineParams(), seed=0
+    )
+    assert tr.closing_status == "failed" and tr.final_length == 0
+    assert tr.flags == ["start-from-pool", "no-start-edge"]
+
+
+def test_class_alignment_check_refuses_a_misaligned_path():
+    classes = [(0, 1), (2, 3), (4, 5)]
+    embedder._assert_class_alignment([0, 2, 4, 1, 3, 5], classes, 3)
+    with pytest.raises(AssertionError, match="class order"):
+        embedder._assert_class_alignment([0, 4, 2], classes, 3)
+    with pytest.raises(AssertionError, match="multiple of r"):
+        embedder._assert_class_alignment([0, 2, 4, 1], classes, 3)
 

@@ -39,6 +39,37 @@ def test_gnp_rejects_bad_probability():
         graph.gnp(10, 1.5, 0)
     with pytest.raises(ValueError):
         graph.gnp(10, -0.1, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        graph.gnp(-1, 0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [([(1, 1)], "self-loop"), ([(0, 3)], "out of range"), ([(-1, 0)], "out of range"),
+     ([(0, 1), (1, 0)], "duplicate edge")],
+    ids=["self-loop", "too-large", "negative", "duplicate"],
+)
+def test_from_edges_rejects_bad_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        graph.from_edges(3, edges)
+
+
+def test_graph_is_an_immutable_value():
+    g = graph.from_edges(3, [(0, 1), (1, 2)])
+    assert g == graph.Graph(3, [2, 5, 2]) and g != graph.Graph(3, [2, 1, 0])
+    assert hash(g) == hash((3, (2, 5, 2)))
+    assert repr(g) == "Graph(n=3, m=2)"
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        g.edge_count = 0
+    with pytest.raises(ValueError, match="2 rows for n=3"):
+        graph.Graph(3, [0, 0])
+    assert graph.empty(0).min_degree() == 0
+    # validate() catches rows that no constructor builds
+    for rows, fault in (([1, 0], "self-loop"), ([4, 0], "beyond n"), ([2, 0], "asymmetric")):
+        with pytest.raises(AssertionError, match=fault):
+            graph.Graph(2, rows).validate()
 
 
 @given(st.integers(0, 40), st.floats(0, 1), st.integers(0, 2**32))

@@ -73,15 +73,19 @@ def test_density_gnp_concentrates():
 def test_density_rejects_bad_sets():
     g = graph.complete(6)
     # a negative id would index adjacency rows from the end: [-1] is vertex 5
-    for a, b in [([], [1, 2]), ([1, 2], [2, 3]), ([-1], [0]), ([0], [-2, 1]), ([6], [0]), ([0], [1, 6])]:
+    # a repeated id would count its edges twice
+    for a, b in [([], [1, 2]), ([1, 2], [2, 3]), ([-1], [0]), ([0], [-2, 1]), ([6], [0]), ([0], [1, 6]),
+                 ([0, 0], [1]), ([0], [1, 2, 1])]:
         with pytest.raises(ValueError):
             reg.density(g, a, b)
 
 
 def test_pair_view_rejects_overlap():
     g = graph.complete(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="overlap"):
         reg.BipartitePairView(g, (0, 1), (1, 2))
+    with pytest.raises(ValueError, match="duplicate"):
+        reg.BipartitePairView(g, (0, 1, 0), (2, 3))
 
 
 # -- two-sided tester ----------------------------------------------------------
@@ -92,6 +96,8 @@ def test_regular_complete_never_violated():
     for eps in (0.05, 0.2, 0.5):
         rep = reg.test_regular(g, pair, 1.0, eps, 100, seed=1)
         assert rep.verdict == "no-violation-found"
+        # with no witness there is nothing to replay
+        assert not reg.replay_witness(g, rep)
 
 
 def test_regular_two_block_violated():
@@ -418,6 +424,8 @@ def test_partition_rejects_bad_r():
         )
     with pytest.raises(ValueError, match="r_min"):
         reg.partition_heuristic(graph.gnp(60, 0.7, 1), 0.7, 0.2, 0.6, 0.3, 0, 0, 1)
+    with pytest.raises(ValueError, match="more classes than vertices"):
+        reg.partition_heuristic(graph.complete(4), 1.0, 0.3, 0.5, 0.1, r_min=5, r_max=5, seed=0)
 
 
 @pytest.mark.parametrize(
@@ -474,6 +482,8 @@ def test_partition_recovers_blowup_of_squared_cycle():
         for j in range(i + 1, 9):
             expected = tuple(sorted((lookup[i], lookup[j]))) in pair_set
             assert (j in res.reduced_adjacency[i]) == expected
+    # the square of a 9-cycle is 4-regular
+    assert res.reduced_degrees == dict.fromkeys(range(9), 4)
 
 
 def test_equitable_partition_invariants():
@@ -481,5 +491,9 @@ def test_equitable_partition_invariants():
         reg.EquitablePartition((), ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         reg.EquitablePartition((0,), ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="equal-size"):
+        reg.EquitablePartition((), ((0, 1), (2,)))
+    with pytest.raises(ValueError, match="duplicate exceptional"):
+        reg.EquitablePartition((4, 4), ((0, 1), (2, 3)))
     part = reg.EquitablePartition((4,), ((0, 1), (2, 3)))
     assert part.r == 2 and part.class_size() == 2

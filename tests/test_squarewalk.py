@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqlab import adversary as adv
 from sqlab import graph
+from sqlab import regularity as reg
 from sqlab import squarewalk as sw
 from sqlab.adversary import independent_blocker
-from sqlab.bitops import bits
+from sqlab.bitops import bits, mask_of
 from sqlab.util import rng_from
 from oracles import oracle_longest_square_path
 
@@ -147,6 +149,8 @@ def test_longest_exact_small_cases():
     assert len(sw.longest_square_path_exact(graph.complete(5)).path) == 5
     assert len(sw.longest_square_path_exact(cycle_graph(6)).path) == 2
     assert len(sw.longest_square_path_exact(graph.empty(3)).path) == 1
+    with pytest.raises(ValueError, match="empty graph"):
+        sw.longest_square_path_exact(graph.empty(0))
 
 
 def test_longest_exact_matches_oracle():
@@ -311,6 +315,41 @@ def test_numpy_vertex_ids_give_the_python_int_answers():
         g.without_edges([(0.0, 199)])
     with pytest.raises(TypeError):
         sw.is_square_path(g, [float(v) for v in path])
+    # an out-of-range id is refused by name, not read from the row at -1
+    for bad in [(-1, 0), (200, 0), (np.int64(-1), 0)]:
+        with pytest.raises(ValueError, match="out of range"):
+            g.without_edges([bad])
+
+
+# the entry points that take vertex ids, each called with the ids
+# (150, 70, 199, 3) of G(200, 0.5)
+ID_ENTRY_POINTS = {
+    "from_edges": lambda g, ids: graph.from_edges(g.n, [ids[:2], ids[2:]]),
+    "mask_of": lambda g, ids: mask_of(ids),
+    "BipartitePairView": lambda g, ids: reg.BipartitePairView(g, ids[:2], ids[2:]),
+    "density": lambda g, ids: reg.density(g, ids[:2], ids[2:]),
+    "degree": lambda g, ids: g.degree(ids[0]),
+    "neighbors": lambda g, ids: list(g.neighbors(ids[0])),
+    "neighborhood_wipe": lambda g, ids: adv.neighborhood_wipe(g, ids[0]),
+    "has_square_cycle_through": lambda g, ids: sw.has_square_cycle_through(g, ids[0]).cycle,
+}
+
+
+@pytest.mark.parametrize("call", ID_ENTRY_POINTS.values(), ids=ID_ENTRY_POINTS)
+def test_entry_points_take_numpy_ids_and_refuse_floats(call):
+    g = graph.gnp(200, 0.5, 4)
+    ids = [150, 70, 199, 3]
+    want = call(g, ids)
+    for cast in (np.int64, np.int32, np.uint64):
+        got = call(g, [cast(v) for v in ids])
+        # numpy 2 names the type in a scalar's repr: equal reprs mean the
+        # answer holds Python ints
+        assert got == want and repr(got) == repr(want)
+    # a float is refused, not truncated to the id below it
+    with pytest.raises(TypeError):
+        call(g, [v + 0.5 for v in ids])
+    with pytest.raises(ValueError):
+        call(g, [-1, *ids[1:]])
 
 
 def test_greedy_complete_graph_spans():
