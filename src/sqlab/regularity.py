@@ -423,8 +423,11 @@ def test_regular(
     sample_count: int = 200,
     seed: int = 0,
 ) -> RegularityReport:
-    """Sampled two-sided regularity test at subset floor ceil(eps * side)."""
+    """Sampled two-sided regularity test at subset floor ceil(eps * side).
+    ``pair`` must be a pair of ``g``: the test reads ``g``'s edges."""
     _check_sampling(reference_p, epsilon, sample_count)
+    if pair.graph is not g and pair.graph != g:
+        raise ValueError("pair is a view of another graph than g")
     if not pair.left or not pair.right:
         raise ValueError("test_regular needs nonempty pair sides")
     m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]

@@ -63,7 +63,7 @@ from sqlab.bitops import (
     popcount_rows,
     unpack_packed_matrix,
 )
-from sqlab.blowup import ChainPartition, PruneResult, PruneSchedule, chain_view
+from sqlab.blowup import ChainPartition, PruneResult, chain_view
 from sqlab.embedder import GoodEdgeReport
 from sqlab.graph import Graph, from_matrix
 from sqlab.regularity import (
@@ -508,15 +508,11 @@ def reference_prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneRes
     out = chain.copy()
     n0, p0 = out.n0, out.reference_p
     tau = (1 - epsilon) * n0 * p0 * p0
-    schedule = PruneSchedule.build(max(epsilon, 1e-9), out.k - 2, n0, p0)
     removed: dict[tuple[int, int], int] = {}
-    fractions: dict[tuple[int, int], float] = {}
-    flagged: dict[tuple[int, int], bool] = {}
     for i in range(out.k - 3, -1, -1):
         A = out.pair(i, i + 1)
         B = out.pair(i, i + 2)
         C = out.pair(i + 1, i + 2)
-        before = int(popcount_rows(A).sum())
         dropped = 0
         for u in range(n0):
             row_bool = np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
@@ -529,13 +525,8 @@ def reference_prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneRes
                 row_bool[bad] = False
                 A[u] = np.packbits(row_bool, bitorder="little")
                 dropped += int(bad.size)
-        key = (i, i + 1)
-        removed[key] = dropped
-        fractions[key] = dropped / before if before else 0.0
-        step_1based = i + 1
-        bound = 2 * schedule.delta[step_1based - 1] * schedule.m[step_1based - 1]
-        flagged[key] = dropped > bound
-    return PruneResult(out, removed, fractions, flagged, tau)
+        removed[(i, i + 1)] = dropped
+    return PruneResult(out, removed, tau)
 
 
 def reference_check_gtilde_ii(

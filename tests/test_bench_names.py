@@ -6,13 +6,22 @@ deletes or renames an API it reads, or a parameter it passes, would
 otherwise pass here and break the benchmark.  The scripts are parsed, not
 imported: the check covers each ``from sqlab[.x] import y`` and each
 ``module.attr`` read on a name bound to a ``sqlab`` module, and each call of
-such a name, made directly or through a tracer's ``t.call(layer, fn, ...)``."""
+such a name, made directly or through a tracer's ``t.call(layer, fn, ...)``.
+Parsing does not see the fields a script reads off a returned object, so the
+prune re-check of ``bench/checks.py``, loaded by its file path, also runs on
+a real ``prune_to_gtilde`` result."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import types
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sqlab import blowup
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -117,3 +126,20 @@ def test_bench_calls_bind_to_sqlab_signatures():
         except TypeError as e:
             unbound.append(f"{script}:{line} {fn.__qualname__}{sig}: {e}")
     assert not unbound, "bench calls that no longer bind:\n" + "\n".join(unbound)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bench_prune_check_reads_what_prune_returns(seed):
+    spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    ch = blowup.build_chain_random(4, 40, 0.5, seed)
+    before = {key: ch.pair(*key).copy() for key in ch.pair_indices()}
+    res = blowup.prune_to_gtilde(ch, 0.2)
+    assert sum(res.removed.values()) > 0
+    assert checks.prune_problems(ch, res, 0.2) == []
+    # pruning works on a private copy: the input keeps every pair and shares
+    # no pair array with the result
+    for key, pair in before.items():
+        assert np.array_equal(ch.pair(*key), pair)
+        assert not np.shares_memory(ch.pair(*key), res.chain.pair(*key))

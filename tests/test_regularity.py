@@ -224,11 +224,20 @@ def test_sampling_refuses_empty_flag_window_and_negative_density(reference_p, ep
         reg.partition_heuristic(g, reference_p, epsilon, 0.1, 0.1, 4, 4, seed=1)
 
 
-def test_regular_refuses_an_empty_side():
+def test_regular_refuses_an_empty_side_or_another_graph():
     g = graph.complete(6)
     for left, right in (((), (0, 1, 2)), ((0, 1, 2), ())):
         with pytest.raises(ValueError, match="pair"):
             reg.test_regular(g, reg.BipartitePairView(g, left, right), 1.0, 0.2, 10)
+    # the test reads the graph it is given, so a view of another graph would
+    # get that graph's density (or an IndexError from a smaller one)
+    pair = reg.BipartitePairView(graph.gnp(20, 0.5, 1), range(10), range(10, 20))
+    for other in (graph.gnp(40, 0.5, 2), graph.gnp(12, 0.5, 2)):
+        with pytest.raises(ValueError, match="another graph"):
+            reg.test_regular(other, pair, 0.5, 0.2, 50)
+    # an equal graph is the same graph
+    same = reg.test_regular(graph.gnp(20, 0.5, 1), pair, 0.5, 0.2, 50)
+    assert same == reg.test_regular(pair.graph, pair, 0.5, 0.2, 50)
 
 
 def test_small_deletion_keeps_regularity():
