@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .bitops import bits, mask_of
+from .bitops import mask_of
 from .graph import Graph
 from .util import rng_from
 
@@ -93,19 +93,19 @@ def per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
     return graphmod.from_matrix(a)
 
 
+def _clear_inside(g: Graph, inside: int) -> Graph:
+    """``g`` without the edges inside the vertex set ``inside``: each of its
+    rows loses ``inside`` with one ``&``, every other row is kept."""
+    rows = [row & ~inside if inside >> u & 1 else row for u, row in enumerate(g.adjacency)]
+    return Graph(g.n, rows)
+
+
 def neighborhood_wipe(g: Graph, v: int) -> Graph:
     """Remove every edge with both endpoints in N(v).
 
     Afterwards v lies in no triangle, hence in no square of a cycle.
     """
-    nv = g.adjacency[g.check_vertex(v)]
-    removed = [
-        (u, w)
-        for u in bits(nv)
-        for w in bits(g.adjacency[u] & nv)
-        if u < w
-    ]
-    return g.without_edges(removed)
+    return _clear_inside(g, g.adjacency[g.check_vertex(v)])
 
 
 def independent_blocker(g: Graph, c: float, seed: int) -> tuple[Graph, tuple[int, ...]]:
@@ -122,14 +122,7 @@ def independent_blocker(g: Graph, c: float, seed: int) -> tuple[Graph, tuple[int
     rng = rng_from(seed)
     size = int((1.0 - c) * g.n)
     blocked = tuple(sorted(rng.choice(g.n, size=size, replace=False).tolist()))
-    inside = mask_of(blocked)
-    removed = [
-        (u, w)
-        for u in blocked
-        for w in bits(g.adjacency[u] & inside)
-        if u < w
-    ]
-    return g.without_edges(removed), blocked
+    return _clear_inside(g, mask_of(blocked)), blocked
 
 
 def tripartite_template(m: int) -> Graph:

@@ -72,8 +72,8 @@ class ChainPartition:
         reference_p: float,
         pairs: dict[tuple[int, int], np.ndarray],
     ):
-        classes = tuple(tuple(c) for c in classes)
-        _class_index(classes)
+        # the ids as Python ints, whatever integer type they came in
+        classes = tuple(map(tuple, _class_index(tuple(tuple(c) for c in classes)).tolist()))
         self.classes = classes
         self.n0 = len(classes[0])
         self.reference_p = reference_p
@@ -317,8 +317,8 @@ class ChainLayers:
         adjacency matrix is ``a``: only distance-1/2 class pairs are read.
         Rejects what :func:`chain_view` rejects: fewer than 2 classes,
         unequal sizes, classes below 3 vertices, ids out of range, overlap."""
-        classes = tuple(tuple(c) for c in classes)
-        idx = _class_index(classes, a.shape[0])
+        idx = _class_index(tuple(tuple(c) for c in classes), a.shape[0])
+        classes = tuple(map(tuple, idx.tolist()))
         k = len(classes)
         # a[rows][:, cols]: two plain gathers, much cheaper than np.ix_ here
         rows = [a[idx[i]] for i in range(k - 1)]

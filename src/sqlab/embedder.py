@@ -272,9 +272,13 @@ class _EmbedState:
     def smallest_pool(self) -> int:
         return min(self.pool_size(c) for c in range(self.r))
 
+    def pool_mask(self, c: int) -> int:
+        """The unused vertices of class ``c`` outside its reserve."""
+        return self.unused[c] & ~self.reserved[c]
+
     def available_mask(self, pos: int) -> int:
         c = pos % self.r
-        return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
+        return self.unused[c] if self.closing else self.pool_mask(c)
 
     def consume(self, v: int) -> None:
         """Append ``v`` at the next path position; it must be an unused
@@ -390,7 +394,7 @@ def _pick_start_edge(st, params, rng, trace):
     expand backwards through the reserved chain when that window is buildable;
     falls back to any viable reserved edge (flagged) and then to pool edges."""
     adj = st.adj
-    pool2 = st.unused[2] & ~st.reserved[2]
+    pool2 = st.pool_mask(2)
 
     def shuffled_viable(m0, m1):
         """Edges between the sets m0, m1 in shuffled order, kept when their
@@ -419,7 +423,7 @@ def _pick_start_edge(st, params, rng, trace):
         return best_fallback
     # no reserved edge at all: fall back to pool edges of classes 0, 1
     trace.flags.append("start-from-pool")
-    viable = shuffled_viable(st.unused[0] & ~st.reserved[0], st.unused[1] & ~st.reserved[1])
+    viable = shuffled_viable(st.pool_mask(0), st.pool_mask(1))
     return viable[0] if viable else None
 
 

@@ -95,15 +95,12 @@ class Witness:
     left: tuple[int, ...]
     right: tuple[int, ...]
     observed: Fraction
-    deviation: float
     pivot: Optional[int] = None
     sample_index: int = -1
 
 
 @dataclass(frozen=True)
 class RegularityReport:
-    pair_left: tuple[int, ...]
-    pair_right: tuple[int, ...]
     density: Fraction
     reference_p: float
     epsilon: float
@@ -133,7 +130,7 @@ class RegularityReport:
                     self.witness.observed.numerator,
                     self.witness.observed.denominator,
                 ],
-                "deviation": self.witness.deviation,
+                "deviation": abs(float(self.witness.observed) - float(self.density)),
                 "pivot": self.witness.pivot,
                 "sample_index": self.witness.sample_index,
             }
@@ -400,19 +397,10 @@ def _pair_report(
             tuple(sorted(left[i] for i in li)),
             tuple(sorted(right[j] for j in ri)),
             observed,
-            abs(float(observed) - float(pair_density)),
             pivot_id,
             idx,
         )
-    return RegularityReport(
-        tuple(left),
-        tuple(right),
-        pair_density,
-        reference_p,
-        epsilon,
-        witness,
-        samples,
-    )
+    return RegularityReport(pair_density, reference_p, epsilon, witness, samples)
 
 
 def test_regular(

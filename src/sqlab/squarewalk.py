@@ -33,12 +33,13 @@ outside I.  Both bounds only cut subtrees that cannot beat the best path so
 far, so without a budget the returned path is the one the reach bound alone
 gives; only the node count falls.
 
-The exact searches keep Python-int bitsets.  The greedy heuristic, which
-runs on graphs of thousands of vertices, instead reads the adjacency once
-as packed uint8 rows (``graph.to_packed``, n^2 / 8 bytes): each step finds
-its candidates with one ``&`` of three packed rows and scores all of them
-with one ``bitwise_count`` over their gathered rows.  It never lists the
-edges; its random start edge is located by row popcounts.
+The exact searches keep Python-int bitsets; the longest-path search takes
+its reach bound from one boolean-matrix closure per call.  The greedy
+heuristic, which runs on graphs of thousands of vertices, instead reads the
+adjacency once as packed uint8 rows (``graph.to_packed``, n^2 / 8 bytes):
+each step finds its candidates with one ``&`` of three packed rows and
+scores all of them with one ``bitwise_count`` over their gathered rows.  It
+never lists the edges; its random start edge is located by row popcounts.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitops import bits, popcount_rows
-from .graph import Graph, to_packed
+from .bitops import bits, pack_bool_matrix, packed_to_int, popcount_rows
+from .graph import Graph, to_matrix, to_packed
 from .util import rng_from
 
 
@@ -229,8 +230,8 @@ def longest_square_path_exact(g: Graph, node_budget: int | None = None) -> PathS
 
     # reach[v] = vertices reachable from any state entering v, ignoring
     # revisits: the transitive closure of v -> (N(u) & N(v)) unions.  A
-    # fixed-point over vertex bitsets is a sound over-approximation of the
-    # per-state reach and much cheaper to compute.
+    # closure over vertices is a sound over-approximation of the per-state
+    # reach and much cheaper to compute.
     reach = _vertex_reach_closure(g)
     indep = _greedy_independent_set(g)
     outside = ~indep
@@ -291,27 +292,17 @@ def _greedy_independent_set(g: Graph) -> int:
 
 
 def _vertex_reach_closure(g: Graph) -> list[int]:
-    """reach[v]: fixed point of one-step square-walk moves out of v."""
-    adj = g.adjacency
-    step = [0] * g.n
-    for v in range(g.n):
-        acc = 0
-        for u in bits(adj[v]):
-            acc |= adj[u] & adj[v]
-        step[v] = acc
-    reach = list(step)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.n):
-            acc = reach[v]
-            new = acc
-            for w in bits(acc):
-                new |= step[w]
-            if new != acc:
-                reach[v] = new
-                changed = True
-    return reach
+    """reach[v]: the vertices that one or more square-walk moves out of v
+    reach, where a move goes from v to any w in N(v) that has a neighbour in
+    N(v).  The moves are the boolean matrix step = A & (A @ A), and the
+    reach is its transitive closure, squared until it stops growing."""
+    a = to_matrix(g)
+    reach = a & (a @ a)
+    while True:
+        grown = reach | reach @ reach
+        if np.array_equal(grown, reach):
+            return [packed_to_int(row) for row in pack_bool_matrix(reach)]
+        reach = grown
 
 
 # ---------------------------------------------------------------------------

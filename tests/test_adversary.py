@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sqlab import adversary as adv
@@ -57,6 +58,26 @@ def test_wipe_kills_square_cycles_through_vertex():
     # must come up empty: no square cycle of any subgraph passes through v
     res = sw.has_square_cycle_through(h, v)
     assert res.status == "none"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_wipe_and_blocker_delete_the_edges_inside(seed):
+    """The wipe equals ``without_edges`` of the edges inside N(v), with v
+    also given as a numpy integer, and the blocker that of the edges inside
+    U."""
+    for n, p in ((1, 0.5), (2, 1.0), (5, 0.7), (20, 0.3), (60, 0.5), (60, 1.0), (80, 0.0)):
+        g = graph.gnp(n, p, seed)
+
+        def inside(vs):
+            return g.without_edges((u, w) for u, w in g.edges() if u in vs and w in vs)
+
+        v = (7 * seed) % n
+        want = inside(set(g.neighbors(v)))
+        assert adv.neighborhood_wipe(g, v) == want
+        assert adv.neighborhood_wipe(g, np.int64(v)) == want
+        for c in (0.25, 0.5, 0.75):
+            h, blocked = adv.independent_blocker(g, c, seed)
+            assert h == inside(set(blocked))
 
 
 def test_blocker_k9():

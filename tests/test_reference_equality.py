@@ -953,6 +953,11 @@ def test_chain_classes_take_integer_ids_only():
     assert np.array_equal(got.first, want.first) and got.last_edges == want.last_edges
     for (b, a2), (wb, wa2) in zip(got.layers, want.layers, strict=True):
         assert np.array_equal(b, wb) and np.array_equal(a2, wa2)
+    # numpy ids come back as Python ints on both routes
+    assert type(got.to_global(0, 1)) is int and type(got.to_global(2, 2)) is int
+    chain = bl.ChainPartition([np.array([0, 1, 2]), (3, 4, np.uint64(5))], 0.5, {})
+    assert chain.classes == ((0, 1, 2), (3, 4, 5))
+    assert all(type(v) is int for c in chain.classes for v in c)
 
 
 def test_layers_reject_bad_sources():

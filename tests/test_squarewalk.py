@@ -210,6 +210,36 @@ def longest_extension(g, cu, cv, visited):
     return best
 
 
+def bfs_reach(g):
+    """Per vertex v, the vertices that one or more steps out of v reach, by
+    breadth-first search, where a step from x goes to any w in N(x) with a
+    neighbour in N(x)."""
+    nbrs = [set(g.neighbors(x)) for x in range(g.n)]
+    step = [{w for w in nx if nx & nbrs[w]} for nx in nbrs]
+    out = []
+    for v in range(g.n):
+        seen, frontier = set(), step[v]
+        while frontier:
+            seen |= frontier
+            frontier = set().union(*(step[x] for x in frontier)) - seen
+        out.append(seen)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_vertex_reach_closure_matches_bfs(seed):
+    """The boolean-matrix closure against a BFS over the step relation on
+    G(n, p) at n <= 40, their blockers, and the one-vertex, edgeless and
+    complete graphs."""
+    graphs = [graph.empty(1), graph.empty(7), graph.complete(2), graph.complete(8)]
+    for n in range(2, 41, 6):
+        for p in (0.1, 0.3, 0.6, 0.9):
+            g = graph.gnp(n, p, seed)
+            graphs += [g, independent_blocker(g, 0.5, seed)[0]]
+    for g in graphs:
+        assert sw._vertex_reach_closure(g) == list(map(mask_of, bfs_reach(g)))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_exact_bounds_cover_every_extension(seed):
     """Both bounds of longest_square_path_exact, restated here and evaluated
