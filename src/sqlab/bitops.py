@@ -1,9 +1,11 @@
 """Bitset helpers shared by the graph and chain machinery.
 
-Vertex sets are represented three ways throughout the package:
+Vertex sets are represented four ways throughout the package:
 
 * as arbitrary-precision Python ints (bit ``v`` set means vertex ``v`` is in
   the set) -- the Graph adjacency rows,
+* as little-endian ``uint64`` word rows (``graph.to_words``) -- the
+  adjacency that the greedy square path and the partition counter read,
 * as packed little-endian ``uint8`` numpy arrays (``np.packbits`` layout with
   ``bitorder="little"``) -- the per-pair matrices of chain partitions, where
   whole-matrix operations need to be vectorised, and
@@ -12,9 +14,10 @@ Vertex sets are represented three ways throughout the package:
   first pair as is, the blocks of its GEMMs cast to float32) and the
   regularity tester's pair matrix.
 
-The first two agree bit-for-bit, so rows can be moved between them with
-``int.from_bytes`` / ``int.to_bytes``; the packed and dense forms convert
-with :func:`pack_bool_matrix` and :func:`unpack_packed_matrix`.
+The first three agree bit-for-bit: rows move between them with
+``int.from_bytes`` / ``int.to_bytes``, and the byte view of a word row is its
+packed ``uint8`` row padded to whole words.  The packed and dense forms
+convert with :func:`pack_bool_matrix` and :func:`unpack_packed_matrix`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,6 @@ def unpack_packed_matrix(p: np.ndarray, nbits: int) -> np.ndarray:
 
 
 def popcount_rows(p: np.ndarray) -> np.ndarray:
-    """Per-row popcount of a packed uint8 matrix (or 1-d packed row)."""
+    """Per-row popcount of a packed uint8 or uint64 matrix (or 1-d row)."""
     counts = np.bitwise_count(p)
     return counts.sum(axis=-1, dtype=np.int64)

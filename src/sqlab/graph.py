@@ -19,11 +19,11 @@ check; where no graph is at hand (``from_edges``, ``bitops.mask_of``) the
 conversion is ``operator.index``.  Either way numpy integer ids are taken
 and floats are refused, never truncated.
 
-``to_packed`` joins chosen adjacency rows into a packed uint8 matrix with
-one ``to_bytes`` join, ``to_matrix`` unpacks that with one
-``np.unpackbits``, and ``from_matrix`` packs a symmetric boolean matrix
-back into a ``Graph``.  All three use the little-endian packed layout of
-``bitops``.
+``to_words`` joins chosen adjacency rows into uint64 word rows, the one
+packed-row form, with one ``to_bytes`` join; ``to_matrix`` unpacks their
+byte view with one ``np.unpackbits``, and ``from_matrix`` packs a symmetric
+boolean matrix back into a ``Graph``.  All three use the little-endian
+packed layout of ``bitops``.
 
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
@@ -186,19 +186,22 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 # matrix encoding
 
 
-def to_packed(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
-    """Packed little-endian uint8 adjacency of ``rows`` (default: every
-    vertex), ``ceil(n / 8)`` bytes per row with zero padding bits."""
-    rows = range(g.n) if rows is None else rows
-    nbytes = (g.n + 7) // 8
+def to_words(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
+    """Little-endian uint64 adjacency rows of ``rows`` (default: every
+    vertex; ids go through ``Graph.check_vertex``), ``ceil(n / 64)`` words
+    per row with zero padding bits; their byte view is the ``bitops`` packed
+    layout.  Words, not bytes: AND and popcount over words take about two
+    thirds of the time they take over bytes."""
+    rows = range(g.n) if rows is None else list(map(g.check_vertex, rows))
+    nbytes = 8 * ((g.n + 63) // 64)
     raw = b"".join(g.adjacency[u].to_bytes(nbytes, "little") for u in rows)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(rows), nbytes // 8)
 
 
 def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
     """Boolean adjacency of ``rows`` (default: every vertex) against all n
     columns; row i of the result is the neighbourhood of ``rows[i]``."""
-    return unpack_packed_matrix(to_packed(g, rows), g.n)
+    return unpack_packed_matrix(to_words(g, rows).view(np.uint8), g.n)
 
 
 def from_matrix(m: np.ndarray) -> Graph:

@@ -56,7 +56,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .bitops import mask_of
-from .graph import Graph, to_matrix, to_packed
+from .graph import Graph, to_matrix, to_words
 from .util import rng_from
 
 FLAG_SLACK = 1.4
@@ -198,19 +198,14 @@ class _MatrixCounter:
 
 
 class _GraphCounter:
-    """Counter over the equal-size classes of a Graph, read from the packed
-    adjacency rows of their vertices (n^2 / 8 bytes, never a dense matrix)."""
+    """Counter over the equal-size classes of a Graph, read from the word
+    rows of their vertices (``to_words``, n^2 / 8 bytes, never a dense
+    matrix)."""
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
         self.ids = np.array(classes, dtype=np.int64)
         self.size = self.ids.shape[1]
-        # rows padded to 64-bit words: AND and popcount over words take about
-        # two thirds of the time they take over bytes
-        words = (g.n + 63) // 64
-        packed = to_packed(g, self.ids.ravel().tolist())
-        rows = np.zeros((packed.shape[0], 8 * words), dtype=np.uint8)
-        rows[:, : packed.shape[1]] = packed
-        self.rows = rows.view(np.uint64)
+        self.rows = to_words(g, self.ids.ravel().tolist())
 
     def _masks(self, subsets: np.ndarray) -> np.ndarray:
         """Packed vertex masks, one per row of a (masks, k) array of ids."""

@@ -36,9 +36,10 @@ gives; only the node count falls.
 The exact searches keep Python-int bitsets; the longest-path search takes
 its reach bound from one boolean-matrix closure per call.  The greedy
 heuristic, which runs on graphs of thousands of vertices, instead reads the
-adjacency once as packed uint8 rows (``graph.to_packed``, n^2 / 8 bytes):
-each step finds its candidates with one ``&`` of three packed rows and
-scores all of them with one ``bitwise_count`` over their gathered rows.  It
+adjacency once as uint64 word rows (``graph.to_words``, n^2 / 8 bytes) and
+keeps the unvisited vertices as one word vector: each step finds its
+candidates with one ``&`` of two rows and that vector, scores all of them
+with one ``bitwise_count`` over their gathered rows, and clears one bit.  It
 never lists the edges; its random start edge is located by row popcounts.
 """
 
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .bitops import bits, pack_bool_matrix, packed_to_int, popcount_rows
-from .graph import Graph, to_matrix, to_packed
+from .graph import Graph, to_matrix, to_words
 from .util import rng_from
 
 
@@ -398,11 +399,13 @@ def greedy_square_path(g: Graph, seed: int) -> SquarePath:
 
     The start edge is the k-th of ``g.edges()`` for one uniform draw of k,
     found by walking the rows' upper-triangle popcounts; no edge list is
-    built.  Steps score on the packed adjacency rows: with ``free`` the
-    unvisited vertices and (cu, cv) the end state, the candidates are
-    N(cu) & N(cv) & free, and a candidate w scores |N(cv) & N(w) & free|,
-    one ``bitwise_count`` over the gathered candidate rows.  Working memory
-    is the n x ceil(n/8) packed rows plus O(n) per step.
+    built.  Steps run on the adjacency as uint64 word rows
+    (``graph.to_words``) and ``free``, the unvisited vertices as one word
+    vector, which each step clears one bit of.  With (cu, cv) the end state,
+    the candidates are the set bits of N(cu) & (N(cv) & free), and a
+    candidate w scores |N(cv) & N(w) & free|, one ``bitwise_count`` over the
+    gathered candidate rows.  Working memory is the n x 8 ceil(n/64) bytes of
+    word rows plus O(n) per step.
     """
     if g.edge_count == 0:
         if g.n == 0:
@@ -412,27 +415,28 @@ def greedy_square_path(g: Graph, seed: int) -> SquarePath:
     u, v = _kth_edge(g, int(rng.integers(g.edge_count)))
     if rng.integers(2):
         u, v = v, u
-    packed = to_packed(g)
-    free = np.ones(g.n, dtype=bool)
-    free[[u, v]] = False
+    words = to_words(g)
+    free = np.full(words.shape[1], ~np.uint64(0))  # set padding bits meet zeros in every row
 
-    def members(row: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(np.unpackbits(row, count=g.n, bitorder="little"))
+    def take(w: int) -> None:
+        free[w >> 6] &= ~np.uint64(1 << (w & 63))
 
     def grow(cu: int, cv: int) -> list[int]:
         """Extend the end state (cu, cv) greedily; the vertices added."""
         added = []
         while True:
-            pfree = np.packbits(free, bitorder="little")
-            cand = members(packed[cu] & packed[cv] & pfree)
+            near = words[cv] & free
+            cand = np.unpackbits((words[cu] & near).view(np.uint8), bitorder="little").nonzero()[0]
             if not cand.size:
                 return added
             # argmax keeps the first maximum: the smallest id among ties
-            w = index(cand[np.argmax(popcount_rows(packed[cand] & (packed[cv] & pfree)))])
+            w = index(cand[popcount_rows(words[cand] & near).argmax()])
             added.append(w)
-            free[w] = False
+            take(w)
             cu, cv = cv, w
 
+    take(u)
+    take(v)
     seq = [u, v] + grow(u, v)
     seq = grow(seq[1], seq[0])[::-1] + seq
     return SquarePath.checked(g, seq)

@@ -95,6 +95,38 @@ def test_matrix_round_trip(data):
     assert m.tolist() == [[bool((g.adjacency[u] >> v) & 1) for v in range(n)] for u in rows]
 
 
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_to_words_layout(n):
+    g = graph.gnp(n, 0.5, n)
+    words = math.ceil(n / 64)
+    full = graph.to_words(g)
+    assert full.shape == (n, words) and full.dtype == np.uint64
+    # row u is the int bitset of u, word by word, and the padding bits are zero
+    assert [int.from_bytes(row.tobytes(), "little") for row in full] == list(g.adjacency)
+    bits = np.unpackbits(full.view(np.uint8), axis=1, bitorder="little")
+    assert bits.shape == (n, 64 * words)
+    assert np.array_equal(bits[:, :n].view(bool), graph.to_matrix(g)) and not bits[:, n:].any()
+    rows = [n - 1, 0, n // 2, n - 1] if n else []
+    sub = graph.to_words(g, rows)
+    assert sub.shape == (len(rows), words) and np.array_equal(sub, full[rows])
+    assert graph.to_words(g, []).shape == (0, words)
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [([-1], ValueError, "vertex -1 out of range"), ([5], ValueError, "vertex 5 out of range"),
+     ([1.0], TypeError, "float")],
+    ids=["negative", "too-large", "float"],
+)
+def test_packed_rows_check_vertex_ids(rows, error, message):
+    g = graph.gnp(5, 0.5, 1)
+    for to_rows in (graph.to_words, graph.to_matrix):
+        with pytest.raises(error, match=message):
+            to_rows(g, rows)
+    # numpy integer ids are taken
+    assert np.array_equal(graph.to_words(g, np.array([4, 0])), graph.to_words(g)[[4, 0]])
+
+
 def test_triangle_sum_identity():
     # sum over edges of per-edge triangle counts = 3 * (#triangles)
     for seed in (1, 2, 3):

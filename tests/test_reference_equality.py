@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sqlab import adversary, embedder, graph
 from sqlab import blowup as bl
@@ -425,7 +425,9 @@ def test_greedy_empty_graph_raises():
         sw.greedy_square_path(graph.empty(0), 0)
 
 
-@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 10**6))
+# n up to 140 crosses the 64-bit word boundaries of the greedy's rows twice
+@settings(max_examples=25)
+@given(st.integers(1, 140), st.floats(0.0, 1.0), st.integers(0, 10**6))
 def test_greedy_matches_reference_property(n, p, seed):
     assert_same_greedy(graph.gnp(n, p, seed), seed)
 
