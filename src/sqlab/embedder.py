@@ -266,19 +266,14 @@ class _EmbedState:
         self.path: list[int] = []
         self.closing = False
 
-    def pool_size(self, pos: int) -> int:
-        return self.available_mask(pos).bit_count()
-
     def smallest_pool(self) -> int:
-        return min(self.pool_size(c) for c in range(self.r))
-
-    def pool_mask(self, c: int) -> int:
-        """The unused vertices of class ``c`` outside its reserve."""
-        return self.unused[c] & ~self.reserved[c]
+        return min(self.available_mask(c).bit_count() for c in range(self.r))
 
     def available_mask(self, pos: int) -> int:
+        """The unused vertices of the class of path position ``pos``, outside
+        its reserve until the embed is closing."""
         c = pos % self.r
-        return self.unused[c] if self.closing else self.pool_mask(c)
+        return self.unused[c] if self.closing else self.unused[c] & ~self.reserved[c]
 
     def consume(self, v: int) -> None:
         """Append ``v`` at the next path position; it must be an unused
@@ -394,7 +389,7 @@ def _pick_start_edge(st, params, rng, trace):
     expand backwards through the reserved chain when that window is buildable;
     falls back to any viable reserved edge (flagged) and then to pool edges."""
     adj = st.adj
-    pool2 = st.pool_mask(2)
+    pool2 = st.available_mask(2)
 
     def shuffled_viable(m0, m1):
         """Edges between the sets m0, m1 in shuffled order, kept when their
@@ -423,7 +418,7 @@ def _pick_start_edge(st, params, rng, trace):
         return best_fallback
     # no reserved edge at all: fall back to pool edges of classes 0, 1
     trace.flags.append("start-from-pool")
-    viable = shuffled_viable(st.pool_mask(0), st.pool_mask(1))
+    viable = shuffled_viable(st.available_mask(0), st.available_mask(1))
     return viable[0] if viable else None
 
 

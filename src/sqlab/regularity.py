@@ -37,12 +37,13 @@ neighbourhood and the k smallest of the pivot's class, which leave the pivot
 out unless the class has at most k vertices: a uniform pivot and a uniform
 subset of the rest.  Each pair's samples keep the distribution of a test of
 that pair alone; only pairs that share a class are correlated, through that
-class's keys and pivot.  ``test_regular`` tests the one pair of a dense
-boolean matrix's full ranges, ``lower_regular_verdict`` any number of its
-(row ids, column ids) sub-pairs.  ``partition_heuristic`` tests all its
-dense pairs in one run from the packed adjacency rows of the class vertices
-(n^2 / 8 bytes): every pair's density comes from them, and the samples of
-all pairs at one index are counted with one ``np.bitwise_count``.
+class's keys and pivot.  Two counters serve it.  ``test_regular`` tests the
+one pair of a dense boolean matrix's full ranges on the matrix itself.  Any
+number of classes of a graph are counted on its word rows (n^2 / 8 bytes),
+each pair's samples at one index with one ``np.bitwise_count``: all the
+dense pairs of ``partition_heuristic``, whose densities come from the same
+rows, and the (row ids, column ids) sub-pairs of ``lower_regular_verdict``,
+as classes of the matrix's bipartite graph.
 """
 
 from __future__ import annotations
@@ -51,12 +52,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .bitops import mask_of
-from .graph import Graph, to_matrix, to_words
+from .graph import Graph, from_matrix, to_matrix, to_words
 from .util import rng_from
 
 FLAG_SLACK = 1.4
@@ -149,96 +152,74 @@ def replay_witness(g: Graph, report: RegularityReport) -> bool:
 # ---------------------------------------------------------------------------
 # the shared sampling core
 #
-# An edge counter abstracts the adjacency source so the same tester runs on
-# one dense pair matrix (a Graph pair or a sub-pair of a chain pair matrix)
-# and on all the pairs of an equitable partition at once.
+# An edge counter abstracts the adjacency source, so that one tester runs on
+# the one pair of a dense matrix and on any number of pairs of classes of a
+# graph's word rows.
 
 
 class _MatrixCounter:
-    """Counter over classes of one dense boolean matrix: an even class is an
-    array of row ids, an odd one of column ids, and a pair is an (even, odd)
-    pair of classes; a single pair is the classes of the full ranges.  With
-    one pair left the scalar forms below are two to four times as fast."""
+    """Counter of the one pair of a dense boolean matrix's full ranges:
+    class 0 is its rows, class 1 its columns.  The matrix is zero-padded to a
+    square, so that a pivot's row or column covers the sampler's positions of
+    the longer side, and those past the shorter side read no edge."""
 
-    def __init__(self, m: np.ndarray, classes: Sequence[Sequence[int]]):
-        nl, nr = m.shape
-        # an all-zero row and column past the matrix, which the positions
-        # past a class's size read, and position ``width`` too
-        self.m = np.zeros((nl + 1, nr + 1), dtype=bool)
-        self.m[:nl, :nr] = m
-        width = max(map(len, classes), default=0)
-        self.ids = np.empty((len(classes), width + 1), dtype=np.int64)
-        self.ids[0::2], self.ids[1::2] = nl, nr
-        for row, c in zip(self.ids, classes):
-            row[: len(c)] = c
+    def __init__(self, m: np.ndarray):
+        width = max(m.shape)
+        self.m = np.zeros((width, width), dtype=bool)
+        self.m[: m.shape[0], : m.shape[1]] = m
 
     def neighbourhoods(self, pivot, pc, oc) -> np.ndarray:
-        """Adjacency of the pivot of class ``pc[i]`` to the positions of class
-        ``oc[i]``, one row per pair; a pivot of an odd class is a column."""
-        if pc.size == 1:
-            (c,), (o,) = pc.tolist(), oc.tolist()
-            at = self.ids[c, pivot[c]]
-            return (self.m[:, at] if c % 2 else self.m[at]).take(self.ids[o, :-1])[None]
-        at = self.ids.take(pc * self.ids.shape[1] + pivot.take(pc))[:, None]
-        other, n = self.ids.take(oc, axis=0)[:, :-1], self.m.shape[1]
-        return self.m.ravel().take(other * n + at if pc[0] % 2 else at * n + other)
+        """Adjacency of the pivot to the other side's positions: the pivot's
+        column when it is a column (class 1), else its row."""
+        return (self.m[:, pivot[1]] if pc[0] else self.m[pivot[0]])[None]
 
     def counts(self, a, b, left, right) -> np.ndarray:
-        """Edges between the positions ``left[i]`` of class ``a[i]`` and
-        ``right[i]`` of class ``b[i]``, per pair."""
-        if a.size == 1:  # two takes, of whole rows and then of columns
-            (x,), (y,) = a.tolist(), b.tolist()
-            rows, cols = self.ids[x].take(left[0]), self.ids[y].take(right[0])
-            return np.array([np.count_nonzero(self.m.take(rows, axis=0).take(cols, axis=1))])
-        stride = self.ids.shape[1]
-        rows = self.ids.take(left + (a * stride)[:, None]) * self.m.shape[1]
-        cols = self.ids.take(right + (b * stride)[:, None])
-        block = self.m.ravel().take(rows[:, :, None] + cols[:, None, :])
-        return np.add.reduce(block, axis=(1, 2), dtype=np.int64)
+        """Edges between the rows ``left[0]`` and the columns ``right[0]``."""
+        return np.array([np.count_nonzero(self.m.take(left[0], axis=0).take(right[0], axis=1))])
 
 
 class _GraphCounter:
-    """Counter over the equal-size classes of a Graph, read from the word
-    rows of their vertices (``to_words``, n^2 / 8 bytes, never a dense
-    matrix)."""
+    """Counter over classes of a Graph, which may differ in size, read from
+    the word rows of every vertex (``to_words``, n^2 / 8 bytes, never a dense
+    matrix) and one all-zero row for the id n.  Every class is padded with n
+    to one past the widest, so class ids serve as row indices, and a
+    position past a class's size reads no edge: bit n is clear in every row,
+    with one spare word when 64 divides n."""
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
-        self.ids = np.array(classes, dtype=np.int64)
-        self.size = self.ids.shape[1]
-        self.rows = to_words(g, self.ids.ravel().tolist())
-
-    def _masks(self, subsets: np.ndarray) -> np.ndarray:
-        """Packed vertex masks, one per row of a (masks, k) array of ids."""
-        sel = np.zeros((subsets.shape[0], 64 * self.rows.shape[1]), dtype=bool)
-        sel[np.arange(subsets.shape[0])[:, None], subsets] = True
-        return np.packbits(sel, axis=1, bitorder="little").view(np.uint64)
+        self.ids = np.full((len(classes), max(map(len, classes), default=0) + 1), g.n)
+        for row, c in zip(self.ids, classes):
+            row[: len(c)] = c
+        words = to_words(g)
+        self.rows = np.pad(words, ((0, 1), (0, g.n // 64 + 1 - words.shape[1])))
 
     def edge_counts(self) -> np.ndarray:
-        """r x r matrix of the edge counts between classes."""
-        r, s = self.ids.shape
-        masks = self._masks(self.ids)
-        out = np.empty((r, r), dtype=np.int64)
-        for a in range(r):
-            block = self.rows[a * s : (a + 1) * s, None, :] & masks[None, :, :]
-            out[a] = np.bitwise_count(block).sum(axis=(0, 2), dtype=np.int64)
-        return out
+        """r x r matrix of the edge counts between classes, one class's row
+        at a time, so that the counted block holds one class's rows."""
+        r, stride = self.ids.shape
+        every, others = np.tile(np.arange(stride), (r, 1)), np.arange(r)
+        return np.array([self.counts(np.full(r, a), others, every, every) for a in range(r)])
 
     def neighbourhoods(self, pivot, pc, oc) -> np.ndarray:
         """Adjacency of the pivot of class ``pc[i]`` to the positions of class
         ``oc[i]``, one row per pair."""
-        r, s = self.ids.shape
-        rows = self.rows.take(np.arange(r) * s + pivot, axis=0)
+        r, stride = self.ids.shape
+        rows = self.rows.take(self.ids.take(np.arange(r) * stride + pivot), axis=0)
+        # every class's pivot row once, then each pair's positions in it
         bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
-        # every pivot's adjacency to every class, then each pair's block
-        hoods = bits.take(self.ids, axis=1).reshape(r * r, s)
-        return hoods.take(pc * r + oc, axis=0).view(bool)
+        at = self.ids.take(oc, axis=0)[:, :-1] + (pc * bits.shape[1])[:, None]
+        return bits.ravel().take(at).view(bool)
 
     def counts(self, a, b, left, right) -> np.ndarray:
         """Edges between the positions ``left[i]`` of class ``a[i]`` and
         ``right[i]`` of class ``b[i]``, per pair."""
-        masks = self._masks(self.ids.take(right + (b * self.size)[:, None]))
-        block = self.rows.take(left + (a * self.size)[:, None], axis=0) & masks[:, None, :]
-        return np.bitwise_count(block).sum(axis=(1, 2), dtype=np.int64)
+        stride = self.ids.shape[1]
+        # each pair's right subset as a packed vertex mask
+        sel = np.zeros((b.size, 64 * self.rows.shape[1]), dtype=bool)
+        sel[np.arange(b.size)[:, None], self.ids.take(right + (b * stride)[:, None])] = True
+        masks = np.packbits(sel, axis=1, bitorder="little").view(np.uint64)
+        rows = self.rows.take(self.ids.take(left + (a * stride)[:, None]), axis=0)
+        return np.bitwise_count(rows & masks[:, None, :]).sum(axis=(1, 2), dtype=np.int64)
 
 
 def _check_sampling(reference_p: float, epsilon: float, sample_count: int) -> None:
@@ -416,17 +397,30 @@ def test_regular(
     m = to_matrix(g, pair.left)[:, np.asarray(pair.right, dtype=np.int64)]
     d = Fraction(int(np.count_nonzero(m)), m.size)
     result = _sampled_test(
-        _MatrixCounter(m, [np.arange(m.shape[0]), np.arange(m.shape[1])]),
-        m.shape,
-        [(0, 1)],
-        [float(d)],
-        reference_p,
-        epsilon,
-        sample_count,
-        rng_from(seed),
-        one_sided=False,
+        _MatrixCounter(m), m.shape, [(0, 1)], [float(d)], reference_p, epsilon, sample_count,
+        rng_from(seed), one_sided=False,
     )
     return _pair_report(pair.left, pair.right, d, reference_p, epsilon, result[0])
+
+
+def _sub_pair_sides(shape: tuple[int, int], sub_pairs) -> list[np.ndarray]:
+    """The sides of the sub-pairs as vertex ids of the matrix's bipartite
+    graph (column ids shifted by the row count), once all are checked to be
+    integers (floats raise TypeError), in [0, side) and distinct in a side."""
+    sides = [ids for pair in sub_pairs for ids in pair]
+    lengths = list(map(len, sides))
+    ids = np.concatenate([np.empty(0, np.int64), *map(np.asarray, sides)])
+    if ids.dtype.kind not in "iu":  # float ids, or Python ints mixed with uint64
+        ids = np.array([index(v) for s in sides for v in s])
+    side = np.repeat(np.arange(len(sides)), lengths)
+    col = side % 2
+    if ids.size and (ids.min() < 0 or np.any(ids >= np.where(col, shape[1], shape[0]))):
+        raise ValueError(f"sub-pair id out of range of a {shape[0]} x {shape[1]} matrix")
+    ids = ids.astype(np.int64) + col * shape[0]
+    key = np.sort(side * sum(shape) + ids)
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("repeated id in a sub-pair side")
+    return [ids[end - size : end] for end, size in zip(accumulate(lengths), lengths)]
 
 
 def lower_regular_verdict(
@@ -441,20 +435,19 @@ def lower_regular_verdict(
     dense boolean matrix, from one sampling run: the one-sided test's only
     entry point.  The whole matrix is the sub-pair of its full ranges; an
     empty sub-pair is "violated" when reference_p > 0.  A verdict carries no
-    witness, so it cannot be replayed."""
+    witness, so it cannot be replayed.  The sub-pairs are counted as classes
+    of the matrix's bipartite graph: rows are its vertices 0..nl-1, columns
+    nl..nl+nr-1."""
     _check_sampling(reference_p, epsilon, sample_count)
-    tested = [j for j, (rows, cols) in enumerate(sub_pairs) if len(rows) and len(cols)]
-    classes = [ids for j in tested for ids in sub_pairs[j]]
+    sides = _sub_pair_sides(m.shape, sub_pairs)
+    tested = [j for j in range(len(sub_pairs)) if sides[2 * j].size and sides[2 * j + 1].size]
+    classes = [sides[2 * j + x] for j in tested for x in (0, 1)]
+    nl, nr = m.shape
+    g = from_matrix(np.block([[np.zeros((nl, nl), bool), m], [m.T, np.zeros((nr, nr), bool)]]))
+    pairs = [(i, i + 1) for i in range(0, len(classes), 2)]
     results = _sampled_test(
-        _MatrixCounter(m, classes),
-        [len(ids) for ids in classes],
-        [(i, i + 1) for i in range(0, len(classes), 2)],
-        [0.0] * len(tested),
-        reference_p,
-        epsilon,
-        sample_count,
-        rng,
-        one_sided=True,
+        _GraphCounter(g, classes), list(map(len, classes)), pairs, [0.0] * len(tested),
+        reference_p, epsilon, sample_count, rng, one_sided=True,
     )
     verdicts = ["violated" if reference_p > 0 else "no-violation-found"] * len(sub_pairs)
     for j, (hit, _) in zip(tested, results):
@@ -580,15 +573,8 @@ def partition_heuristic(
         }
         dense = [ij for ij, d in density_of.items() if float(d) >= alpha * reference_p]
         results = _sampled_test(
-            counter,
-            [ntilde] * r,
-            dense,
-            [float(density_of[ij]) for ij in dense],
-            reference_p,
-            epsilon,
-            sample_count,
-            rng,
-            one_sided=False,
+            counter, [ntilde] * r, dense, [float(density_of[ij]) for ij in dense],
+            reference_p, epsilon, sample_count, rng, one_sided=False,
         )
         reduced: dict[int, set[int]] = {i: set() for i in range(r)}
         reports: dict[tuple[int, int], RegularityReport] = {}

@@ -10,7 +10,10 @@ The reference implementations at the end are the earlier Python-int bitset
 versions of ``gnp``, ``per_vertex_deletion`` and ``greedy_square_path``,
 kept verbatim so the matrix-backed code can be held to bit-identical
 outputs, and ``ReferenceGraphCounter``, the regularity tester's class
-counter read from Python-int rows instead of packed ones.  The exact longest
+counter read from Python-int rows instead of word rows.  A dense matrix's
+classes are counted as classes of its bipartite graph
+(``bipartite_classes``), the model ``lower_regular_verdict`` counts its
+sub-pairs on; ``matrix_counter`` is that counter.  The exact longest
 square path search with the reach bound alone follows them, kept verbatim so
 the search with the independent-set bound can be held to the same paths in
 no more nodes.
@@ -204,10 +207,9 @@ def reference_per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
 
 
 class ReferenceGraphCounter:
-    """``regularity._GraphCounter``'s edge counts over equal-size classes,
-    and the scalar adjacency and subset counts that ``reference_sampled_test``
-    reads, all from the Python-int adjacency rows.  The classes may differ in
-    size when only the scalar methods are used."""
+    """``regularity._GraphCounter``'s edge counts over classes, and the
+    scalar adjacency and subset counts that ``reference_sampled_test`` reads,
+    all from the Python-int adjacency rows."""
 
     def __init__(self, g: Graph, classes: Sequence[Sequence[int]]):
         self.g = g
@@ -230,19 +232,23 @@ class ReferenceGraphCounter:
         return sum((self.g.adjacency[self.classes[a][i]] & mask).bit_count() for i in li)
 
 
-def matrix_counter(m: np.ndarray, classes: Sequence[Sequence[int]]) -> ReferenceGraphCounter:
-    """The scalar counter of classes of a dense |L| x |R| matrix, as
-    ``regularity._MatrixCounter`` reads them: an even class holds row ids,
-    an odd one column ids.  Rows are vertices 0..|L|-1 and columns
-    |L|..|L|+|R|-1 of a bipartite graph."""
+def bipartite_classes(m: np.ndarray, classes: Sequence[Sequence[int]]):
+    """The bipartite graph of a dense |L| x |R| matrix, whose rows are
+    vertices 0..|L|-1 and columns |L|..|L|+|R|-1, and the given classes as
+    its vertex ids: an even class holds row ids, an odd one column ids.
+    ``lower_regular_verdict`` counts its sub-pairs on this model."""
     nl, nr = m.shape
     full = np.zeros((nl + nr, nl + nr), dtype=bool)
     full[:nl, nl:] = m
     full[nl:, :nl] = m.T
-    g = from_matrix(full)
-    return ReferenceGraphCounter(
-        g, [[int(v) + nl * (c % 2) for v in ids] for c, ids in enumerate(classes)]
-    )
+    shifted = [[int(v) + nl * (c % 2) for v in ids] for c, ids in enumerate(classes)]
+    return from_matrix(full), shifted
+
+
+def matrix_counter(m: np.ndarray, classes: Sequence[Sequence[int]]) -> ReferenceGraphCounter:
+    """The scalar counter of classes of a dense matrix, read as classes of
+    its bipartite graph (``bipartite_classes``)."""
+    return ReferenceGraphCounter(*bipartite_classes(m, classes))
 
 
 def reference_greedy_square_path(g: Graph, seed: int) -> SquarePath:

@@ -8,6 +8,7 @@ import pytest
 from sqlab import graph
 from sqlab import regularity as reg
 from sqlab.util import rng_from
+from oracles import bipartite_classes
 
 
 def bipartite_random(nl, nr, p, seed):
@@ -224,6 +225,40 @@ def test_sampling_refuses_empty_flag_window_and_negative_density(reference_p, ep
         reg.partition_heuristic(g, reference_p, epsilon, 0.1, 0.1, 4, 4, seed=1)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, error",
+    [
+        ((5, 1, 2), (0, 1, 2), ValueError),
+        ((-1, 1, 2), (0, 1, 2), ValueError),
+        ((0, 1, 2), (0, 7, 2), ValueError),
+        ((0, 0, 1), (0, 1, 2), ValueError),
+        ((0.5, 1, 2), (0, 1, 2), TypeError),
+    ],
+    ids=["row-past-side", "negative-row", "column-past-side", "repeated-row", "float-row"],
+)
+def test_lower_regular_verdict_refuses_bad_sub_pair_ids(rows, cols, error):
+    # an id past a side would read the counter's padding (or, in the matrix's
+    # bipartite graph, a vertex of the other side), a repeated one would be
+    # counted twice and a float one truncated; on either side, and beside a
+    # good sub-pair
+    m = np.ones((5, 5), dtype=bool)
+    for sub_pairs in ([(rows, cols)], [(cols, rows)], [((0, 1), (2, 3)), (rows, cols)]):
+        with pytest.raises(error):
+            reg.lower_regular_verdict(m, sub_pairs, 1.0, 0.2, 30, rng_from(1))
+
+
+def test_lower_regular_verdict_takes_mixed_integer_ids():
+    # Python ints mixed with uint64 ids, as blowup's classes take them, and
+    # empty sides
+    m = np.random.default_rng(4).random((9, 7)) < 0.6
+    plain = [((0, 3, 5, 8), (1, 2, 6)), ((), (0, 1)), ((2, 4), ())]
+    mixed = [((0, np.uint64(3), 5, np.int32(8)), (1, 2, np.uint64(6))), ([], (0, 1)), ((2, 4), [])]
+    for seed in range(3):
+        want = reg.lower_regular_verdict(m, plain, 0.5, 0.2, 30, rng_from(seed))
+        assert reg.lower_regular_verdict(m, mixed, 0.5, 0.2, 30, rng_from(seed)) == want
+        assert want[1:] == ["violated", "violated"]
+
+
 def test_regular_refuses_an_empty_side_or_another_graph():
     g = graph.complete(6)
     for left, right in (((), (0, 1, 2)), ((0, 1, 2), ())):
@@ -259,13 +294,16 @@ def test_small_deletion_keeps_regularity():
 
 
 class RecordingCounter:
-    """The matrix counter over classes of one matrix (by default the one
-    pair of its full ranges), recording each sample's pivot (the per-class
-    pivot positions and the first pair's pivot class, or None at a uniform
-    sample) and every running pair's two subsets, as read."""
+    """The counter of one matrix's pair of full ranges (the default), or of
+    classes of its bipartite graph, recording each sample's pivot (the
+    per-class pivot positions and the first pair's pivot class, or None at
+    a uniform sample) and every running pair's two subsets, as read."""
 
     def __init__(self, m, classes=None):
-        self.inner = reg._MatrixCounter(m, whole(m)[0] if classes is None else classes)
+        if classes is None:
+            self.inner = reg._MatrixCounter(m)
+        else:
+            self.inner = reg._GraphCounter(*bipartite_classes(m, classes))
         self.samples = []
         self.pivot = None
 
