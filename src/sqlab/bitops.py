@@ -5,19 +5,20 @@ Vertex sets are represented four ways throughout the package:
 * as arbitrary-precision Python ints (bit ``v`` set means vertex ``v`` is in
   the set) -- the Graph adjacency rows,
 * as little-endian ``uint64`` word rows (``graph.to_words``) -- the
-  adjacency that the greedy square path and the partition counter read,
+  adjacency that the greedy square path and the partition counter read, and
+  the move blocks of ``blowup.ChainLayers``, which the good-edge kernel reads,
 * as packed little-endian ``uint8`` numpy arrays (``np.packbits`` layout with
   ``bitorder="little"``) -- the per-pair matrices of chain partitions, where
   whole-matrix operations need to be vectorised, and
 * as dense boolean numpy matrices, one ``bool`` per entry -- the adjacency
-  matrix of ``graph.to_matrix``, the blocks of ``blowup.ChainLayers`` (its
-  first pair as is, the blocks of its GEMMs cast to float32) and the
-  regularity tester's pair matrix.
+  matrix of ``graph.to_matrix``, the first pair of ``blowup.ChainLayers`` and
+  the regularity tester's pair matrix.
 
 The first three agree bit-for-bit: rows move between them with
 ``int.from_bytes`` / ``int.to_bytes``, and the byte view of a word row is its
-packed ``uint8`` row padded to whole words.  The packed and dense forms
-convert with :func:`pack_bool_matrix` and :func:`unpack_packed_matrix`.
+packed ``uint8`` row padded to whole words (:func:`packed_to_words`).  The
+packed and dense forms convert with :func:`pack_bool_matrix` and
+:func:`unpack_packed_matrix`.
 """
 
 from __future__ import annotations
@@ -51,13 +52,20 @@ def packed_to_int(row: np.ndarray) -> int:
 
 
 def pack_bool_matrix(m: np.ndarray) -> np.ndarray:
-    """Pack a boolean matrix row-wise (little-endian bit order)."""
-    return np.packbits(m, axis=1, bitorder="little")
+    """Pack a boolean matrix (or stack of them) row-wise, little-endian."""
+    return np.packbits(m, axis=-1, bitorder="little")
 
 
 def unpack_packed_matrix(p: np.ndarray, nbits: int) -> np.ndarray:
     """Inverse of :func:`pack_bool_matrix` (truncates padding bits)."""
-    return np.unpackbits(p, axis=1, bitorder="little", count=nbits).astype(bool)
+    return np.unpackbits(p, axis=-1, bitorder="little", count=nbits).astype(bool)
+
+
+def packed_to_words(p: np.ndarray) -> np.ndarray:
+    """Packed uint8 rows -> little-endian uint64 rows, zero-padded to words."""
+    words = np.zeros(p.shape[:-1] + (8 * -(-p.shape[-1] // 8),), dtype=np.uint8)
+    words[..., : p.shape[-1]] = p
+    return words.view("<u8")
 
 
 def popcount_rows(p: np.ndarray) -> np.ndarray:

@@ -8,10 +8,10 @@ edge is extended to a *good* edge of the next window (one whose expansion
 through the window reaches at least ``good_threshold`` of the window's last
 pair), via a concrete square path recovered by depth-first search over the
 per-class pools of unused vertices: :func:`_extend`, which also closes the
-cycle.  Each window is a set of dense blocks of one boolean adjacency
-matrix, made once per embed: a :class:`sqlab.blowup.ChainLayers` sliced
-over those pools.  A seeded sample of its first-pair edges is classified
-in one batched call to the good-edge kernel,
+cycle.  Each window is a :class:`sqlab.blowup.ChainLayers` sliced over
+those pools out of one boolean adjacency matrix, made once per embed, and
+packed into word rows.  A seeded sample of its first-pair edges is
+classified in one batched call to the good-edge kernel,
 :meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  The path
 only grows: no window is undone, so the trace's window records replay to
 exactly the final path, and every successful window uses at least k0 - 2

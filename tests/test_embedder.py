@@ -10,7 +10,7 @@ from sqlab.bitops import bits, mask_of, pack_bool_matrix, unpack_packed_matrix
 from sqlab.regularity import EquitablePartition
 from sqlab.squarewalk import SquareCycle, is_square_cycle, is_square_path
 from sqlab.util import rng_from
-from oracles import oracle_expansion_fraction
+from oracles import oracle_expansion_fraction, reference_expansion_fractions
 
 # sha256 of EmbeddingTrace.to_json() for G(600, 0.7), graph seed 1, at
 # PipelineParams(epsilon=0.2, nu=0.3), which ends open-path at 532/600: the
@@ -65,7 +65,27 @@ def test_kernel_matches_set_walk_oracle(k, n0, p0, seed, emptied):
         assert chain.pair_edge_count(k - 2, k - 1) and set(ref) == {0.0}
     if emptied == (1, 3):  # the first move still reaches some state
         first = bl.ChainLayers.from_chain(chain).layers[0]
-        assert any((first[0][a] * first[1][b]).any() for a, b in pairs)
+        assert any((first[0][a] & first[1][b]).any() for a, b in pairs)
+
+
+@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("n0", [63, 64, 65, 128])
+def test_kernel_at_the_word_boundary(k, n0):
+    # one and two words per row, with and without padding bits; at p0 = 0.25
+    # no source reaches a whole last pair, so every byte of a state row counts
+    chain = bl.build_chain_random(k, n0, 0.25, k * n0)
+    pairs = chain.pair_edges_local(0, 1)[::7]
+    want = reference_expansion_fractions(chain, pairs)
+    assert kernel_fractions(chain, pairs) == want
+    assert max(want) < 1
+
+
+def test_kernel_past_one_word_where_frontiers_die():
+    chain = bl.build_chain_random(6, 65, 0.12, 1)
+    pairs = chain.pair_edges_local(0, 1)
+    want = reference_expansion_fractions(chain, pairs)
+    assert kernel_fractions(chain, pairs) == want
+    assert 0.0 in want and max(want) > 0
 
 
 def test_kernel_spans_several_source_blocks(monkeypatch):

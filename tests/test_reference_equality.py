@@ -832,16 +832,23 @@ def embed_state(n, p, r, reserve, seed, closing=False):
 
 
 def assert_same_layers(layers, view):
-    """A ChainLayers and a ChainPartition of the same chain agree on every
-    block the kernel reads."""
-    want = bl.ChainLayers.from_chain(view)
-    assert layers.classes == view.classes
-    assert np.array_equal(layers.first, want.first) and layers.first.dtype == bool
-    assert len(layers.layers) == len(want.layers) == view.k - 2
-    for (b, a2), (wb, wa2) in zip(layers.layers, want.layers):
-        assert b.dtype == a2.dtype == np.float32
-        assert np.array_equal(b, wb) and np.array_equal(a2, wa2)
-    assert layers.last_edges == view.pair_edge_count(view.k - 2, view.k - 1)
+    """A ChainLayers, the one ``from_chain`` builds and a ChainPartition of
+    the same chain agree on every block the kernel reads: the byte view of
+    each word block is the packed pair, padded with zero bytes to whole
+    words."""
+    n0, k = view.n0, view.k
+    for got in (layers, bl.ChainLayers.from_chain(view)):
+        assert got.classes == view.classes
+        assert got.first.dtype == bool
+        assert np.array_equal(got.first, unpack_packed_matrix(view.pair(0, 1), n0))
+        assert len(got.layers) == k - 2
+        for i, blocks in enumerate(got.layers):
+            for block, older in zip(blocks, (i, i + 1), strict=True):
+                assert block.dtype == np.dtype("<u8") and block.shape == (n0, -(-n0 // 64))
+                packed, raw = view.pair(older, i + 2), block.view(np.uint8)
+                assert np.array_equal(raw[:, : packed.shape[1]], packed)
+                assert not raw[:, packed.shape[1] :].any()
+        assert got.last_edges == view.pair_edge_count(k - 2, k - 1)
 
 
 WINDOW_STATES = [
@@ -939,15 +946,19 @@ def test_layers_from_matrix_match_chain_view(k, n0, p):
 
 
 def test_layers_kernel_spans_several_source_blocks(monkeypatch):
-    g = graph.gnp(60, 0.7, 8)
-    classes = [tuple(range(i * 9, (i + 1) * 9)) for i in range(6)]
-    layers = bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
-    view = bl.chain_view(g, classes)
-    pairs = view.pair_edges_local(0, 1)
-    want = reference_expansion_fractions(view, pairs)
-    monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * 9 * 9)  # 4 sources per block
-    assert len(pairs) > 4 and len(pairs) % 4
-    assert layers.expansion_fractions(pairs) == want
+    # nine vertices a class take two bytes of one word; 65 take a ninth
+    # byte, in a second word, and every block must read it
+    for n0, n, p in [(9, 60, 0.7), (65, 400, 0.25)]:
+        g = graph.gnp(n, p, 8)
+        classes = [tuple(range(i * n0, (i + 1) * n0)) for i in range(6)]
+        layers = bl.ChainLayers.from_matrix(graph.to_matrix(g), classes)
+        view = bl.chain_view(g, classes)
+        pairs = view.pair_edges_local(0, 1)[:61]
+        want = reference_expansion_fractions(view, pairs)
+        monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * n0 * n0)  # 4 sources per block
+        assert len(pairs) > 4 and len(pairs) % 4
+        assert layers.expansion_fractions(pairs) == want
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize(
@@ -1003,6 +1014,45 @@ def test_layers_reject_bad_sources():
             layers.expansion_fractions([bad])
         with pytest.raises(ValueError):
             reference_expansion_fractions(view, [bad])
+
+
+def test_layers_refuse_float_and_misshaped_sources():
+    a = graph.to_matrix(graph.complete(12))
+    layers = bl.ChainLayers.from_matrix(a, [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)])
+    with pytest.raises(TypeError):
+        layers.expansion_fractions([(0.5, 1.7)])  # not truncated to (0, 1)
+    for bad in ([[0], [1]], [(0, 1, 2, 0)], [0, 1], [[]]):  # not one pair, or two
+        with pytest.raises(ValueError):
+            layers.expansion_fractions(bad)
+    assert layers.expansion_fractions([]) == []
+    # a Python int beside a numpy uint64 makes numpy widen to float64; each id
+    # is still an integer, so the pair is taken
+    assert layers.expansion_fractions([(0, np.uint64(1))]) == [1.0]
+
+
+@st.composite
+def random_chains(draw):
+    """A chain of 2 to 9 classes of 3 to 70 vertices, every distance-1 and
+    distance-2 pair filled with one edge probability in (0, 1].  Drawn from
+    uniform lists: hypothesis would spend most examples on 3 vertices or on
+    probabilities so small that no pair holds an edge."""
+    k, n0 = draw(st.sampled_from(range(2, 10))), draw(st.sampled_from(range(3, 71)))
+    p = draw(st.sampled_from(range(1, 21))) / 20
+    gen = np.random.default_rng(draw(st.integers(0, 10**6)))
+    pairs = {
+        (i, j): pack_bool_matrix(gen.random((n0, n0)) < p)
+        for i in range(k)
+        for j in (i + 1, i + 2)
+        if j < k
+    }
+    return bl.ChainPartition([tuple(range(i * n0, (i + 1) * n0)) for i in range(k)], p, pairs)
+
+
+@given(random_chains())
+def test_kernel_matches_reference_property(chain):
+    pairs = chain.pair_edges_local(0, 1)
+    want = reference_expansion_fractions(chain, pairs)
+    assert bl.ChainLayers.from_chain(chain).expansion_fractions(pairs) == want
 
 
 def start_pick_outcome(n, p, reserve, seed):
