@@ -1,24 +1,22 @@
 """Bitset helpers shared by the graph and chain machinery.
 
-Vertex sets are represented four ways throughout the package:
+Vertex sets are represented three ways throughout the package:
 
 * as arbitrary-precision Python ints (bit ``v`` set means vertex ``v`` is in
   the set) -- the Graph adjacency rows,
-* as little-endian ``uint64`` word rows (``graph.to_words``) -- the
-  adjacency that the greedy square path and the partition counter read, and
-  the move blocks of ``blowup.ChainLayers``, which the good-edge kernel reads,
-* as packed little-endian ``uint8`` numpy arrays (``np.packbits`` layout with
-  ``bitorder="little"``) -- the per-pair matrices of chain partitions, where
-  whole-matrix operations need to be vectorised, and
+* as little-endian ``uint64`` word rows, ``ceil(n / 64)`` words a row with
+  zero padding bits -- the adjacency of ``graph.to_words``, which the greedy
+  square path and the partition counter read, and the pairs of a
+  ``blowup.ChainPartition``, which pruning, counting and the good-edge kernel
+  read, and
 * as dense boolean numpy matrices, one ``bool`` per entry -- the adjacency
-  matrix of ``graph.to_matrix``, the first pair of ``blowup.ChainLayers`` and
-  the regularity tester's pair matrix.
+  matrix of ``graph.to_matrix`` and the regularity tester's pair matrix.
 
-The first three agree bit-for-bit: rows move between them with
-``int.from_bytes`` / ``int.to_bytes``, and the byte view of a word row is its
-packed ``uint8`` row padded to whole words (:func:`packed_to_words`).  The
-packed and dense forms convert with :func:`pack_bool_matrix` and
-:func:`unpack_packed_matrix`.
+The first two agree bit for bit: the byte view of a word row is the
+``int.to_bytes(..., "little")`` of its Python int, padded to whole words.
+Word rows and dense matrices convert with :func:`pack_bool_matrix` and
+:func:`unpack_packed_matrix`, the only two places that know the order of
+the bits within a byte.
 """
 
 from __future__ import annotations
@@ -47,25 +45,24 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def packed_to_int(row: np.ndarray) -> int:
-    """Little-endian packed uint8 row -> Python int bitset."""
+    """Little-endian packed row (word or byte) -> Python int bitset."""
     return int.from_bytes(row.tobytes(), "little")
 
 
 def pack_bool_matrix(m: np.ndarray) -> np.ndarray:
-    """Pack a boolean matrix (or stack of them) row-wise, little-endian."""
-    return np.packbits(m, axis=-1, bitorder="little")
+    """Pack a boolean matrix (or stack of them) row-wise into little-endian
+    uint64 word rows, zero-padded to whole words."""
+    packed = np.packbits(m, axis=-1, bitorder="little")
+    words = np.zeros(packed.shape[:-1] + (-(-packed.shape[-1] // 8),), dtype="<u8")
+    words.view(np.uint8)[..., : packed.shape[-1]] = packed
+    return words
 
 
 def unpack_packed_matrix(p: np.ndarray, nbits: int) -> np.ndarray:
-    """Inverse of :func:`pack_bool_matrix` (truncates padding bits)."""
-    return np.unpackbits(p, axis=-1, bitorder="little", count=nbits).astype(bool)
-
-
-def packed_to_words(p: np.ndarray) -> np.ndarray:
-    """Packed uint8 rows -> little-endian uint64 rows, zero-padded to words."""
-    words = np.zeros(p.shape[:-1] + (8 * -(-p.shape[-1] // 8),), dtype=np.uint8)
-    words[..., : p.shape[-1]] = p
-    return words.view("<u8")
+    """The first ``nbits`` bits of each little-endian packed row of ``p``
+    (uint64 words or uint8 bytes; a matrix, a stack or one row), as bools:
+    the inverse of :func:`pack_bool_matrix`."""
+    return np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little", count=nbits).view(bool)
 
 
 def popcount_rows(p: np.ndarray) -> np.ndarray:

@@ -8,11 +8,11 @@ edge is extended to a *good* edge of the next window (one whose expansion
 through the window reaches at least ``good_threshold`` of the window's last
 pair), via a concrete square path recovered by depth-first search over the
 per-class pools of unused vertices: :func:`_extend`, which also closes the
-cycle.  Each window is a :class:`sqlab.blowup.ChainLayers` sliced over
-those pools out of one boolean adjacency matrix, made once per embed, and
-packed into word rows.  A seeded sample of its first-pair edges is
-classified in one batched call to the good-edge kernel,
-:meth:`sqlab.blowup.ChainLayers.expansion_fractions`.  The path
+cycle.  Each window is a :class:`sqlab.blowup.ChainPartition` sliced over
+those pools out of one boolean adjacency matrix, made once per embed, with
+:meth:`~sqlab.blowup.ChainPartition.from_matrix`.  A seeded sample of its
+first-pair edges is classified in one batched call to the good-edge kernel,
+:meth:`sqlab.blowup.ChainPartition.expansion_fractions`.  The path
 only grows: no window is undone, so the trace's window records replay to
 exactly the final path, and every successful window uses at least k0 - 2
 vertices, which bounds the number of windows without a budget.  Reserved
@@ -35,12 +35,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
-from .bitops import bits, mask_of
-from .blowup import ChainLayers
+from .bitops import bits, mask_of, unpack_packed_matrix
+from .blowup import ChainPartition
 from .graph import Graph, to_matrix
 from .regularity import EquitablePartition
 from .squarewalk import (
@@ -52,9 +52,6 @@ from .squarewalk import (
     search_square_paths,
 )
 from .util import rng_from
-
-if TYPE_CHECKING:
-    from .blowup import ChainPartition
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -221,26 +218,20 @@ def classify_good_edges(
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     if sample_limit < 1:
         raise ValueError(f"sample_limit must be >= 1, got {sample_limit}")
-    return _classify(ChainLayers.from_chain(window), threshold, sample_limit, rng_from(seed))
+    return _classify(window, threshold, sample_limit, rng_from(seed))
 
 
-def _classify(window: ChainLayers, threshold, sample_limit, rng) -> GoodEdgeReport:
+def _classify(window: ChainPartition, threshold, sample_limit, rng) -> GoodEdgeReport:
     """Sample at most ``sample_limit`` first-pair edges in row-major order and
     classify them with one batched expansion call."""
-    rows, cols = np.nonzero(window.first)
-    if not rows.size:
+    pairs = np.argwhere(unpack_packed_matrix(window.pair(0, 1), window.n0))
+    if not pairs.size:
         return GoodEdgeReport((), 0)
-    if rows.size > sample_limit:
-        idx = np.sort(rng.choice(rows.size, size=sample_limit, replace=False))
-        rows, cols = rows[idx], cols[idx]
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    fractions = window.expansion_fractions(pairs)
-    good = tuple(
-        (window.to_global(0, a), window.to_global(1, b))
-        for (a, b), frac in zip(pairs, fractions)
-        if frac >= threshold
-    )
-    return GoodEdgeReport(good, len(pairs))
+    if len(pairs) > sample_limit:
+        pairs = pairs[np.sort(rng.choice(len(pairs), size=sample_limit, replace=False))]
+    good = pairs[np.array(window.expansion_fractions(pairs)) >= threshold]
+    # the global ids of the good edges' ends, class 0 and class 1, in one gather
+    return GoodEdgeReport(tuple(map(tuple, window.ids[[0, 1], good].tolist())), len(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +394,7 @@ def _pick_start_edge(st, params, rng, trace):
         best_fallback = viable[0] if viable else None
     else:
         cols = [list(bits(st.reserved[(1 - i) % st.r])) for i in range(params.k0 + 2)]
-        view = ChainLayers.from_matrix(st.a, cols)
+        view = ChainPartition.from_matrix(st.a, cols)
         # the backward chain starts at class 1 (cols[0]) and goes on to
         # class 0 (cols[1]), so (u, v) enters it as (v, u), in local ids
         at1, at0 = ({w: i for i, w in enumerate(col)} for col in cols[:2])
@@ -452,7 +443,7 @@ def _advance_window(st, t, params, rng, window_index) -> WindowRecord | None:
     cols = _window(st, next_start, t, rng)
     if cols is None:
         return None
-    win = ChainLayers.from_matrix(st.a, cols)
+    win = ChainPartition.from_matrix(st.a, cols)
     report = _classify(win, params.good_threshold, params.good_sample_limit, rng)
     if not report.good:
         return None

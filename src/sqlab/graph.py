@@ -20,10 +20,9 @@ conversion is ``operator.index``.  Either way numpy integer ids are taken
 and floats are refused, never truncated.
 
 ``to_words`` joins chosen adjacency rows into uint64 word rows, the one
-packed-row form, with one ``to_bytes`` join; ``to_matrix`` unpacks their
-byte view with one ``np.unpackbits``, and ``from_matrix`` packs a symmetric
-boolean matrix back into a ``Graph``.  All three use the little-endian
-packed layout of ``bitops``.
+packed-row form, with one ``to_bytes`` join; ``to_matrix`` unpacks them with
+``bitops.unpack_packed_matrix``, and ``from_matrix`` packs a symmetric
+boolean matrix back into a ``Graph`` with ``bitops.pack_bool_matrix``.
 
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
@@ -201,7 +200,7 @@ def to_words(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
 def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
     """Boolean adjacency of ``rows`` (default: every vertex) against all n
     columns; row i of the result is the neighbourhood of ``rows[i]``."""
-    return unpack_packed_matrix(to_words(g, rows).view(np.uint8), g.n)
+    return unpack_packed_matrix(to_words(g, rows), g.n)
 
 
 def from_matrix(m: np.ndarray) -> Graph:

@@ -58,7 +58,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .bitops import mask_of
+from .bitops import mask_of, pack_bool_matrix, unpack_packed_matrix
 from .graph import Graph, from_matrix, to_matrix, to_words
 from .util import rng_from
 
@@ -206,9 +206,9 @@ class _GraphCounter:
         r, stride = self.ids.shape
         rows = self.rows.take(self.ids.take(np.arange(r) * stride + pivot), axis=0)
         # every class's pivot row once, then each pair's positions in it
-        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        bits = unpack_packed_matrix(rows, 64 * rows.shape[1])
         at = self.ids.take(oc, axis=0)[:, :-1] + (pc * bits.shape[1])[:, None]
-        return bits.ravel().take(at).view(bool)
+        return bits.ravel().take(at)
 
     def counts(self, a, b, left, right) -> np.ndarray:
         """Edges between the positions ``left[i]`` of class ``a[i]`` and
@@ -217,7 +217,7 @@ class _GraphCounter:
         # each pair's right subset as a packed vertex mask
         sel = np.zeros((b.size, 64 * self.rows.shape[1]), dtype=bool)
         sel[np.arange(b.size)[:, None], self.ids.take(right + (b * stride)[:, None])] = True
-        masks = np.packbits(sel, axis=1, bitorder="little").view(np.uint64)
+        masks = pack_bool_matrix(sel)
         rows = self.rows.take(self.ids.take(left + (a * stride)[:, None]), axis=0)
         return np.bitwise_count(rows & masks[:, None, :]).sum(axis=(1, 2), dtype=np.int64)
 

@@ -53,7 +53,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitops import bits, pack_bool_matrix, packed_to_int, popcount_rows
+from .bitops import bits, pack_bool_matrix, packed_to_int, popcount_rows, unpack_packed_matrix
 from .graph import Graph, to_matrix, to_words
 from .util import rng_from
 
@@ -426,7 +426,7 @@ def greedy_square_path(g: Graph, seed: int) -> SquarePath:
         added = []
         while True:
             near = words[cv] & free
-            cand = np.unpackbits((words[cu] & near).view(np.uint8), bitorder="little").nonzero()[0]
+            cand = unpack_packed_matrix(words[cu] & near, g.n).nonzero()[0]
             if not cand.size:
                 return added
             # argmax keeps the first maximum: the smallest id among ties

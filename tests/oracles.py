@@ -33,10 +33,10 @@ purpose against the dense matrix-product kernels.  The
 transposed pairs they read come from a local ``_pair_T``.
 
 The embedder's window route at the very end -- each window a ``chain_view``
-of the pools, classified through the packed pairs of a ``ChainPartition``
-by the good-edge kernel with a GEMM for every layer, and the start pick's
-backward view -- is the earlier version of the one that slices
-``ChainLayers`` out of one adjacency matrix, kept verbatim so windows,
+of the pools, the graph's own, classified by the good-edge kernel with a
+GEMM for every layer, and the start pick's backward view -- is the earlier
+version of the one that slices each window out of the embed state's
+adjacency matrix with ``ChainPartition.from_matrix``, kept verbatim so windows,
 fractions, picks and rng draws can be held to it.  Both read the embed state
 through ``ReferenceStateView``, the earlier state's shape: the reserved
 vertices as sets and the unused ones split into a pool and a reserve mask.
@@ -491,7 +491,7 @@ def reference_triangle_counts_of_pair(chain: ChainPartition, i: int) -> dict[tup
     out: dict[tuple[int, int], int] = {}
     for u in range(n0):
         vs = np.nonzero(
-            np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
+            np.unpackbits(A[u].view(np.uint8), bitorder="little", count=n0).astype(bool)
         )[0]
         if not vs.size:
             continue
@@ -521,7 +521,7 @@ def reference_prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneRes
         C = out.pair(i + 1, i + 2)
         dropped = 0
         for u in range(n0):
-            row_bool = np.unpackbits(A[u], bitorder="little", count=n0).astype(bool)
+            row_bool = np.unpackbits(A[u].view(np.uint8), bitorder="little", count=n0).astype(bool)
             vs = np.nonzero(row_bool)[0]
             if not vs.size:
                 continue
@@ -529,7 +529,7 @@ def reference_prune_to_gtilde(chain: ChainPartition, epsilon: float) -> PruneRes
             bad = vs[tri < tau]
             if bad.size:
                 row_bool[bad] = False
-                A[u] = np.packbits(row_bool, bitorder="little")
+                A.view(np.uint8)[u, : (n0 + 7) // 8] = np.packbits(row_bool, bitorder="little")
                 dropped += int(bad.size)
         removed[(i, i + 1)] = dropped
     return PruneResult(out, removed, tau)
@@ -566,10 +566,10 @@ def reference_check_gtilde_ii(
         sub_pairs = []
         for v in range(n0):
             left = np.nonzero(
-                np.unpackbits(AT[v], bitorder="little", count=n0).astype(bool)
+                np.unpackbits(AT[v].view(np.uint8), bitorder="little", count=n0).astype(bool)
             )[0]
             right = np.nonzero(
-                np.unpackbits(Bm[v], bitorder="little", count=n0).astype(bool)
+                np.unpackbits(Bm[v].view(np.uint8), bitorder="little", count=n0).astype(bool)
             )[0]
             if not (lo <= left.size <= hi) or not (lo <= right.size <= hi):
                 exceptions += 1

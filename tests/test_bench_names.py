@@ -7,9 +7,10 @@ otherwise pass here and break the benchmark.  The scripts are parsed, not
 imported: the check covers each ``from sqlab[.x] import y`` and each
 ``module.attr`` read on a name bound to a ``sqlab`` module, and each call of
 such a name, made directly or through a tracer's ``t.call(layer, fn, ...)``.
-Parsing does not see the fields a script reads off a returned object, so the
-prune re-check of ``bench/checks.py``, loaded by its file path, also runs on
-a real ``prune_to_gtilde`` result."""
+Parsing does not see the fields a script reads off a returned object or the
+arrays it unpacks, so the chain re-checks of ``bench/checks.py``, loaded by
+its file path, also run on a real ``prune_to_gtilde`` result and a real
+chain's pairs."""
 
 import ast
 import importlib
@@ -128,11 +129,17 @@ def test_bench_calls_bind_to_sqlab_signatures():
     assert not unbound, "bench calls that no longer bind:\n" + "\n".join(unbound)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_bench_prune_check_reads_what_prune_returns(seed):
+def _bench_checks():
+    """``bench/checks.py``, loaded by its file path."""
     spec = importlib.util.spec_from_file_location("bench_checks", BENCH / "checks.py")
     checks = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bench_prune_check_reads_what_prune_returns(seed):
+    checks = _bench_checks()
     ch = blowup.build_chain_random(4, 40, 0.5, seed)
     before = {key: ch.pair(*key).copy() for key in ch.pair_indices()}
     res = blowup.prune_to_gtilde(ch, 0.2)
@@ -143,3 +150,24 @@ def test_bench_prune_check_reads_what_prune_returns(seed):
     for key, pair in before.items():
         assert np.array_equal(ch.pair(*key), pair)
         assert not np.shares_memory(ch.pair(*key), res.chain.pair(*key))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bench_chain_checks_read_what_the_chain_stores(seed):
+    # the dense re-checks unpack chain.pair() themselves: they must agree
+    # with the kernels on the stored pairs, so a pair format they cannot
+    # read fails here too
+    checks = _bench_checks()
+    ch = blowup.build_chain_random(5, 12, 0.5, seed)
+    pairs = ch.pair_edges_local(0, 1)[:20]
+    fractions = ch.expansion_fractions(pairs)
+    assert 0 < max(fractions)
+    for (a, b), fraction in zip(pairs, fractions):
+        e = (ch.to_global(0, a), ch.to_global(1, b))
+        assert checks.expansion_fraction(ch, e) == fraction
+        assert checks.square_path_counts(ch, e) == blowup.square_path_counts_from(ch, e)
+    exceptions = blowup.check_gtilde_ii(ch, 0.2, 0.5, 20, seed)
+    floor = checks.size_window_exceptions(ch, 0.2, 0.5)
+    # the size window alone is a lower bound on the exceptions
+    assert sorted(floor) == sorted(exceptions) and sum(floor.values()) > 0
+    assert all(floor[m] <= exceptions[m] for m in floor)

@@ -141,6 +141,28 @@ def test_chain_lookups_reject_what_is_not_in_the_chain():
         ch.locate_edge(0, 9)
 
 
+@pytest.mark.parametrize(
+    "key, block",
+    [
+        ((0, 5), pack_bool_matrix(np.ones((3, 3), dtype=bool))),
+        ((1, 0), pack_bool_matrix(np.ones((3, 3), dtype=bool))),
+        ((0, 1), np.zeros((2, 1), dtype=np.uint8)),
+        ((0, 1), np.ones((3, 3), dtype=bool)),
+        ((0, 1), np.packbits(np.ones((3, 3), dtype=bool), axis=1, bitorder="little")),
+    ],
+    ids=["past-the-last-class", "reversed", "short-byte-block", "dense", "packed-bytes"],
+)
+def test_chain_refuses_malformed_pairs(key, block):
+    # a pair is (i, i+1) or (i, i+2) inside the chain, stored as (n0, 1)
+    # uint64 word rows at n0 = 3; packed bytes, the earlier format, would be
+    # misread as words
+    classes = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
+    with pytest.raises(ValueError):
+        bl.ChainPartition(classes, 0.5, {key: block})
+    ch = bl.ChainPartition(classes, 0.5, {(0, 1): pack_bool_matrix(np.eye(3, dtype=bool))})
+    assert ch.pair_edges_local(0, 1) == [(0, 0), (1, 1), (2, 2)]
+
+
 # -- pruning -------------------------------------------------------------------
 
 
@@ -296,7 +318,7 @@ def test_check_ii_refuses_bad_sampling_arguments_before_any_work(
 
 
 def kernel_fraction(chain, a, b):
-    return bl.ChainLayers.from_chain(chain).expansion_fractions([(a, b)])[0]
+    return chain.expansion_fractions([(a, b)])[0]
 
 
 def test_edge_expansion_complete_chain_full():

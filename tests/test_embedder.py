@@ -33,10 +33,6 @@ def reference_fractions(chain):
     return pairs, [oracle_expansion_fraction(chain, a, b) for a, b in pairs]
 
 
-def kernel_fractions(chain, sources):
-    return bl.ChainLayers.from_chain(chain).expansion_fractions(sources)
-
-
 # -- the batched kernel ---------------------------------------------------------
 
 
@@ -58,14 +54,14 @@ def test_kernel_matches_set_walk_oracle(k, n0, p0, seed, emptied):
         chain._pairs[emptied] = np.zeros_like(chain.pair(*emptied))
     pairs, ref = reference_fractions(chain)
     assert pairs
-    assert kernel_fractions(chain, pairs) == ref
+    assert chain.expansion_fractions(pairs) == ref
     if p0 < 0.3:
         assert 0.0 in ref and any(f > 0 for f in ref)  # some frontiers die
     if emptied is not None:
         assert chain.pair_edge_count(k - 2, k - 1) and set(ref) == {0.0}
     if emptied == (1, 3):  # the first move still reaches some state
-        first = bl.ChainLayers.from_chain(chain).layers[0]
-        assert any((first[0][a] & first[1][b]).any() for a, b in pairs)
+        B0, A0 = chain.pair(0, 2), chain.pair(1, 2)
+        assert any((B0[a] & A0[b]).any() for a, b in pairs)
 
 
 @pytest.mark.parametrize("k", [5, 6])
@@ -76,7 +72,7 @@ def test_kernel_at_the_word_boundary(k, n0):
     chain = bl.build_chain_random(k, n0, 0.25, k * n0)
     pairs = chain.pair_edges_local(0, 1)[::7]
     want = reference_expansion_fractions(chain, pairs)
-    assert kernel_fractions(chain, pairs) == want
+    assert chain.expansion_fractions(pairs) == want
     assert max(want) < 1
 
 
@@ -84,7 +80,7 @@ def test_kernel_past_one_word_where_frontiers_die():
     chain = bl.build_chain_random(6, 65, 0.12, 1)
     pairs = chain.pair_edges_local(0, 1)
     want = reference_expansion_fractions(chain, pairs)
-    assert kernel_fractions(chain, pairs) == want
+    assert chain.expansion_fractions(pairs) == want
     assert 0.0 in want and max(want) > 0
 
 
@@ -93,19 +89,19 @@ def test_kernel_spans_several_source_blocks(monkeypatch):
     pairs, ref = reference_fractions(chain)
     monkeypatch.setattr(bl, "_BLOCK_ENTRIES", 4 * 9 * 9)  # 4 sources per block
     assert len(pairs) > 4 and len(pairs) % 4
-    assert kernel_fractions(chain, pairs) == ref
+    assert chain.expansion_fractions(pairs) == ref
 
 
 def test_kernel_edge_cases():
     chain = bl.build_chain_random(4, 6, 0.5, 5)
-    assert kernel_fractions(chain, []) == []
+    assert chain.expansion_fractions([]) == []
     a, b = chain.pair_edges_local(0, 1)[0]
-    assert kernel_fractions(chain, [(a, b), (a, b)]) == [oracle_expansion_fraction(chain, a, b)] * 2
+    assert chain.expansion_fractions([(a, b), (a, b)]) == [oracle_expansion_fraction(chain, a, b)] * 2
     dense = unpack_packed_matrix(chain.pair(0, 1), 6)
     non_edge = tuple(int(x) for x in np.argwhere(~dense)[0])
     for bad in (non_edge, (6, 0), (-1, 0)):
         with pytest.raises(ValueError):
-            kernel_fractions(chain, [bad])
+            chain.expansion_fractions([bad])
 
 
 def test_classify_good_edges_matches_per_edge_reference():
@@ -147,10 +143,10 @@ def test_classify_good_edges_refuses_threshold_outside_unit_interval(monkeypatch
     # a NaN threshold used to pass every check and report no good edge
     window = bl.build_chain_random(6, 14, 0.55, 6)
 
-    def unreachable(chain):
+    def unreachable(*args):
         raise AssertionError("the window was read before the threshold was checked")
 
-    monkeypatch.setattr(bl.ChainLayers, "from_chain", unreachable)
+    monkeypatch.setattr(embedder, "_classify", unreachable)
     for threshold in (float("nan"), -0.01, 1.01, float("inf")):
         with pytest.raises(ValueError, match="threshold"):
             embedder.classify_good_edges(window, threshold)
@@ -266,7 +262,7 @@ def test_pipeline_600_trace_unchanged(monkeypatch):
     # windows built and kernel calls made: each window built is classified
     # once
     counts = {"windows": 0, "kernel": 0}
-    window, kernel = embedder._window, bl.ChainLayers.expansion_fractions
+    window, kernel = embedder._window, bl.ChainPartition.expansion_fractions
 
     def counted_window(*args):
         cols = window(*args)
@@ -278,7 +274,7 @@ def test_pipeline_600_trace_unchanged(monkeypatch):
         return kernel(self, sources)
 
     monkeypatch.setattr(embedder, "_window", counted_window)
-    monkeypatch.setattr(bl.ChainLayers, "expansion_fractions", counted_kernel)
+    monkeypatch.setattr(bl.ChainPartition, "expansion_fractions", counted_kernel)
     h, pr, cyc, tr = run_pipeline(600, 0.7, 1)
 
     assert (tr.closing_status, tr.final_length) == ("open-path", 532) and tr.start_certified
