@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph as graphmod
-from .bitops import mask_of
+from .bitops import block_rows, mask_of, popcount_rows, unpack_packed_matrix
 from .graph import Graph
 from .util import rng_from
 
@@ -55,8 +55,12 @@ class AdversarySpec:
         return cls(**obj)
 
 
-# per_vertex_deletion walks the permuted edges this many at a time, dropping
-# edges with a spent endpoint in one numpy pass before each chunk's loop
+# per_vertex_deletion lists the edge ids from boolean row blocks of about
+# _BLOCK_BYTES, then walks the shuffled ids _CHUNK_EDGES at a time: one divmod
+# splits a chunk into endpoints, one numpy pass drops the edges with a spent
+# endpoint before the chunk's loop, and its deletions are cleared from the
+# word rows when the loop ends
+_BLOCK_BYTES = 1 << 20
 _CHUNK_EDGES = 8192
 
 
@@ -65,32 +69,47 @@ def per_vertex_deletion(g: Graph, r: float, seed: int) -> Graph:
 
     Candidate edges are visited in seeded random order; a deletion is skipped
     whenever it would overdraw either endpoint's budget floor(r * deg).  The
-    result therefore always satisfies the per-vertex budget exactly.
+    result therefore always satisfies the per-vertex budget exactly.  Memory:
+    a copy of the n^2/8 bytes of word rows plus 8 bytes per edge.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"deletion fraction {r} outside [0, 1]")
-    a = graphmod.to_matrix(g)
-    budget = (r * a.sum(axis=1)).astype(np.int64).tolist()
-    # np.nonzero walks the upper triangle row-major: the order of g.edges()
-    us, vs = np.nonzero(np.triu(a, 1))
-    order = rng_from(seed).permutation(us.size)
-    us, vs = us[order], vs[order]
-    removed_u, removed_v = [], []
-    for lo in range(0, us.size, _CHUNK_EDGES):
-        cu, cv = us[lo : lo + _CHUNK_EDGES], vs[lo : lo + _CHUNK_EDGES]
+    n = g.n
+    words = graphmod.to_words(g).copy()
+    budget = (r * popcount_rows(words)).astype(np.int64).tolist()
+    # edge ids u * n + v, u < v, in the order of g.edges(); shuffling them in
+    # place draws what permutation(m) draws
+    ids = np.empty(g.edge_count, dtype=np.int64)
+    rows, filled = block_rows(n, _BLOCK_BYTES), 0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = unpack_packed_matrix(words[lo:hi], n)
+        block[:, :hi] &= np.arange(hi) > np.arange(lo, hi)[:, None]  # v > u
+        flat = np.flatnonzero(block)
+        ids[filled : filled + flat.size] = flat + lo * n
+        filled += flat.size
+    rng_from(seed).shuffle(ids)
+    flat_words, row_words = words.reshape(-1), words.shape[1]
+    for lo in range(0, ids.size, _CHUNK_EDGES):
+        cu, cv = np.divmod(ids[lo : lo + _CHUNK_EDGES], n)
         # budgets only fall, so an edge with a spent endpoint at the start of
         # its chunk would be skipped at its turn anyway
         left = np.array(budget)
         live = (left[cu] > 0) & (left[cv] > 0)
+        removed_u, removed_v = [], []
         for u, v in zip(cu[live].tolist(), cv[live].tolist()):
             if budget[u] > 0 and budget[v] > 0:
                 budget[u] -= 1
                 budget[v] -= 1
                 removed_u.append(u)
                 removed_v.append(v)
-    a[removed_u, removed_v] = False
-    a[removed_v, removed_u] = False
-    return graphmod.from_matrix(a)
+        if removed_u:
+            us = np.array(removed_u + removed_v, dtype=np.int64)
+            vs = np.array(removed_v + removed_u, dtype=np.int64)
+            # every removed bit is set and listed once, so an XOR clears it
+            bit = np.left_shift(np.uint64(1), (vs & 63).astype(np.uint64))
+            np.bitwise_xor.at(flat_words, us * row_words + (vs >> 6), bit)
+    return graphmod.from_words(words)
 
 
 def _clear_inside(g: Graph, inside: int) -> Graph:

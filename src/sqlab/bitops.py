@@ -5,10 +5,11 @@ Vertex sets are represented three ways throughout the package:
 * as arbitrary-precision Python ints (bit ``v`` set means vertex ``v`` is in
   the set) -- the Graph adjacency rows,
 * as little-endian ``uint64`` word rows, ``ceil(n / 64)`` words a row with
-  zero padding bits -- the adjacency of ``graph.to_words``, which the greedy
-  square path and the partition counter read, and the pairs of a
-  ``blowup.ChainPartition``, which pruning, counting and the good-edge kernel
-  read, and
+  zero padding bits -- the adjacency of ``graph.to_words``, which ``gnp`` and
+  the per-vertex deletion build and edit with no dense matrix (only boolean
+  blocks of :func:`block_rows` rows) and the greedy square path and the
+  partition counter read, and the pairs of a ``blowup.ChainPartition``,
+  which pruning, counting and the good-edge kernel read, and
 * as dense boolean numpy matrices, one ``bool`` per entry -- the adjacency
   matrix of ``graph.to_matrix`` and the regularity tester's pair matrix.
 
@@ -63,6 +64,13 @@ def unpack_packed_matrix(p: np.ndarray, nbits: int) -> np.ndarray:
     (uint64 words or uint8 bytes; a matrix, a stack or one row), as bools:
     the inverse of :func:`pack_bool_matrix`."""
     return np.unpackbits(p.view(np.uint8), axis=-1, bitorder="little", count=nbits).view(bool)
+
+
+def block_rows(ncols: int, nbytes: int) -> int:
+    """Rows in a block of about ``nbytes`` bytes of a boolean matrix with
+    ``ncols`` columns: a multiple of 64, at least 64, so that a block's
+    columns are whole words of the packed rows."""
+    return max(64, nbytes // max(ncols, 1) // 64 * 64)
 
 
 def popcount_rows(p: np.ndarray) -> np.ndarray:

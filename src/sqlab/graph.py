@@ -1,17 +1,21 @@
 """Immutable simple graphs on dense integer vertex ids 0..n-1.
 
-Adjacency has two encodings that agree bit for bit:
+Adjacency has three encodings that agree bit for bit:
 
 * one Python-int bitset per vertex (``Graph.adjacency``), which makes the
   intersection-heavy queries of this package (common neighbourhoods,
   square-path candidates, degrees into subsets) single ``&`` + popcount
-  operations, and
+  operations,
+* little-endian ``uint64`` word rows, the one packed-row form, which the
+  front half of the pipeline works on: ``gnp`` and
+  ``adversary.per_vertex_deletion`` build and edit word rows a row block at a
+  time and never hold a dense n x n matrix, and
 * a dense boolean matrix, for whole-graph passes that numpy vectorises.
 
 A ``Graph`` is its vertex count and its rows; it counts its own edges from
 the rows, so the constructors (``from_edges``, ``complete``, ``empty``,
-``complete_multipartite``, ``from_matrix``) and ``without_edges`` pass rows
-only.
+``complete_multipartite``, ``from_words``, ``from_matrix``) and
+``without_edges`` pass rows only.
 
 Every entry point of the package takes a vertex id of a graph through
 ``Graph.check_vertex``, which returns it as a Python int after its range
@@ -19,10 +23,10 @@ check; where no graph is at hand (``from_edges``, ``bitops.mask_of``) the
 conversion is ``operator.index``.  Either way numpy integer ids are taken
 and floats are refused, never truncated.
 
-``to_words`` joins chosen adjacency rows into uint64 word rows, the one
-packed-row form, with one ``to_bytes`` join; ``to_matrix`` unpacks them with
-``bitops.unpack_packed_matrix``, and ``from_matrix`` packs a symmetric
-boolean matrix back into a ``Graph`` with ``bitops.pack_bool_matrix``.
+``to_words`` joins chosen adjacency rows into word rows with one
+``to_bytes`` join, and ``from_words`` turns word rows back into a ``Graph``;
+``to_matrix`` unpacks word rows with ``bitops.unpack_packed_matrix``, and
+``from_matrix`` is ``from_words`` of ``bitops.pack_bool_matrix``.
 
 Random generation is seeded and platform independent: ``gnp`` draws one
 uniform per unordered pair in lexicographic pair order from a named PCG64
@@ -37,8 +41,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .bitops import bits, pack_bool_matrix, packed_to_int, unpack_packed_matrix
+from .bitops import bits, block_rows, pack_bool_matrix, packed_to_int, unpack_packed_matrix
 from .util import rng_from
+
+# gnp draws into boolean row blocks of about this many bytes
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,19 +173,32 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     Each unordered pair {i, j}, i < j, is an edge independently with
     probability p.  One uniform is drawn per pair, rows in increasing i and
     within a row increasing j, from PCG64(seed); the layout is therefore
-    reproducible across platforms.  Draws are taken one row at a time, so
-    no n(n-1)/2 float buffer is ever held.
+    reproducible across platforms.  Draws are taken one row at a time into
+    a boolean block of about ``_BLOCK_BYTES`` (a multiple of 64 rows), which
+    is packed into the upper triangle of the word rows and, transposed, into
+    the lower one.  Memory: the n^2/8 bytes of word rows plus one block (and
+    a transposed copy of it), never an n x n matrix or an n(n-1)/2 float
+    buffer.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be nonnegative")
     rng = rng_from(seed)
-    m = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        m[i, i + 1 :] = rng.random(n - 1 - i) < p
-    m |= m.T
-    return from_matrix(m)
+    words = np.zeros((n, -(-n // 64)), dtype="<u8")
+    rows = block_rows(n, _BLOCK_BYTES)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = np.zeros((hi - lo, n), dtype=bool)
+        for i in range(lo, min(hi, n - 1)):
+            np.less(rng.random(n - 1 - i), p, out=block[i - lo, i + 1 :])
+        words[lo:hi] |= pack_bool_matrix(block)
+        # lo is a multiple of 64, so the mirror of rows lo..hi is whole word
+        # columns of rows lo..n; packing a contiguous copy of the transpose
+        # is faster than packing the strided view
+        mirror = np.ascontiguousarray(block[:, lo:].T)
+        words[lo:, lo // 64 : -(-hi // 64)] |= pack_bool_matrix(mirror)
+    return from_words(words)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +223,16 @@ def to_matrix(g: Graph, rows: Sequence[int] | None = None) -> np.ndarray:
     return unpack_packed_matrix(to_words(g, rows), g.n)
 
 
+def from_words(words: np.ndarray) -> Graph:
+    """Graph of n symmetric little-endian uint64 word rows of ``ceil(n / 64)``
+    words each (the ``to_words`` layout) with an empty diagonal and zero
+    padding bits."""
+    n = words.shape[0]
+    if words.shape != (n, -(-n // 64)):
+        raise ValueError(f"word rows of shape {words.shape} for n={n}")
+    return Graph(n, [packed_to_int(row) for row in words])
+
+
 def from_matrix(m: np.ndarray) -> Graph:
     """Graph of a symmetric boolean adjacency matrix with an empty diagonal."""
-    adj = [packed_to_int(row) for row in pack_bool_matrix(m)]
-    return Graph(m.shape[0], adj)
+    return from_words(pack_bool_matrix(m))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,26 @@ def test_per_vertex_budget_respected():
         before, after = g.degree(v), h.degree(v)
         assert before - after <= int(0.3 * before)
     assert h.edge_count < g.edge_count
+
+
+def test_gnp_and_deletion_hold_no_dense_matrix():
+    """Both work on word rows (n^2/8 bytes) and edge ids: each traced peak,
+    the deletion's above its input graph, stays below n^2/2 bytes, half of
+    one dense n x n boolean matrix."""
+    n = 8000
+    tracemalloc.start()
+    try:
+        g = graph.gnp(n, 0.01, 3)
+        _, gnp_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        h = adv.per_vertex_deletion(g, 0.1, 3)
+        _, deletion_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < h.edge_count < g.edge_count
+    assert gnp_peak < n * n / 2
+    assert deletion_peak - before < n * n / 2
 
 
 def test_per_vertex_rejects_bad_fraction():

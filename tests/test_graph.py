@@ -110,6 +110,14 @@ def test_to_words_layout(n):
     sub = graph.to_words(g, rows)
     assert sub.shape == (len(rows), words) and np.array_equal(sub, full[rows])
     assert graph.to_words(g, []).shape == (0, words)
+    back = graph.from_words(full)
+    assert back == g and back.edge_count == g.edge_count
+
+
+@pytest.mark.parametrize("shape", [(5, 2), (5, 0), (65, 1), (2, 1, 1)])
+def test_from_words_refuses_other_shapes(shape):
+    with pytest.raises(ValueError, match="word rows of shape"):
+        graph.from_words(np.zeros(shape, dtype=np.uint64))
 
 
 @pytest.mark.parametrize(

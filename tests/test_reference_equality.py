@@ -1,4 +1,4 @@
-"""The matrix-backed gnp, per-vertex deletion, pair counter, greedy square
+"""The word-row gnp and per-vertex deletion, the pair counter, greedy square
 path, chain kernels and embedder windows against the bitset and chain-view
 reference implementations in ``oracles``: outputs must be identical, down to
 edge counts, witnesses, sample indices, path vertices, pruned pairs, path
@@ -62,35 +62,51 @@ def assert_same_graph(got, want):
     got.validate()
 
 
+def row_blocks(monkeypatch):
+    """Run the loop body once with the default row blocks of ``gnp`` and
+    ``per_vertex_deletion`` and once with 64-row blocks, which split n = 131
+    and 150 into several blocks, mirrored off-diagonal blocks and a partial
+    last block."""
+    for nbytes in (None, 64):
+        with monkeypatch.context() as mp:
+            if nbytes is not None:
+                mp.setattr(graph, "_BLOCK_BYTES", nbytes)
+                mp.setattr(adversary, "_BLOCK_BYTES", nbytes)
+            yield
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 9, 64, 131])
 @pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 0.93, 1.0])
-def test_gnp_matches_reference(n, p):
-    for seed in (0, 11):
-        assert_same_graph(graph.gnp(n, p, seed), reference_gnp(n, p, seed))
+def test_gnp_matches_reference(monkeypatch, n, p):
+    for _ in row_blocks(monkeypatch):
+        for seed in (0, 11):
+            assert_same_graph(graph.gnp(n, p, seed), reference_gnp(n, p, seed))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 150])
 @pytest.mark.parametrize("p", [0.0, 0.6, 1.0])
 @pytest.mark.parametrize("r", [0.0, 0.1, 0.37, 1.0])
-def test_per_vertex_deletion_matches_reference(n, p, r):
-    g = graph.gnp(n, p, seed=n)
-    for seed in (0, 3):
-        assert_same_graph(
-            adversary.per_vertex_deletion(g, r, seed),
-            reference_per_vertex_deletion(g, r, seed),
-        )
-
-
-@pytest.mark.parametrize("chunk", [1, 7])
-def test_per_vertex_deletion_matches_reference_across_chunks(monkeypatch, chunk):
-    monkeypatch.setattr(adversary, "_CHUNK_EDGES", chunk)
-    for n, p, r in [(5, 1.0, 1.0), (40, 0.6, 0.37), (150, 0.6, 0.1)]:
+def test_per_vertex_deletion_matches_reference(monkeypatch, n, p, r):
+    for _ in row_blocks(monkeypatch):
         g = graph.gnp(n, p, seed=n)
         for seed in (0, 3):
             assert_same_graph(
                 adversary.per_vertex_deletion(g, r, seed),
                 reference_per_vertex_deletion(g, r, seed),
             )
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_per_vertex_deletion_matches_reference_across_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(adversary, "_CHUNK_EDGES", chunk)
+    for _ in row_blocks(monkeypatch):
+        for n, p, r in [(5, 1.0, 1.0), (40, 0.6, 0.37), (150, 0.6, 0.1)]:
+            g = graph.gnp(n, p, seed=n)
+            for seed in (0, 3):
+                assert_same_graph(
+                    adversary.per_vertex_deletion(g, r, seed),
+                    reference_per_vertex_deletion(g, r, seed),
+                )
 
 
 def with_reference_counter(monkeypatch, fn, *args, **kwargs):
